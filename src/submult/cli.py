@@ -4,9 +4,10 @@ Subcommands: eval, check, local, classify, inequality.  Exit codes are a
 stable contract: 0 = holds on the requested range, 1 = refuted
 (counterexamples listed), 2 = usage / domain / resource error.
 
-Sieve limits are derived from the range flags (including the k-power
-blowup) and announced on stderr before sweeping, so stdout carries only
-the result (plain text, or the JSON envelope under --json).
+Sieve limits are derived from the checked properties' formulas over the
+range flags (including the k-power blowup) and announced on stderr
+before sweeping, so stdout carries only the result (plain text, or the
+JSON envelope under --json).
 """
 
 from __future__ import annotations
@@ -21,12 +22,15 @@ from submult.checks import (
     SUP,
     CheckConfig,
     classify,
+    classify_specs,
     run_property_check,
+    sieve_limit,
 )
 from submult.core import build_spf_table
 from submult.errors import SubmultError, UsageError
 from submult.functions import builtin_registry, evaluate
 from submult.inequalities import (
+    INEQUALITY_IDS,
     verify_corollary1,
     verify_eq12,
     verify_eq13,
@@ -108,16 +112,6 @@ def _property_spec(args) -> PropertySpec:
     return PropertySpec(args.property)
 
 
-def _sieve_needed(spec: PropertySpec, cfg: CheckConfig) -> int:
-    needed = cfg.max_m * cfg.max_n
-    for k in cfg.k_set if spec.k is None else (spec.k,):
-        if spec.family in ("k-sub-mult", "k-sup-mult"):
-            needed = max(needed, cfg.max_m**k, cfg.max_n**k)
-        elif spec.family in ("k-sub-hom", "k-sup-hom"):
-            needed = max(needed, cfg.max_n**k)
-    return needed
-
-
 # ---------------------------------------------------------------------------
 # Handlers
 # ---------------------------------------------------------------------------
@@ -134,7 +128,7 @@ def _cmd_check(args) -> int:
     fn = registry.get(args.function)
     spec = _property_spec(args)
     cfg = CheckConfig(max_m=args.max_m, max_n=args.max_n, k_set=(args.k,))
-    limit = _sieve_needed(spec, cfg)
+    limit = sieve_limit([spec], cfg)
     _announce_sieve(limit)
     table = build_spf_table(limit)
     report = run_property_check(fn, spec, cfg, table, threads=args.threads)
@@ -157,7 +151,7 @@ def _cmd_local(args) -> int:
         spec = PropertySpec(crit.global_family(), k)
         cfg = CheckConfig(max_m=args.max_m, max_n=args.max_n,
                           k_set=(k,) if k else (DEFAULT_K,))
-        limit = _sieve_needed(spec, cfg)
+        limit = sieve_limit([spec], cfg)
         _announce_sieve(limit)
         table = build_spf_table(limit)
         global_report = run_property_check(fn, spec, cfg, table,
@@ -177,8 +171,7 @@ def _cmd_classify(args) -> int:
     fn = registry.get(args.function)
     k_set = _parse_k_set(args.k_set)
     cfg = CheckConfig(max_m=args.max_m, max_n=args.max_n, k_set=k_set)
-    limit = max(cfg.max_m * cfg.max_n,
-                *(max(cfg.max_m, cfg.max_n) ** k for k in k_set))
+    limit = sieve_limit(classify_specs(cfg), cfg)
     _announce_sieve(limit)
     table = build_spf_table(limit)
     reports = classify(fn, cfg, table, threads=args.threads)
@@ -246,7 +239,8 @@ def _add_common(sp, *, csv: bool = True) -> None:
         sp.add_argument("--csv", metavar="PATH",
                         help="also write counterexamples to a CSV file")
     sp.add_argument("--threads", type=int, default=1,
-                    help="worker count (results are identical for any value)")
+                    help="accepted for compatibility; sweeps run on one thread "
+                         "and results do not depend on it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,8 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("inequality", help="verify a named inequality")
-    p.add_argument("id", choices=("eq12", "eq13", "eq16", "eq20", "eq23",
-                                  "corollary1"))
+    p.add_argument("id", choices=INEQUALITY_IDS)
     p.add_argument("--max-prime", type=int, default=DEFAULT_MAX_PRIME)
     p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     p.add_argument("--max-exp", type=int, default=DEFAULT_MAX_EXP)

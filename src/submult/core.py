@@ -14,12 +14,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from submult.errors import DomainError, ResourceError, UsageError
-
-try:
-    from submult import _spfsieve as _sieve
-except ImportError:  # extension not built; pure-Python kernel
-    from submult import _spfsieve_py as _sieve
+from submult import _spfsieve_py as _sieve
+from submult.errors import DomainError, ResourceError, UnsupportedInputError, UsageError
 
 # Exact rational value; the codomain of every registered function.
 Value = Fraction
@@ -33,7 +29,7 @@ LESS, EQUAL, GREATER = -1, 0, 1
 
 
 def kernel_backend() -> str:
-    """Which sieve kernel is active: "compiled" or "python"."""
+    """Which sieve kernel is active; always "python" (numpy slice assignment)."""
     return _sieve.BACKEND
 
 
@@ -144,12 +140,25 @@ def trial_factorize(n: int) -> Factorization:
     return Factorization(tuple(pairs))
 
 
+# Miller-Rabin bases 2..41: the smallest strong pseudoprime to all of them
+# is psi_13 (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981  # psi_13
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all 64-bit inputs and far
-    beyond (witness set valid below 3.3 * 10^24)."""
+    """Deterministic Miller-Rabin with bases 2..41, exact for every
+    n < psi_13 = 3317044064679887385961981 (about 3.3 * 10^24).
+
+    Raises UnsupportedInputError for larger n, where these bases no
+    longer decide primality."""
+    if n >= _MR_EXACT_BELOW:
+        raise UnsupportedInputError(
+            f"is_prime is exact only below {_MR_EXACT_BELOW}, got {n}")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -157,7 +166,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -183,28 +192,45 @@ def primes_upto(limit: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def eval_phi(f: Factorization) -> Value:
-    """Euler totient: product of p^(a-1) * (p-1); 1 on the empty product."""
+def phi_rule(p: int, a: int) -> int:
+    """Euler totient at p^a: p^(a-1) (p - 1), and 1 at a = 0."""
+    return 1 if a == 0 else p ** (a - 1) * (p - 1)
+
+
+def d_rule(p: int, a: int) -> int:
+    """Number of divisors of p^a."""
+    return a + 1
+
+
+def sigma_rule(p: int, a: int) -> int:
+    """Sum of divisors of p^a: (p^(a+1) - 1) / (p - 1), an exact integer."""
+    return (p ** (a + 1) - 1) // (p - 1)
+
+
+def eval_rule(rule, f: Factorization) -> Value:
+    """Multiplicative function given by its prime-power rule, at f.
+
+    The product stays a plain int while the rule returns ints, so
+    integer-valued functions pay for one Fraction, not one per factor."""
     out = 1
     for p, a in f.pairs:
-        out *= p ** (a - 1) * (p - 1)
+        out *= rule(p, a)
     return Fraction(out)
+
+
+def eval_phi(f: Factorization) -> Value:
+    """Euler totient at f."""
+    return eval_rule(phi_rule, f)
 
 
 def eval_d(f: Factorization) -> Value:
-    """Number of divisors: product of (a + 1)."""
-    out = 1
-    for _, a in f.pairs:
-        out *= a + 1
-    return Fraction(out)
+    """Number of divisors at f."""
+    return eval_rule(d_rule, f)
 
 
 def eval_sigma(f: Factorization) -> Value:
-    """Sum of divisors: product of (p^(a+1) - 1) / (p - 1), exact integer."""
-    out = 1
-    for p, a in f.pairs:
-        out *= (p ** (a + 1) - 1) // (p - 1)
-    return Fraction(out)
+    """Sum of divisors at f."""
+    return eval_rule(sigma_rule, f)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from submult.core import Factorization, SpfTable, Value, factorize, trial_factorize
+from submult.core import (
+    Factorization,
+    SpfTable,
+    Value,
+    d_rule,
+    eval_rule,
+    factorize,
+    phi_rule,
+    sigma_rule,
+    trial_factorize,
+)
 from submult.errors import DomainError, InvariantViolation, UsageError
 from submult.inference import (
     GE_IDENTITY,
@@ -44,7 +54,8 @@ POWER = "power-combinator"
 _ARITY = {QUOTIENT: (2, 2), RECIPROCAL: (1, 1), POWER: (2, 2),
           PRODUCT: (2, None), SUM: (2, None)}
 
-PrimePowerRule = Callable[[int, int], Value]
+# (p, a) -> value at p^a, an int or a Fraction
+PrimePowerRule = Callable[[int, int], int | Value]
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,10 +83,7 @@ class ArithFn:
 def evaluate_fact(f: ArithFn, fact: Factorization) -> Value:
     """Exact value of f at the integer given in factorized form."""
     if f.rule is not None:
-        out = Fraction(1)
-        for p, a in fact.pairs:
-            out *= f.rule(p, a)
-        return out
+        return eval_rule(f.rule, fact)
     if f.kind == PRODUCT:
         out = Fraction(1)
         for c in f.children:
@@ -118,8 +126,9 @@ def evaluate(f: ArithFn, n: int, table: SpfTable | None = None) -> Value:
 
 
 class Evaluator:
-    """Caching wrapper around evaluate() for sweeps; safe to share across
-    threads (worst case a value is computed twice, identically)."""
+    """Caching wrapper around evaluate() for sweeps.  One evaluator per
+    function serves every sweep of a command, so a value computed for one
+    property is reused by the next."""
 
     def __init__(self, fn: ArithFn, table: SpfTable | None = None):
         self.fn = fn
@@ -170,24 +179,12 @@ def combine(kind: str, parts: Iterable[ArithFn], *, name: str | None = None) -> 
 # ---------------------------------------------------------------------------
 
 
-def _phi_rule(p: int, a: int) -> Value:
-    return Fraction(1) if a == 0 else Fraction(p ** (a - 1) * (p - 1))
+def _identity_rule(p: int, a: int) -> int:
+    return p**a
 
 
-def _d_rule(p: int, a: int) -> Value:
-    return Fraction(a + 1)
-
-
-def _sigma_rule(p: int, a: int) -> Value:
-    return Fraction((p ** (a + 1) - 1) // (p - 1))
-
-
-def _identity_rule(p: int, a: int) -> Value:
-    return Fraction(p**a)
-
-
-def _one_rule(p: int, a: int) -> Value:
-    return Fraction(1)
+def _one_rule(p: int, a: int) -> int:
+    return 1
 
 
 def _builtin(name: str, rule: PrimePowerRule) -> ArithFn:
@@ -274,19 +271,19 @@ def builtin_registry() -> Registry:
     """
     reg = Registry()
     phi = reg.register(
-        _builtin("phi", _phi_rule),
+        _builtin("phi", phi_rule),
         _tags("phi", "totient: classical",
               MULTIPLICATIVE, SUP_MULT, SUB_HOM, LE_IDENTITY,
               (K_SUB_MULT, None), (K_SUB_HOM, 2)),
     )
     d = reg.register(
-        _builtin("d", _d_rule),
+        _builtin("d", d_rule),
         _tags("d", "divisor count: classical",
               MULTIPLICATIVE, SUB_MULT, SUB_HOM, LE_IDENTITY,
               (K_SUP_MULT, None)),
     )
     sigma = reg.register(
-        _builtin("sigma", _sigma_rule),
+        _builtin("sigma", sigma_rule),
         _tags("sigma", "divisor sum: classical",
               MULTIPLICATIVE, SUB_MULT, SUP_HOM, GE_IDENTITY,
               (K_SUP_MULT, None), (K_SUP_HOM, None)),

@@ -14,52 +14,36 @@ Ids are stable CLI vocabulary:
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 
-from submult.checks import HOLDS, REFUTED, CheckReport, Counterexample, _run_rows
+from submult.checks import (
+    FORMULAS,
+    LT,
+    CheckConfig,
+    CheckReport,
+    Property,
+    formula,
+    line,
+    sweep_report,
+)
 from submult.core import (
-    DEFAULT_DIGIT_BUDGET,
-    LESS,
     SpfTable,
     build_spf_table,
     cmp_power_products_detail,
+    d_rule,
     eval_phi,
     eval_sigma,
     factorize,
-    prime_power,
+    phi_rule,
     primes_upto,
+    sigma_rule,
 )
 from submult.errors import DomainError, UnsupportedInputError, UsageError
-from submult.functions import ArithFn, Evaluator, Registry
-from submult.inference import SUB_HOM, SUB_MULT
+from submult.functions import ArithFn, Evaluator, Registry, make_prime_power_fn
+from submult.inference import K_SUB_HOM, K_SUP_MULT, SUB_HOM, SUB_MULT, SUP_MULT
+from submult.local import prime_power_property, prime_power_values
 
 INEQUALITY_IDS = ("eq12", "eq13", "eq16", "eq20", "eq23", "corollary1")
-
-
-def _one_dim_report(ineq_id: str, formula: str, params: dict, points, check_point,
-                    *, var: str = "n", cap: int = 10,
-                    threads: int = 1) -> CheckReport:
-    """Sweep a 1-d family of instances; check_point(x) -> (ok, lhs, rhs, stats)."""
-    t0 = time.perf_counter()
-
-    def row_fn(x):
-        ok, lhs, rhs, row_stats = check_point(x)
-        cex = [] if ok else [Counterexample(((var, x),), lhs, rhs)]
-        return 1, cex, row_stats
-
-    checked, cex, stats = _run_rows(row_fn, points, False, threads)
-    cex.sort(key=Counterexample.coords)
-    return CheckReport(
-        function=ineq_id,
-        property=formula,
-        params=params,
-        verdict=REFUTED if cex else HOLDS,
-        counterexamples=cex[:cap],
-        pairs_checked=checked,
-        elapsed_seconds=time.perf_counter() - t0,
-        stats=stats,
-    )
 
 
 def verify_eq12(max_prime: int, *, use_filter: bool = True,
@@ -68,154 +52,95 @@ def verify_eq12(max_prime: int, *, use_filter: bool = True,
     if max_prime < 2:
         raise UsageError("max_prime must be >= 2")
 
-    def check_point(p):
+    def compare(p):
         lhs = ((Fraction(p + 1), p - 1),)
         rhs = ((Fraction(p), p),)
         order, used_exact = cmp_power_products_detail(lhs, rhs, use_filter=use_filter)
-        row_stats = {"exact_fallbacks": 1} if used_exact else {}
-        return order == LESS, lhs, rhs, row_stats
+        return order, lhs, rhs, used_exact
 
-    return _one_dim_report("eq12", "(p+1)^(p-1) < p^p",
-                           {"max_prime": max_prime}, primes_upto(max_prime),
-                           check_point, var="p", threads=threads)
+    prop = line("p", primes_upto(max_prime), compare, LT)
+    return sweep_report("eq12", "(p+1)^(p-1) < p^p", {"max_prime": max_prime},
+                        prop, CheckConfig(), threads)
 
 
 def verify_eq13(max_n: int, *, table: SpfTable | None = None,
-                use_filter: bool = True, digit_budget: int = DEFAULT_DIGIT_BUDGET,
-                threads: int = 1) -> CheckReport:
+                use_filter: bool = True, threads: int = 1) -> CheckReport:
     """sigma(n)^phi(n) < n^n, strict, for all 2 <= n <= max_n.
 
     The log filter resolves almost every n; near-ties fall back to the
-    exact big-integer comparison (whose cost the digit budget caps).
-    Pass use_filter=False to force the exact path throughout.
+    exact big-integer comparison (whose cost the default digit budget
+    caps).  Pass use_filter=False to force the exact path throughout.
     """
     if max_n < 2:
         raise UsageError("max_n must be >= 2")
     if table is None:
         table = build_spf_table(max_n)
 
-    def check_point(n):
+    def compare(n):
         fact = factorize(n, table)
-        s, t = eval_sigma(fact), eval_phi(fact)
-        lhs = ((s, int(t)),)
+        lhs = ((eval_sigma(fact), int(eval_phi(fact))),)
         rhs = ((Fraction(n), n),)
-        order, used_exact = cmp_power_products_detail(
-            lhs, rhs, use_filter=use_filter, digit_budget=digit_budget)
-        row_stats = {"exact_fallbacks": 1} if used_exact else {}
-        return order == LESS, lhs, rhs, row_stats
+        order, used_exact = cmp_power_products_detail(lhs, rhs, use_filter=use_filter)
+        return order, lhs, rhs, used_exact
 
-    return _one_dim_report("eq13", "sigma(n)^phi(n) < n^n",
-                           {"max_n": max_n}, range(2, max_n + 1), check_point,
-                           threads=threads)
+    prop = line("n", range(2, max_n + 1), compare, LT)
+    return sweep_report("eq13", "sigma(n)^phi(n) < n^n", {"max_n": max_n}, prop,
+                        CheckConfig(), threads)
 
 
 def _sigma_over_d_pp(p: int, e: int) -> Fraction:
-    # mean divisor of p^e: (p^(e+1) - 1) / ((p - 1) (e + 1))
-    return Fraction(p ** (e + 1) - 1, (p - 1) * (e + 1))
+    # sigma/d at p^e: the mean divisor of p^e
+    return Fraction(sigma_rule(p, e), d_rule(p, e))
 
 
 def verify_eq16(max_prime: int, max_exp: int, *, threads: int = 1) -> CheckReport:
     """Mean-divisor super-multiplicativity on prime powers, non-strict:
 
-        sd(p^(a+b)) >= sd(p^a) * sd(p^b),  sd = sigma/d,  a, b >= 1.
+        sd(p^(a+b)) >= sd(p^a) * sd(p^b),  sd = sigma/d,  a, b >= 1,
+
+    which is eq14 sup for sigma/d restricted to positive exponents.
     """
     if max_prime < 2 or max_exp < 1:
         raise UsageError("need max_prime >= 2 and max_exp >= 1")
-    t0 = time.perf_counter()
-
-    def row_fn(p):
-        vals = [_sigma_over_d_pp(p, e) for e in range(2 * max_exp + 1)]
-        row_cex = []
-        count = 0
-        for a in range(1, max_exp + 1):
-            for b in range(1, max_exp + 1):
-                count += 1
-                lhs, rhs = vals[a + b], vals[a] * vals[b]
-                if not lhs >= rhs:
-                    row_cex.append(
-                        Counterexample((("p", p), ("a", a), ("b", b)), lhs, rhs))
-        return count, row_cex, {}
-
-    checked, cex, _ = _run_rows(row_fn, primes_upto(max_prime), False, threads)
-    cex.sort(key=Counterexample.coords)
-    return CheckReport(
-        function="eq16",
-        property="sd(p^(a+b)) >= sd(p^a) sd(p^b) with sd = sigma/d",
-        params={"max_prime": max_prime, "max_exp": max_exp},
-        verdict=REFUTED if cex else HOLDS,
-        counterexamples=cex[:10],
-        pairs_checked=checked,
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+    sd = make_prime_power_fn("sigma_over_d", _sigma_over_d_pp)
+    prop = prime_power_property(sd, SUP_MULT, None, primes_upto(max_prime),
+                                range(1, max_exp + 1))
+    return sweep_report("eq16", "sd(p^(a+b)) >= sd(p^a) sd(p^b) with sd = sigma/d",
+                        {"max_prime": max_prime, "max_exp": max_exp}, prop,
+                        CheckConfig(), threads)
 
 
 def verify_eq20(max_ab: int, max_k: int, *, threads: int = 1) -> CheckReport:
-    """(a+b+1)^k >= (ka+1)(kb+1) for 0 <= a, b <= max_ab, 2 <= k <= max_k."""
+    """(a+b+1)^k >= (ka+1)(kb+1) for 0 <= a, b <= max_ab, 2 <= k <= max_k.
+
+    Since d(2^e) = e + 1, this is eq18 sup for d at (m, n) = (2^a, 2^b).
+    """
     if max_ab < 0 or max_k < 2:
         raise UsageError("need max_ab >= 0 and max_k >= 2")
-    t0 = time.perf_counter()
-
-    def row_fn(a):
-        row_cex = []
-        count = 0
-        for b in range(0, max_ab + 1):
-            for k in range(2, max_k + 1):
-                count += 1
-                lhs = (a + b + 1) ** k
-                rhs = (k * a + 1) * (k * b + 1)
-                if not lhs >= rhs:
-                    row_cex.append(
-                        Counterexample((("a", a), ("b", b), ("k", k)),
-                                       Fraction(lhs), Fraction(rhs)))
-        return count, row_cex, {}
-
-    checked, cex, _ = _run_rows(row_fn, range(0, max_ab + 1), False, threads)
-    cex.sort(key=Counterexample.coords)
-    return CheckReport(
-        function="eq20",
-        property="(a+b+1)^k >= (ka+1)(kb+1)",
-        params={"max_ab": max_ab, "max_k": max_k},
-        verdict=REFUTED if cex else HOLDS,
-        counterexamples=cex[:10],
-        pairs_checked=checked,
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+    d = make_prime_power_fn("d", d_rule)
+    powers, values = prime_power_values(d, 2, max_k * max_ab)
+    compares = {k: formula(K_SUP_MULT, k, values) for k in range(2, max_k + 1)}
+    cols = [(b, k) for b in range(max_ab + 1) for k in compares]
+    prop = Property(("a", "b", "k"), range(max_ab + 1), lambda a: cols,
+                    lambda a: lambda b, k: compares[k](powers[a], powers[b]),
+                    FORMULAS[K_SUP_MULT][1])
+    return sweep_report("eq20", "(a+b+1)^k >= (ka+1)(kb+1)",
+                        {"max_ab": max_ab, "max_k": max_k}, prop, CheckConfig(),
+                        threads)
 
 
 def verify_eq23(max_prime: int, max_exp: int, k: int, *,
                 threads: int = 1) -> CheckReport:
-    """phi(p^(a+b))^k <= p^ka * phi(p^kb) for 0 <= a, b <= max_exp."""
+    """phi(p^(a+b))^k <= p^ka * phi(p^kb) for 0 <= a, b <= max_exp: eq22
+    sub for phi."""
     if max_prime < 2 or max_exp < 0 or k < 2:
         raise UsageError("need max_prime >= 2, max_exp >= 0, k >= 2")
-    t0 = time.perf_counter()
-
-    def row_fn(p):
-        phis = [int(eval_phi(prime_power(p, e)))
-                for e in range(max(2, k) * max_exp + 1)]
-        row_cex = []
-        count = 0
-        for a in range(0, max_exp + 1):
-            for b in range(0, max_exp + 1):
-                count += 1
-                lhs = phis[a + b] ** k
-                rhs = p ** (k * a) * phis[k * b]
-                if not lhs <= rhs:
-                    row_cex.append(
-                        Counterexample((("p", p), ("a", a), ("b", b)),
-                                       Fraction(lhs), Fraction(rhs)))
-        return count, row_cex, {}
-
-    checked, cex, _ = _run_rows(row_fn, primes_upto(max_prime), False, threads)
-    cex.sort(key=Counterexample.coords)
-    return CheckReport(
-        function="eq23",
-        property="phi(p^(a+b))^k <= p^ka phi(p^kb)",
-        params={"max_prime": max_prime, "max_exp": max_exp, "k": k},
-        verdict=REFUTED if cex else HOLDS,
-        counterexamples=cex[:10],
-        pairs_checked=checked,
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+    phi = make_prime_power_fn("phi", phi_rule)
+    prop = prime_power_property(phi, K_SUB_HOM, k, primes_upto(max_prime),
+                                range(max_exp + 1))
+    return sweep_report("eq23", "phi(p^(a+b))^k <= p^ka phi(p^kb)",
+                        {"max_prime": max_prime, "max_exp": max_exp, "k": k},
+                        prop, CheckConfig(), threads)
 
 
 def verify_corollary1(f: ArithFn, g: ArithFn, max_prime: int, max_n: int, *,
@@ -239,7 +164,7 @@ def verify_corollary1(f: ArithFn, g: ArithFn, max_prime: int, max_n: int, *,
         table = build_spf_table(max(max_prime, max_n))
     fe, ge = Evaluator(f, table), Evaluator(g, table)
 
-    def check_at(x):
+    def compare(x):
         fx = fe(x)
         if fx <= 0:
             raise DomainError(f"{f.name}({x}) = {fx} is not positive")
@@ -251,16 +176,15 @@ def verify_corollary1(f: ArithFn, g: ArithFn, max_prime: int, max_n: int, *,
         lhs = ((fx, int(gx)),)
         rhs = ((Fraction(x), x),)
         order, used_exact = cmp_power_products_detail(lhs, rhs, use_filter=use_filter)
-        row_stats = {"exact_fallbacks": 1} if used_exact else {}
-        return order == LESS, lhs, rhs, row_stats
+        return order, lhs, rhs, used_exact
 
     pair = f"{f.name}^{g.name}"
-    report_a = _one_dim_report(
+    report_a = sweep_report(
         "corollary1", f"{pair}: f(p)^g(p) < p^p on primes",
         {"max_prime": max_prime, "f": f.name, "g": g.name},
-        primes_upto(max_prime), check_at, var="p", threads=threads)
-    report_b = _one_dim_report(
+        line("p", primes_upto(max_prime), compare, LT), CheckConfig(), threads)
+    report_b = sweep_report(
         "corollary1", f"{pair}: f(n)^g(n) < n^n",
         {"max_n": max_n, "f": f.name, "g": g.name},
-        range(2, max_n + 1), check_at, threads=threads)
+        line("n", range(2, max_n + 1), compare, LT), CheckConfig(), threads)
     return report_a, report_b

@@ -9,18 +9,27 @@ sufficient condition on prime powers:
   eq21   f(p^(a+b)) <=/>= p^a f(p^b)         -> sub/sup-homogeneous
   eq22   f(p^(a+b))^k <=/>= p^ka f(p^kb)     -> k-sub/sup-homogeneous
 
-For eq14 the implication is an equivalence (take m = p^a, n = p^b); for
-the others only the local-to-global direction is established, and the
+Each criterion is its global property's formula at (m, n) = (p^a, p^b),
+so it is swept from the same formula table as the global check.  For
+eq14 the implication is an equivalence (take m = p^a, n = p^b); for the
+others only the local-to-global direction is established, and the
 bridge checks only that direction.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from fractions import Fraction
 
-from submult.checks import HOLDS, REFUTED, CheckReport, Counterexample, _run_rows
+from submult.checks import (
+    FORMULAS,
+    HOLDS,
+    CheckConfig,
+    CheckReport,
+    Counterexample,
+    Property,
+    formula,
+    sweep_report,
+)
 from submult.core import prime_power, primes_upto, trial_factorize
 from submult.errors import InconsistencyError, UsageError
 from submult.functions import ArithFn, evaluate_fact
@@ -97,120 +106,76 @@ def _require_multiplicative(f: ArithFn) -> None:
         )
 
 
-def _local_sweep(f: ArithFn, crit: LocalCriterion, max_prime: int, max_exp: int,
-                 compare, max_needed_exp: int, *, cap: int = 10,
-                 threads: int = 1) -> LocalReport:
-    t0 = time.perf_counter()
+def prime_power_values(f: ArithFn, p: int, top: int):
+    """The powers p^0 .. p^top, and f on them as a lookup by value."""
+    powers = [p**e for e in range(top + 1)]
+    values = {x: evaluate_fact(f, prime_power(p, e)) for e, x in enumerate(powers)}
+    return powers, values.__getitem__
+
+
+def prime_power_property(f: ArithFn, family: str, k: int | None, primes,
+                         exps: range) -> Property:
+    """The family's formula at (m, n) = (p^a, p^b) for p in primes and
+    a, b in exps, with points named (p, a, b)."""
+    top = exps[-1] * (2 if k is None else max(2, k))
+
+    def at(p):
+        powers, values = prime_power_values(f, p, top)
+        compare = formula(family, k, values)
+        return lambda a, b: compare(powers[a], powers[b])
+
+    cols = [(a, b) for a in exps for b in exps]
+    return Property(("p", "a", "b"), primes, lambda p: cols, at, FORMULAS[family][1])
+
+
+def check_local(f: ArithFn, crit: LocalCriterion, max_prime: int, max_exp: int,
+                *, threads: int = 1) -> LocalReport:
+    """The criterion on all primes <= max_prime and exponents
+    0 <= a, b <= max_exp."""
     _require_multiplicative(f)
     if max_prime < 2 or max_exp < 0:
         raise UsageError("need max_prime >= 2 and max_exp >= 0")
-    primes = primes_upto(max_prime)
-
-    def row_fn(p: int):
-        # values of f at p^0 .. p^max_needed_exp, one evaluation each
-        vals = [evaluate_fact(f, prime_power(p, e)) for e in range(max_needed_exp + 1)]
-        row_cex = []
-        count = 0
-        for a in range(0, max_exp + 1):
-            for b in range(0, max_exp + 1):
-                count += 1
-                ok, lhs, rhs = compare(p, a, b, vals)
-                if not ok:
-                    row_cex.append(
-                        Counterexample((("p", p), ("a", a), ("b", b)), lhs, rhs))
-        return count, row_cex, {}
-
-    checked, cex, _ = _run_rows(row_fn, primes, False, threads)
-    cex.sort(key=Counterexample.coords)
+    prop = prime_power_property(f, crit.global_family(), crit.k,
+                                primes_upto(max_prime), range(max_exp + 1))
+    r = sweep_report(f.name, crit.label(), {}, prop, CheckConfig(), threads)
     return LocalReport(
         function=f.name,
         criterion=crit,
         max_prime=max_prime,
         max_exp=max_exp,
-        verdict=REFUTED if cex else HOLDS,
-        counterexamples=cex[:cap],
-        triples_checked=checked,
-        elapsed_seconds=time.perf_counter() - t0,
+        verdict=r.verdict,
+        counterexamples=r.counterexamples,
+        triples_checked=r.pairs_checked,
+        elapsed_seconds=r.elapsed_seconds,
     )
 
 
-def _dir_ok(direction: str, lhs, rhs) -> bool:
-    return lhs <= rhs if direction == "sub" else lhs >= rhs
-
-
 def check_local_submult(f: ArithFn, direction: str, max_prime: int, max_exp: int,
-                        *, cap: int = 10, threads: int = 1) -> LocalReport:
-    """eq14: f(p^(a+b)) vs f(p^a) f(p^b) on all primes <= max_prime and
-    exponents 0 <= a, b <= max_exp."""
-    crit = LocalCriterion(EQ14, direction)
-
-    def compare(p, a, b, vals):
-        lhs = vals[a + b]
-        rhs = vals[a] * vals[b]
-        return _dir_ok(direction, lhs, rhs), lhs, rhs
-
-    return _local_sweep(f, crit, max_prime, max_exp, compare, 2 * max_exp,
-                        cap=cap, threads=threads)
+                        *, threads: int = 1) -> LocalReport:
+    """eq14: f(p^(a+b)) vs f(p^a) f(p^b)."""
+    return check_local(f, LocalCriterion(EQ14, direction), max_prime, max_exp,
+                       threads=threads)
 
 
 def check_local_k_submult(f: ArithFn, k: int, direction: str, max_prime: int,
-                          max_exp: int, *, cap: int = 10,
-                          threads: int = 1) -> LocalReport:
+                          max_exp: int, *, threads: int = 1) -> LocalReport:
     """eq18: f(p^(a+b))^k vs f(p^ka) f(p^kb)."""
-    crit = LocalCriterion(EQ18, direction, k)
-
-    def compare(p, a, b, vals):
-        lhs = vals[a + b] ** k
-        rhs = vals[k * a] * vals[k * b]
-        return _dir_ok(direction, lhs, rhs), lhs, rhs
-
-    return _local_sweep(f, crit, max_prime, max_exp, compare,
-                        max(2, k) * max_exp, cap=cap, threads=threads)
+    return check_local(f, LocalCriterion(EQ18, direction, k), max_prime, max_exp,
+                       threads=threads)
 
 
 def check_local_subhom(f: ArithFn, direction: str, max_prime: int, max_exp: int,
-                       *, cap: int = 10, threads: int = 1) -> LocalReport:
+                       *, threads: int = 1) -> LocalReport:
     """eq21: f(p^(a+b)) vs p^a f(p^b)."""
-    crit = LocalCriterion(EQ21, direction)
-
-    def compare(p, a, b, vals):
-        lhs = vals[a + b]
-        rhs = Fraction(p**a) * vals[b]
-        return _dir_ok(direction, lhs, rhs), lhs, rhs
-
-    return _local_sweep(f, crit, max_prime, max_exp, compare, 2 * max_exp,
-                        cap=cap, threads=threads)
+    return check_local(f, LocalCriterion(EQ21, direction), max_prime, max_exp,
+                       threads=threads)
 
 
 def check_local_k_subhom(f: ArithFn, k: int, direction: str, max_prime: int,
-                         max_exp: int, *, cap: int = 10,
-                         threads: int = 1) -> LocalReport:
+                         max_exp: int, *, threads: int = 1) -> LocalReport:
     """eq22: f(p^(a+b))^k vs p^ka f(p^kb)."""
-    crit = LocalCriterion(EQ22, direction, k)
-
-    def compare(p, a, b, vals):
-        lhs = vals[a + b] ** k
-        rhs = Fraction(p ** (k * a)) * vals[k * b]
-        return _dir_ok(direction, lhs, rhs), lhs, rhs
-
-    return _local_sweep(f, crit, max_prime, max_exp, compare,
-                        max(2, k) * max_exp, cap=cap, threads=threads)
-
-
-def check_local(f: ArithFn, crit: LocalCriterion, max_prime: int, max_exp: int,
-                *, cap: int = 10, threads: int = 1) -> LocalReport:
-    """Dispatch on the criterion id."""
-    if crit.criterion == EQ14:
-        return check_local_submult(f, crit.direction, max_prime, max_exp,
-                                   cap=cap, threads=threads)
-    if crit.criterion == EQ18:
-        return check_local_k_submult(f, crit.k, crit.direction, max_prime,
-                                     max_exp, cap=cap, threads=threads)
-    if crit.criterion == EQ21:
-        return check_local_subhom(f, crit.direction, max_prime, max_exp,
-                                  cap=cap, threads=threads)
-    return check_local_k_subhom(f, crit.k, crit.direction, max_prime, max_exp,
-                                cap=cap, threads=threads)
+    return check_local(f, LocalCriterion(EQ22, direction, k), max_prime, max_exp,
+                       threads=threads)
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,6 @@ def side_to_json(side) -> dict:
     return {"powers": [[render_value(base), exp] for base, exp in side]}
 
 
-def side_to_text(side) -> str:
-    if isinstance(side, Fraction):
-        return render_value(side)
-    return " * ".join(f"({render_value(b)})^{e}" for b, e in side)
-
-
 def _cex_to_json(cex) -> dict:
     return {
         "point": {name: value for name, value in cex.point},

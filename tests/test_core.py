@@ -21,7 +21,13 @@ from submult.core import (
     primes_upto,
     trial_factorize,
 )
-from submult.errors import DomainError, InvariantViolation, ResourceError, UsageError
+from submult.errors import (
+    DomainError,
+    InvariantViolation,
+    ResourceError,
+    UnsupportedInputError,
+    UsageError,
+)
 
 from oracles import d_oracle, factor_oracle, phi_oracle, sigma_oracle
 
@@ -94,10 +100,15 @@ def test_factorization_validate_catches_bad_input():
 
 
 def test_is_prime_known_values():
-    primes = {2, 3, 5, 7, 11, 97, 7919, 2**61 - 1}
-    composites = {1, 0, 4, 341, 561, 1105, 2**61 - 3}
+    primes = {2, 3, 5, 7, 11, 41, 97, 7919, 2**61 - 1}
+    # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to bases 2..37
+    psi_12 = 318665857834031151167461
+    composites = {1, 0, 4, 341, 561, 1105, 2**61 - 3, psi_12}
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(c) for c in composites)
+    # psi_13, the first strong pseudoprime to bases 2..41: beyond the exact range
+    with pytest.raises(UnsupportedInputError):
+        is_prime(3317044064679887385961981)
 
 
 def test_primes_upto():

@@ -1,0 +1,204 @@
+"""The single sweep engine: the benchmark's traced names, the derived
+sieve limit, and the formulas shared by global checks, local criteria
+and named inequalities."""
+
+import importlib
+import importlib.util
+import re
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+from submult import checks
+from submult.checks import (
+    HOLDS,
+    REFUTED,
+    CheckConfig,
+    run_property_check,
+    sieve_limit,
+    sweep_report,
+)
+from submult.cli import main
+from submult.core import build_spf_table, primes_upto
+from submult.functions import Evaluator
+from submult.inequalities import verify_eq16, verify_eq23
+from submult.inference import (
+    FAMILIES,
+    K_FAMILIES,
+    K_SUB_HOM,
+    K_SUB_MULT,
+    K_SUP_HOM,
+    K_SUP_MULT,
+    SUP_MULT,
+    PropertySpec,
+)
+from submult.local import LocalCriterion, check_local, check_local_k_subhom, prime_power_property
+
+from oracles import d_oracle, phi_oracle, sigma_oracle, spf_oracle
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+# --- benchmark contract --------------------------------------------------------
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolve(module, path):
+    owner = importlib.import_module(module)
+    *parents, attr = path.split(".")
+    for name in parents:
+        owner = getattr(owner, name)
+    return getattr(owner, attr)
+
+
+def test_benchmark_tracer_wraps_and_restores_every_traced_name(capsys):
+    tracer_mod = _load_tracer()
+    targets = [(module, path) for module, path, _, _ in tracer_mod.TARGETS]
+    originals = {t: _resolve(*t) for t in targets}
+    tracer = tracer_mod.Tracer()
+    tracer.install()  # raises LookupError if a traced name has gone
+    try:
+        for t, orig in originals.items():
+            assert _resolve(*t).__wrapped__ is orig, t
+        main(["local", "sigma", "eq21", "sup", "--bridge", "--max-prime", "7",
+              "--max-exp", "2", "--max-m", "6", "--max-n", "6", "--json"])
+        main(["inequality", "eq13", "--max-n", "50", "--json"])
+    finally:
+        tracer.uninstall()
+    for t, orig in originals.items():
+        assert _resolve(*t) is orig, t
+    capsys.readouterr()
+    totals = tracer.totals()
+    # every sweep runs through checks._sweep: 4 primes x 9 exponent pairs
+    # locally, 36 global pairs, 49 eq13 points
+    assert totals["checks.sweep"]["calls"] == 3
+    assert totals["checks.sweep"]["points"] == 4 * 9 + 36 + 49
+    assert totals["core.cmp_values"]["calls"] == 4 * 9 + 36
+    assert totals["core.cmp_power"]["calls"] == 49
+    assert totals["core.factorize"]["calls"] > 0
+
+
+# --- sieve limit ---------------------------------------------------------------
+
+
+def _closed_form(spec, max_m, max_n):
+    """The sieve limits the checkers required before they were derived
+    from the formulas."""
+    needed = max_m * max_n
+    if spec.family in (K_SUB_MULT, K_SUP_MULT):
+        needed = max(needed, max_m**spec.k, max_n**spec.k)
+    elif spec.family in (K_SUB_HOM, K_SUP_HOM):
+        needed = max(needed, max_n**spec.k)
+    return needed
+
+
+ALL_SPECS = ([PropertySpec(f) for f in FAMILIES if f not in K_FAMILIES]
+             + [PropertySpec(f, k) for f in K_FAMILIES for k in (2, 3, 4)])
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """Every argument the global sweeps evaluate a function at."""
+    seen = []
+
+    class Recording(Evaluator):
+        def __call__(self, n):
+            seen.append(n)
+            return super().__call__(n)
+
+    monkeypatch.setattr(checks, "Evaluator", Recording)
+    return seen
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=PropertySpec.label)
+@pytest.mark.parametrize("max_m, max_n", [(9, 7), (7, 9)])
+def test_sieve_limit_is_the_closed_form_and_suffices(registry, evaluated, spec,
+                                                     max_m, max_n):
+    cfg = CheckConfig(max_m=max_m, max_n=max_n)
+    limit = sieve_limit([spec], cfg)
+    assert limit == _closed_form(spec, max_m, max_n)
+    run_property_check(registry.get("sigma"), spec, cfg, build_spf_table(limit))
+    assert max(evaluated) <= limit
+
+
+def _announced_limit(err):
+    return int(re.search(r"sieve limit: (\d+)", err).group(1))
+
+
+def test_classify_sieve_limit(capsys, evaluated):
+    main(["classify", "phi", "--max-m", "12", "--max-n", "9", "--k-set", "2,3,4"])
+    limit = _announced_limit(capsys.readouterr().err)
+    assert limit == max(12 * 9, max(12, 9) ** 4)
+    assert max(evaluated) <= limit
+
+
+@pytest.mark.parametrize("criterion, k", [("eq14", None), ("eq18", 3),
+                                          ("eq21", None), ("eq22", 3)])
+def test_local_bridge_sieve_limit(capsys, evaluated, criterion, k):
+    argv = ["local", "sigma", criterion, "sup", "--bridge", "--max-prime", "5",
+            "--max-exp", "2", "--max-m", "12", "--max-n", "9"]
+    main(argv + (["--k", str(k)] if k else []))
+    limit = _announced_limit(capsys.readouterr().err)
+    family = LocalCriterion(criterion, "sup", k).global_family()
+    assert limit == _closed_form(PropertySpec(family, k), 12, 9)
+    assert max(evaluated) <= limit
+
+
+# --- formulas shared by checks, local criteria and inequalities ------------------
+
+ORACLES = {"phi": phi_oracle, "d": d_oracle, "sigma": sigma_oracle}
+
+
+def _outcome(report, count):
+    return (report.verdict,
+            [(c.point, c.lhs, c.rhs) for c in report.counterexamples], count)
+
+
+def _brute_force_local(oracle, crit, max_prime, max_exp):
+    """The local criterion written out on divisor-enumeration oracles."""
+    f = cache(oracle)
+    k = crit.k or 1
+    hom = crit.criterion in ("eq21", "eq22")
+    cex, count = [], 0
+    for p in (q for q in range(2, max_prime + 1) if spf_oracle(q) == q):
+        for a in range(max_exp + 1):
+            for b in range(max_exp + 1):
+                count += 1
+                lhs = f(p ** (a + b)) ** k
+                rhs = (p ** (k * a) if hom else f(p ** (k * a))) * f(p ** (k * b))
+                if not (lhs <= rhs if crit.direction == "sub" else lhs >= rhs):
+                    cex.append(((("p", p), ("a", a), ("b", b)), lhs, rhs))
+    return (REFUTED if cex else HOLDS), cex[:10], count
+
+
+@pytest.mark.parametrize("case", ["eq23-k2", "eq23-k3", "eq16",
+                                  "oracle-phi", "oracle-d", "oracle-sigma"])
+def test_shared_formulas_agree(registry, case):
+    if case.startswith("eq23"):
+        k = int(case[-1])
+        ineq = verify_eq23(30, 6, k)
+        local = check_local_k_subhom(registry.get("phi"), k, "sub", 30, 6)
+        assert (_outcome(ineq, ineq.pairs_checked)
+                == _outcome(local, local.triples_checked))
+    elif case == "eq16":
+        ineq = verify_eq16(30, 6)
+        # eq14 sup on the registry's sigma_over_d, at a, b >= 1
+        prop = prime_power_property(registry.get("sigma_over_d"), SUP_MULT, None,
+                                    primes_upto(30), range(1, 7))
+        eq14 = sweep_report("sigma_over_d", "eq14:sup", {}, prop, CheckConfig(), 1)
+        assert _outcome(ineq, ineq.pairs_checked) == _outcome(eq14, eq14.pairs_checked)
+    else:
+        name = case.split("-")[1]
+        for criterion, k in (("eq14", None), ("eq18", 2), ("eq21", None), ("eq22", 2)):
+            for direction in ("sub", "sup"):
+                crit = LocalCriterion(criterion, direction, k)
+                report = check_local(registry.get(name), crit, 5, 3)
+                assert (_outcome(report, report.triples_checked)
+                        == _brute_force_local(ORACLES[name], crit, 5, 3)), crit.label()

@@ -1,7 +1,5 @@
-"""Both sieve kernels satisfy the smallest-prime-factor contract and
-agree with each other."""
+"""The sieve kernel satisfies the smallest-prime-factor contract."""
 
-import importlib.util
 from math import isqrt
 
 import pytest
@@ -11,11 +9,9 @@ from submult.core import kernel_backend
 
 from oracles import spf_oracle
 
-HAVE_COMPILED = importlib.util.find_spec("submult._spfsieve") is not None
-
 
 def test_backend_reported():
-    assert kernel_backend() in ("compiled", "python")
+    assert kernel_backend() == "python"
 
 
 @pytest.mark.parametrize("limit", [2, 3, 10, 100, 1000])
@@ -34,28 +30,3 @@ def test_spf_invariants():
         # spf[p] = p exactly for primes; composite i has spf <= sqrt(i)
         assert s == i or s <= isqrt(i)
         assert i % s == 0
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-@pytest.mark.parametrize("limit", [2, 10, 1000, 99991])
-def test_compiled_agrees_with_pure_python(limit):
-    from submult import _spfsieve
-
-    a = _spfsieve.spf_sieve(limit)
-    b = _spfsieve_py.spf_sieve(limit)
-    assert (a == b).all()
-
-
-def test_fallback_selected_when_extension_missing():
-    import subprocess
-    import sys
-
-    code = (
-        "import sys; sys.modules['submult._spfsieve'] = None\n"
-        "import submult.core as core\n"
-        "print(core.kernel_backend())\n"
-        "print(int(core.build_spf_table(1000).spf[91]))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["python", "7"]
