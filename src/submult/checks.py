@@ -18,6 +18,16 @@ counterexample_cap of them.  Sweeps run on the calling thread, so a
 report never depends on the threads argument, which is accepted and
 ignored: exact Fraction arithmetic holds the interpreter lock, and a
 thread pool measured no faster than one thread.
+
+The global families (check, classify, the global half of local --bridge,
+reports_for_tag) also carry an int64 row path (Property.vector, built in
+submult.vector): the same formula shape runs once per row on int64
+numerators and denominators of all the row's columns, wherever bit-length
+bounds prove every product below 2**62.  Other rows, and functions
+without an int64 value table, take the scalar Fraction path, which is
+also what recomputes a decided row's counterexamples up to the cap, so
+reports do not depend on the path.  The local criteria, the named
+inequalities, the identity bounds and the cross-power checks are scalar.
 """
 
 from __future__ import annotations
@@ -26,9 +36,11 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import gcd
 from typing import Callable, Iterable
 
+import numpy as np
+
+from submult import vector
 from submult.core import (
     EQUAL,
     GREATER,
@@ -38,7 +50,12 @@ from submult.core import (
     cmp_power_products_detail,
     cmp_values,
 )
-from submult.errors import ResourceError, UnsupportedInputError, UsageError
+from submult.errors import (
+    InconsistencyError,
+    ResourceError,
+    UnsupportedInputError,
+    UsageError,
+)
 from submult.functions import POWER, ArithFn, Evaluator
 from submult.inference import (
     FAMILIES,
@@ -68,6 +85,9 @@ EQ = "eq"  # lhs == rhs
 LT = "lt"  # lhs < rhs
 
 _PASSING = {SUB: (LESS, EQUAL), SUP: (EQUAL, GREATER), EQ: (EQUAL,), LT: (LESS,)}
+# relation -> whether order LESS, EQUAL, GREATER fails it, indexed by order + 1
+_FAILS = {rel: np.array([o not in ok for o in (LESS, EQUAL, GREATER)])
+          for rel, ok in _PASSING.items()}
 
 
 @dataclass(frozen=True)
@@ -129,6 +149,8 @@ class CheckReport:
 
 # compare(*col) -> (order of lhs against rhs, lhs, rhs, exact fallback ran)
 Compare = Callable[..., tuple[int, object, object, bool]]
+# decide(row) -> the order at each col of cols(row), or None if undecided
+Decide = Callable[[int], "np.ndarray | None"]
 
 
 @dataclass(frozen=True)
@@ -138,14 +160,20 @@ class Property:
     The points are (row, *col) for each row in rows and each col in
     cols(row), with coordinates named by names; at(row) is the row's
     compare closure, called once per point as compare(*col).  limit is
-    the sieve limit that covers every value the sweep evaluates."""
+    the sieve limit that covers every value the sweep evaluates.
+
+    vector, when set, decides a whole row at once: vector(row) is the
+    order of the two sides at every col of cols(row), in that order, or
+    None when it cannot prove the row's int64 arithmetic exact; at(row)
+    then decides the row point by point."""
 
     names: tuple[str, ...]
     rows: Iterable[int]
-    cols: Callable[[int], Iterable[tuple]]
+    cols: Callable[[int], list[tuple]]
     at: Callable[[int], Compare]
     relation: str  # SUB, SUP, EQ or LT
     limit: int = 0
+    vector: Decide | None = None
 
 
 def _sweep(prop: Property, cfg: CheckConfig,
@@ -153,7 +181,9 @@ def _sweep(prop: Property, cfg: CheckConfig,
     """Check prop at every point: (verdict, the first
     cfg.counterexample_cap counterexamples, points checked, stats).
 
-    With cfg.stop_at_first the sweep ends after the first row that has a
+    A row that prop.vector decides calls compare only at its failing
+    points, up to the cap, to recompute their sides.  With
+    cfg.stop_at_first the sweep ends after the first row that has a
     counterexample.  threads changes nothing (see the module docstring)."""
     passing = _PASSING[prop.relation]
     cex: list[Counterexample] = []
@@ -161,15 +191,32 @@ def _sweep(prop: Property, cfg: CheckConfig,
     for row in prop.rows:
         compare = prop.at(row)
         failed_before = failed
-        for col in prop.cols(row):
-            order, lhs, rhs, used_exact = compare(*col)
-            checked += 1
-            exact += used_exact
-            if order not in passing:
-                failed += 1
-                if len(cex) < cfg.counterexample_cap:
-                    point = tuple(zip(prop.names, (row, *col)))
-                    cex.append(Counterexample(point, lhs, rhs))
+        cols = prop.cols(row)
+        orders = None if prop.vector is None else prop.vector(row)
+        if orders is None:
+            for col in cols:
+                order, lhs, rhs, used_exact = compare(*col)
+                checked += 1
+                exact += used_exact
+                if order not in passing:
+                    failed += 1
+                    if len(cex) < cfg.counterexample_cap:
+                        point = tuple(zip(prop.names, (row, *col)))
+                        cex.append(Counterexample(point, lhs, rhs))
+        else:
+            checked += len(orders)
+            bad = np.flatnonzero(_FAILS[prop.relation][orders + 1])
+            failed += len(bad)
+            for i in bad[:cfg.counterexample_cap - len(cex)]:
+                col = cols[i]
+                order, lhs, rhs, used_exact = compare(*col)
+                exact += used_exact
+                point = tuple(zip(prop.names, (row, *col)))
+                if order in passing:
+                    raise InconsistencyError(
+                        f"the int64 and Fraction paths disagree at {point}; "
+                        "this is an implementation bug")
+                cex.append(Counterexample(point, lhs, rhs))
         if cfg.stop_at_first and failed > failed_before:
             break
     stats = {"exact_fallbacks": exact} if exact else {}
@@ -207,18 +254,22 @@ def line(name: str, points: Iterable[int], compare: Compare, relation: str,
 
 
 def _grid(cfg: CheckConfig, compare: Compare, relation: str, limit: int,
-          coprime: bool) -> Property:
+          coprime: bool, decide) -> Property:
     """compare(m, n) over the (m, n) grid of cfg, only at coprime pairs
-    when coprime is set."""
-    cols = [(n,) for n in range(1, cfg.max_n + 1)]
-    if coprime:
-        def pick(m):
-            return [c for c in cols if gcd(m, c[0]) == 1]
-    else:
-        def pick(m):
-            return cols
+    when coprime is set; decide(m, ns), unless None, decides row m at the
+    columns ns at once (see Property.vector)."""
+    ns = np.arange(1, cfg.max_n + 1)
+    every = [(n,) for n in range(1, cfg.max_n + 1)]
+
+    def columns(m):
+        return ns[np.gcd(ns, m) == 1] if coprime else ns
+
+    def pick(m):
+        return [(n,) for n in columns(m).tolist()] if coprime else every
+
+    vector = None if decide is None else (lambda m: decide(m, columns(m)))
     return Property(("m", "n"), range(1, cfg.max_m + 1), pick,
-                    lambda m: partial(compare, m), relation, limit)
+                    lambda m: partial(compare, m), relation, limit, vector)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +318,22 @@ def formula(family: str, k: int | None, f: Callable[[int], Value]) -> Compare:
     return compare
 
 
+def vector_formula(family: str, k: int | None,
+                   f: vector.RowValues) -> Callable[[int, np.ndarray], np.ndarray | None]:
+    """The family's formula as decide(m, ns): the order of its sides at
+    (m, n) for each n in ns, evaluated by the same shape as formula() on
+    int64 rows of f; None where the bounds cannot prove the row exact."""
+    shape = FORMULAS[family][0]
+
+    def decide(m, ns):
+        try:
+            return vector.orders(*shape(f, k, m, vector.Columns(ns, 1, 1)))
+        except vector.Unproven:
+            return None
+
+    return decide
+
+
 def sieve_limit(specs: Iterable[PropertySpec], cfg: CheckConfig) -> int:
     """The sieve limit covering every value that sweeping the specs over
     cfg's grid evaluates.  Each argument of a formula grows with m and
@@ -287,10 +354,19 @@ def sieve_limit(specs: Iterable[PropertySpec], cfg: CheckConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+def grid_property(ev: Evaluator, spec: PropertySpec, cfg: CheckConfig) -> Property:
+    """The spec's formula over cfg's grid, decided row by row in int64
+    where ev's values have a table (see submult.vector), point by point
+    with Fraction values elsewhere."""
+    rows = vector.RowValues(ev, cfg.max_m, cfg.max_n)
+    return _grid(cfg, formula(spec.family, spec.k, ev), FORMULAS[spec.family][1],
+                 sieve_limit([spec], cfg), spec.family == MULTIPLICATIVE,
+                 vector_formula(spec.family, spec.k, rows))
+
+
 def _check(ev: Evaluator, spec: PropertySpec, cfg: CheckConfig,
            threads: int) -> CheckReport:
-    prop = _grid(cfg, formula(spec.family, spec.k, ev), FORMULAS[spec.family][1],
-                 sieve_limit([spec], cfg), spec.family == MULTIPLICATIVE)
+    prop = grid_property(ev, spec, cfg)
     params = {"max_m": cfg.max_m, "max_n": cfg.max_n}
     if spec.k is not None:
         params["k"] = spec.k
@@ -371,7 +447,7 @@ def check_power_submult(f: ArithFn, g: ArithFn, direction: str, cfg: CheckConfig
 
     # h's sub-multiplicativity evaluates f and g where sub-mult evaluates f
     prop = _grid(cfg, compare, direction,
-                 sieve_limit([PropertySpec(SUB_MULT)], cfg), False)
+                 sieve_limit([PropertySpec(SUB_MULT)], cfg), False, None)
     label = "power-sub-mult" if direction == SUB else "power-sup-mult"
     return sweep_report(f"{f.name}^({g.name}/n)", label,
                         {"max_m": cfg.max_m, "max_n": cfg.max_n}, prop, cfg,

@@ -11,6 +11,7 @@ filter's intervals overlap, the exact big-integer path decides.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -81,12 +82,24 @@ class SpfTable:
     """Smallest-prime-factor table for [2, limit]; immutable once built."""
 
     limit: int
-    spf: "object" = field(repr=False)  # int64 array, len limit + 1
+    spf: "object" = field(repr=False)  # int32 (int64 from 2**31) array, len limit + 1
+
+
+def _require_sieve_memory(limit: int) -> None:
+    """Refuse, before allocating, a sieve whose estimated memory exceeds
+    half of the machine's physical memory."""
+    need = _sieve.sieve_bytes(limit)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have // 2:
+        raise ResourceError(
+            f"a sieve up to {limit} needs about {need / 2**30:.1f} GiB, more "
+            f"than half of the {have / 2**30:.1f} GiB of physical memory")
 
 
 def build_spf_table(limit: int) -> SpfTable:
     if limit < 2:
         raise UsageError(f"sieve limit must be >= 2, got {limit}")
+    _require_sieve_memory(limit)
     spf = _sieve.spf_sieve(limit)
     spf.setflags(write=False)
     return SpfTable(limit=limit, spf=spf)
@@ -110,11 +123,18 @@ def factorize(n: int, table: SpfTable) -> Factorization:
     return Factorization(tuple(pairs))
 
 
+#: trial_factorize divides by candidates up to this bound only.
+TRIAL_BOUND = 10**6
+
+
 def trial_factorize(n: int) -> Factorization:
     """Factor n by trial division; the fallback above any sieve limit.
 
     Intended for the occasional out-of-range evaluation, not for bulk
     sweeps (those presize their sieve and refuse to start otherwise).
+    Divides by candidates up to TRIAL_BOUND only.  A cofactor with no
+    prime factor up to the bound is prime when it is below TRIAL_BOUND**2
+    or when is_prime certifies it; otherwise ResourceError is raised.
     """
     if n <= 0:
         raise DomainError(f"cannot factor n = {n}; need n >= 1")
@@ -127,7 +147,7 @@ def trial_factorize(n: int) -> Factorization:
                 a += 1
             pairs.append((p, a))
     p = 5
-    while p * p <= n:
+    while p * p <= n and p <= TRIAL_BOUND:
         if n % p == 0:
             a = 0
             while n % p == 0:
@@ -135,6 +155,11 @@ def trial_factorize(n: int) -> Factorization:
                 a += 1
             pairs.append((p, a))
         p += 2 if p % 6 == 5 else 4  # 5, 7, 11, 13, ... (skip multiples of 2, 3)
+    # stopped at the bound: n has no prime factor below p, and p * p <= n
+    if p * p <= n and (n >= _MR_EXACT_BELOW or not is_prime(n)):
+        raise ResourceError(
+            f"cannot factor: the cofactor {n} has no prime factor up to "
+            f"{TRIAL_BOUND} and is not a prime is_prime can certify")
     if n > 1:
         pairs.append((n, 1))
     return Factorization(tuple(pairs))
@@ -183,6 +208,7 @@ def primes_upto(limit: int) -> list[int]:
     """All primes <= limit, ascending."""
     if limit < 2:
         return []
+    _require_sieve_memory(limit)
     spf = _sieve.spf_sieve(limit)
     return [i for i in range(2, limit + 1) if spf[i] == i]
 

@@ -128,12 +128,15 @@ def evaluate(f: ArithFn, n: int, table: SpfTable | None = None) -> Value:
 class Evaluator:
     """Caching wrapper around evaluate() for sweeps.  One evaluator per
     function serves every sweep of a command, so a value computed for one
-    property is reused by the next."""
+    property, and an int64 value table built for one, is reused by the
+    next."""
 
     def __init__(self, fn: ArithFn, table: SpfTable | None = None):
         self.fn = fn
         self.table = table
         self._cache: dict[int, Value] = {}
+        # int64 value tables of fn, built lazily by submult.vector
+        self.tables: dict[tuple, object] = {}
 
     def __call__(self, n: int) -> Value:
         v = self._cache.get(n)

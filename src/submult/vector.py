@@ -1,0 +1,376 @@
+"""Exact int64 row decisions for the grid property families.
+
+A grid check compares the two sides of one formula shape
+(checks.FORMULAS) at every point (m, n).  On this path the shape runs
+once per row m, on all of the row's columns at once: f's values are
+Rows, int64 numerators and denominators over the columns, and the row is
+decided by the sign of lnum * rden - rnum * lden.
+
+Exactness rests on bit-length bounds.  A Row carries bounds
+|num| < 2**nbits and den < 2**dbits, and a product is formed only when
+the bounds prove it is below 2**62; otherwise Unproven is raised and the
+sweep decides the row with the scalar Fraction path, which stays in the
+code as the oracle.
+
+f's values come from int64 (num, den) tables over [0, limit], built from
+the spf table in numpy rounds that each split one prime power off every
+entry, 4096 entries at a time.  Each prime-power rule is called once per
+prime power q = p^a <= limit, through the function's own scalar rule;
+the children of products, quotients, sums and reciprocals are combined
+elementwise and reduced by gcd.  An entry that would overflow, a zero
+divisor or a rule that raises leaves the function without a table, so
+every row goes to the scalar path, which raises where the scalar sweep
+raises.  Values at k-th powers n^k come from the shared Evaluator.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import reduce
+
+import numpy as np
+
+from submult.errors import SubmultError
+from submult.functions import PRODUCT, QUOTIENT, RECIPROCAL, SUM, ArithFn, Evaluator
+
+BITS = 62  # every int64 product formed here is below 2**BITS
+_CHUNK = 4096  # table entries built at once; bounds the temporaries
+_ONE = np.int64(1)
+
+# An exact rational per entry: (numerators, denominators > 0), both int64;
+# denominators None when every one is 1.
+Pair = tuple[np.ndarray, "np.ndarray | None"]
+
+
+class Unproven(Exception):
+    """The bounds do not prove that an int64 result is exact."""
+
+
+def _absmax(a) -> int:
+    return max(int(a.max()), -int(a.min()))
+
+
+def _fits(x: int) -> bool:
+    return x.bit_length() <= BITS
+
+
+def _prove(*bits: int) -> None:
+    if max(bits) > BITS:
+        raise Unproven
+
+
+# ---------------------------------------------------------------------------
+# Value tables
+# ---------------------------------------------------------------------------
+
+
+# Table entries are built elementwise: where the bit lengths of the maxima
+# do not prove a result below 2**62, each result's float64 estimate must
+# stay below 2**61.  Operands below 2**62 put the estimate within a factor
+# 1 + 2**-50 of a product and within 2**11 of a sum, so the exact result
+# is below 2**62 too.
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if (_absmax(a).bit_length() + _absmax(b).bit_length() > BITS
+            and np.abs(np.multiply(a, b, dtype=np.float64)).max() >= 2.0**61):
+        raise Unproven
+    return a * b
+
+
+def _plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if (max(_absmax(a), _absmax(b)).bit_length() + 1 > BITS
+            and np.abs(np.add(a, b, dtype=np.float64)).max() >= 2.0**61):
+        raise Unproven
+    return a + b
+
+
+def _dense(den: np.ndarray | None, like: np.ndarray) -> np.ndarray:
+    return np.ones_like(like) if den is None else den
+
+
+def _reduced(num: np.ndarray, den: np.ndarray) -> Pair:
+    g = np.gcd(num, den)
+    num, den = num // g, den // g
+    return num, (None if (den == 1).all() else den)
+
+
+def _mul(x: Pair, y: Pair) -> Pair:
+    (a, b), (c, d) = x, y
+    num = _times(a, c)
+    if b is None or d is None:
+        den = d if b is None else b
+        return (num, None) if den is None else _reduced(num, den)
+    return _reduced(num, _times(b, d))
+
+
+def _add(x: Pair, y: Pair) -> Pair:
+    (a, b), (c, d) = x, y
+    if b is None and d is None:
+        return _plus(a, c), None
+    b, d = _dense(b, a), _dense(d, c)
+    return _reduced(_plus(_times(a, d), _times(c, b)), _times(b, d))
+
+
+def _reciprocal(x: Pair) -> Pair:
+    a, b = x
+    if not a.all():
+        raise Unproven  # a zero divisor: the scalar path raises DomainError
+    return np.sign(a) * _dense(b, a), np.abs(a)
+
+
+def _prime_power_rounds(spf: np.ndarray, lo: int, hi: int):
+    """Split each n in [lo, hi) into prime powers.  Round r lists, for
+    every n with more than r distinct prime factors, its position n - lo
+    and q = p^a, the full power of its (r+1)-th smallest prime p."""
+    r = np.arange(max(lo, 2), hi, dtype=np.int64)
+    pos = r - lo
+    rounds = []
+    while pos.size:
+        p = spf[r].astype(np.int64)
+        q = p.copy()
+        r = r // p
+        more = np.flatnonzero(spf[r] == p)
+        while more.size:
+            q[more] *= p[more]
+            r[more] //= p[more]
+            more = more[spf[r[more]] == p[more]]
+        rounds.append((pos, q))
+        keep = r > 1
+        pos, r = pos[keep], r[keep]
+    return rounds
+
+
+def _rule_values(rule, spf: np.ndarray, limit: int):
+    """The rule at every prime power q = p^a <= limit, called once each:
+    (q ascending, numerators, denominators or None)."""
+    qs, vals = [], []
+    try:
+        for lo in range(2, limit + 1, _CHUNK):
+            hi = min(lo + _CHUNK, limit + 1)
+            for p in (np.flatnonzero(spf[lo:hi] == np.arange(lo, hi)) + lo).tolist():
+                q, a = p, 1
+                while q <= limit:
+                    qs.append(q)
+                    vals.append(rule(p, a))
+                    q, a = q * p, a + 1
+    except Exception:  # a rule's own failure is the scalar path's to raise,
+        raise Unproven from None  # at the point that needs the value
+    if not all(isinstance(v, (int, Fraction)) for v in vals):
+        raise Unproven
+    try:
+        num = np.array([v.numerator for v in vals], dtype=np.int64)
+        den = np.array([v.denominator for v in vals], dtype=np.int64)
+    except OverflowError:
+        raise Unproven from None
+    _prove(_absmax(num).bit_length(), _absmax(den).bit_length())
+    order = np.argsort(qs)
+    den = den[order]
+    return (np.array(qs, dtype=np.int64)[order], num[order],
+            None if (den == 1).all() else den)
+
+
+def _build(fn: ArithFn, spf: np.ndarray, limit: int) -> Pair:
+    """fn at every n in [0, limit] (the entry at 0 is a placeholder)."""
+    leaves = {}
+
+    def values(f: ArithFn, rounds, size: int) -> Pair:
+        if f.rule is not None:
+            if f not in leaves:
+                leaves[f] = _rule_values(f.rule, spf, limit)
+            qs, qnum, qden = leaves[f]
+            num = np.ones(size, dtype=np.int64)
+            den = None if qden is None else np.ones(size, dtype=np.int64)
+            for pos, q in rounds:
+                j = np.searchsorted(qs, q)
+                num[pos] = _times(num[pos], qnum[j])
+                if den is not None:
+                    den[pos] = _times(den[pos], qden[j])
+            return (num, None) if den is None else _reduced(num, den)
+        parts = [values(c, rounds, size) for c in f.children]
+        if f.kind == PRODUCT:
+            return reduce(_mul, parts)
+        if f.kind == SUM:
+            return reduce(_add, parts)
+        if f.kind == QUOTIENT:
+            return _mul(parts[0], _reciprocal(parts[1]))
+        if f.kind == RECIPROCAL:
+            return _reciprocal(parts[0])
+        raise Unproven  # a power combinator has no standalone values
+
+    num = np.empty(limit + 1, dtype=np.int64)
+    den = None
+    for lo in range(0, limit + 1, _CHUNK):
+        hi = min(lo + _CHUNK, limit + 1)
+        cnum, cden = values(fn, _prime_power_rounds(spf, lo, hi), hi - lo)
+        num[lo:hi] = cnum
+        if cden is not None:
+            if den is None:
+                den = np.ones(limit + 1, dtype=np.int64)
+            den[lo:hi] = cden
+    return num, den
+
+
+def _running_bits(a: np.ndarray) -> np.ndarray:
+    """At each i, a bound on the bit lengths of |a[0]|, ..., |a[i]|.  The
+    float64 exponent bounds a bit length from above: rounding is monotone
+    and keeps 2**(b-1) exact."""
+    out = np.empty(len(a), dtype=np.int8)
+    top = 0
+    for lo in range(0, len(a), _CHUNK):
+        bits = np.frexp(np.abs(a[lo:lo + _CHUNK]).astype(np.float64))[1]
+        bits[0] = max(bits[0], top)
+        np.maximum.accumulate(bits, out=bits)
+        out[lo:lo + len(bits)] = bits
+        top = int(bits[-1])
+    return out
+
+
+@dataclass(frozen=True)
+class Table:
+    """f at 0, 1, ..., len - 1 as int64 num / den (den None when every
+    denominator is 1), with running bounds nbits, dbits: for i <= j,
+    |num[i]| < 2**nbits[j] and den[i] < 2**dbits[j]."""
+
+    num: np.ndarray
+    den: np.ndarray | None
+    nbits: np.ndarray
+    dbits: np.ndarray | None
+
+    @classmethod
+    def of(cls, num: np.ndarray, den: np.ndarray | None) -> Table:
+        return cls(num, den, _running_bits(num),
+                   None if den is None else _running_bits(den))
+
+    def __len__(self) -> int:
+        return len(self.num)
+
+    def row(self, at, top: int) -> Row:
+        """The values at the indices at, the largest of which is top."""
+        if self.den is None:
+            return Row(self.num[at], _ONE, int(self.nbits[top]), 1)
+        return Row(self.num[at], self.den[at], int(self.nbits[top]),
+                   int(self.dbits[top]))
+
+
+def value_table(ev: Evaluator, limit: int) -> Table | None:
+    """ev's function on [0, limit], built once per evaluator from its spf
+    table; None when the spf table does not reach limit, an entry does
+    not fit, a divisor is zero or a rule raises."""
+    key = ("values", limit)
+    if key not in ev.tables:
+        ev.tables[key] = None
+        if ev.table is not None and ev.table.limit >= limit:
+            try:
+                ev.tables[key] = Table.of(*_build(ev.fn, ev.table.spf, limit))
+            except Unproven:
+                pass
+    return ev.tables[key]
+
+
+def power_table(ev: Evaluator, k: int, count: int) -> Table | None:
+    """f(n^k) for n in [0, count] from the evaluator (the entry at 0 is a
+    placeholder); None when a value does not fit or cannot be evaluated."""
+    key = ("power", k, count)
+    if key not in ev.tables:
+        try:
+            vals = [Fraction(1)] + [ev(n**k) for n in range(1, count + 1)]
+        except SubmultError:
+            vals = []
+        if vals and all(_fits(v.numerator) and _fits(v.denominator) for v in vals):
+            den = np.array([v.denominator for v in vals], dtype=np.int64)
+            ev.tables[key] = Table.of(
+                np.array([v.numerator for v in vals], dtype=np.int64),
+                None if (den == 1).all() else den)
+        else:
+            ev.tables[key] = None
+    return ev.tables[key]
+
+
+# ---------------------------------------------------------------------------
+# Rows
+# ---------------------------------------------------------------------------
+
+
+class Row:
+    """Exact rationals num / den, den > 0, at each of a row's columns (or
+    one value, broadcast over them), with |num| < 2**nbits and
+    den < 2**dbits.  Products are formed only when the bounds prove they
+    fit; otherwise Unproven is raised."""
+
+    __slots__ = ("num", "den", "nbits", "dbits")
+
+    def __init__(self, num, den, nbits: int, dbits: int):
+        self.num, self.den, self.nbits, self.dbits = num, den, nbits, dbits
+
+    def __mul__(self, other):
+        if isinstance(other, Row):
+            nbits, dbits = self.nbits + other.nbits, self.dbits + other.dbits
+            _prove(nbits, dbits)
+            return Row(self.num * other.num, self.den * other.den, nbits, dbits)
+        if isinstance(other, int):
+            nbits = self.nbits + abs(other).bit_length()
+            _prove(nbits)
+            return Row(self.num * np.int64(other), self.den, nbits, self.dbits)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> Row:
+        _prove(k * self.nbits, k * self.dbits)
+        return Row(self.num**k, self.den**k, k * self.nbits, k * self.dbits)
+
+
+def orders(lhs: Row, rhs: Row) -> np.ndarray:
+    """-1, 0 or 1 at each column as lhs <, = or > rhs."""
+    _prove(lhs.nbits + rhs.dbits, rhs.nbits + lhs.dbits)
+    return np.sign(lhs.num * rhs.den - rhs.num * lhs.den)
+
+
+class Columns:
+    """The coordinate n of a row's columns ns, as the formula shapes use
+    it: m * n and n ** k stay symbolic (scale * n ** power), so no
+    argument is ever formed in int64 and each is looked up in its table."""
+
+    __slots__ = ("ns", "scale", "power")
+
+    def __init__(self, ns: np.ndarray, scale: int, power: int):
+        self.ns, self.scale, self.power = ns, scale, power
+
+    def __rmul__(self, m: int) -> Columns:
+        return Columns(self.ns, m * self.scale, self.power)
+
+    def __pow__(self, k: int) -> Columns:
+        return Columns(self.ns, self.scale**k, self.power * k)
+
+
+class RowValues:
+    """f as the formula shapes call it on the rows of a max_m x max_n
+    grid: at Columns the values over a row's columns, at an int one
+    value.  The tables are built on first use."""
+
+    def __init__(self, ev: Evaluator, max_m: int, max_n: int):
+        self.ev, self.limit, self.count = ev, max_m * max_n, max_n
+
+    def __call__(self, x) -> Row:
+        values = value_table(self.ev, self.limit)
+        if values is None:
+            raise Unproven
+        if isinstance(x, Columns):  # ns ascending, so its last is the top
+            if x.power == 1:
+                return values.row(x.scale * x.ns, x.scale * int(x.ns[-1]))
+            table = power_table(self.ev, x.power, self.count)
+            if table is None or x.scale != 1:
+                raise Unproven
+            return table.row(x.ns, int(x.ns[-1]))
+        if x < len(values):
+            return values.row(x, x)
+        try:
+            v = self.ev(x)
+        except SubmultError:
+            raise Unproven from None  # the scalar path raises it in place
+        num, den = v.numerator, v.denominator
+        if not (_fits(num) and _fits(den)):
+            raise Unproven
+        return Row(np.int64(num), np.int64(den), num.bit_length(), den.bit_length())

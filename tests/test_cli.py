@@ -36,6 +36,33 @@ def test_eval_outputs(capsys):
     assert run_cli(capsys, "eval", "phi", "1")[:2] == (0, "1\n")
 
 
+def test_eval_beyond_the_sieve(capsys):
+    assert run_cli(capsys, "eval", "sigma", str(10**18 + 3))[:2] == (
+        0, f"{10**18 + 4}\n")
+    code, out, err = run_cli(capsys, "eval", "sigma", str((10**9 + 7) * (10**9 + 9)))
+    assert (code, out) == (2, "")
+    assert "cannot factor" in err
+
+
+def test_resource_refusals_exit_2(capsys, monkeypatch):
+    from submult import cli, core
+
+    def never(limit):
+        raise AssertionError("the sieve was allocated")
+
+    monkeypatch.setattr(core._sieve, "spf_sieve", never)
+    code, _, err = run_cli(capsys, "check", "d", "k-sup-mult", "--k", "3",
+                           "--max-m", "100000", "--max-n", "100000")
+    assert code == 2 and "physical memory" in err
+
+    def out_of_memory(limit):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_spf_table", out_of_memory)
+    code, _, err = run_cli(capsys, "check", "d", "sub-mult")
+    assert code == 2 and "out of memory" in err
+
+
 def test_eval_unknown_function_exits_2(capsys):
     code, out, err = run_cli(capsys, "eval", "totient", "5")
     assert code == 2

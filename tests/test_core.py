@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,19 @@ def test_build_spf_table_rejects_tiny_limit():
         build_spf_table(1)
 
 
+def test_oversized_sieve_refused_before_allocating(monkeypatch):
+    from submult import core
+
+    def never(limit):
+        raise AssertionError("the sieve was allocated")
+
+    monkeypatch.setattr(core._sieve, "spf_sieve", never)
+    with pytest.raises(ResourceError, match="physical memory"):
+        build_spf_table(10**13)
+    with pytest.raises(ResourceError, match="physical memory"):
+        primes_upto(10**13)
+
+
 # --- factorization ---------------------------------------------------------
 
 
@@ -86,6 +100,16 @@ def test_trial_factorize_roundtrip(n):
     f = trial_factorize(n)
     assert f.value() == n
     f.validate()
+
+
+def test_trial_factorize_is_bounded():
+    t0 = time.perf_counter()
+    assert trial_factorize(10**18 + 3).pairs == ((10**18 + 3, 1),)  # prime
+    assert trial_factorize(2**40 * 999983 * 1000003).pairs == (
+        (2, 40), (999983, 1), (1000003, 1))
+    with pytest.raises(ResourceError, match="no prime factor up to"):
+        trial_factorize((10**9 + 7) * (10**9 + 9))
+    assert time.perf_counter() - t0 < 5
 
 
 def test_factorization_validate_catches_bad_input():

@@ -4,13 +4,14 @@ and named inequalities."""
 
 import importlib
 import importlib.util
+import json
 import re
 from functools import cache
 from pathlib import Path
 
 import pytest
 
-from submult import checks
+from submult import checks, vector
 from submult.checks import (
     HOLDS,
     REFUTED,
@@ -69,6 +70,7 @@ def test_benchmark_tracer_wraps_and_restores_every_traced_name(capsys):
             assert _resolve(*t).__wrapped__ is orig, t
         main(["local", "sigma", "eq21", "sup", "--bridge", "--max-prime", "7",
               "--max-exp", "2", "--max-m", "6", "--max-n", "6", "--json"])
+        bridged = json.loads(capsys.readouterr().out)["reports"]
         main(["inequality", "eq13", "--max-n", "50", "--json"])
     finally:
         tracer.uninstall()
@@ -80,7 +82,10 @@ def test_benchmark_tracer_wraps_and_restores_every_traced_name(capsys):
     # locally, 36 global pairs, 49 eq13 points
     assert totals["checks.sweep"]["calls"] == 3
     assert totals["checks.sweep"]["points"] == 4 * 9 + 36 + 49
-    assert totals["core.cmp_values"]["calls"] == 4 * 9 + 36
+    # the global pairs are decided in int64; only their counterexamples'
+    # sides are recomputed with Fractions
+    global_cex = len(bridged[1]["counterexamples"])
+    assert totals["core.cmp_values"]["calls"] == 4 * 9 + global_cex
     assert totals["core.cmp_power"]["calls"] == 49
     assert totals["core.factorize"]["calls"] > 0
 
@@ -105,7 +110,8 @@ ALL_SPECS = ([PropertySpec(f) for f in FAMILIES if f not in K_FAMILIES]
 
 @pytest.fixture
 def evaluated(monkeypatch):
-    """Every argument the global sweeps evaluate a function at."""
+    """Every argument the global sweeps evaluate a function at, and the
+    top of every int64 value table they read."""
     seen = []
 
     class Recording(Evaluator):
@@ -113,7 +119,12 @@ def evaluated(monkeypatch):
             seen.append(n)
             return super().__call__(n)
 
+    def recording_table(ev, limit, table=vector.value_table):
+        seen.append(limit)
+        return table(ev, limit)
+
     monkeypatch.setattr(checks, "Evaluator", Recording)
+    monkeypatch.setattr(vector, "value_table", recording_table)
     return seen
 
 

@@ -2,6 +2,7 @@
 
 from math import isqrt
 
+import numpy as np
 import pytest
 
 from submult import _spfsieve_py
@@ -30,3 +31,11 @@ def test_spf_invariants():
         # spf[p] = p exactly for primes; composite i has spf <= sqrt(i)
         assert s == i or s <= isqrt(i)
         assert i % s == 0
+
+
+def test_spf_is_int32_below_2_to_31():
+    assert _spfsieve_py.spf_sieve(1000).dtype == np.int32
+    # from 2**31 entries take 8 bytes, not 4; seen in the memory bound
+    # rather than by allocating
+    jump = _spfsieve_py.sieve_bytes(2**31) - _spfsieve_py.sieve_bytes(2**31 - 1)
+    assert 4 * 2**31 <= jump < 4 * 2**31 + 100
