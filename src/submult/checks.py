@@ -19,15 +19,18 @@ report never depends on the threads argument, which is accepted and
 ignored: exact Fraction arithmetic holds the interpreter lock, and a
 thread pool measured no faster than one thread.
 
-The global families (check, classify, the global half of local --bridge,
-reports_for_tag) also carry an int64 row path (Property.vector, built in
-submult.vector): the same formula shape runs once per row on int64
-numerators and denominators of all the row's columns, wherever bit-length
-bounds prove every product below 2**62.  Other rows, and functions
-without an int64 value table, take the scalar Fraction path, which is
-also what recomputes a decided row's counterexamples up to the cap, so
-reports do not depend on the path.  The local criteria, the named
-inequalities, the identity bounds and the cross-power checks are scalar.
+Checks also carry a vector path (Property.vector, built on submult.vector)
+that decides a row at once.  The global families (check, classify, the
+global half of local --bridge, reports_for_tag) run the same formula shape
+once per row on int64 numerators and denominators of all the row's
+columns, wherever bit-length bounds prove every product below 2**62.  The
+power comparisons (the cross-power checks here, eq12, eq13 and corollary1
+in submult.inequalities, each a line of one row) run a padded log2 filter
+over the row in numpy and leave ties and near-ties undecided.  Undecided
+cells, rows the vector path cannot take and functions without an int64
+value table go to the scalar path, which is also what recomputes a
+decided row's counterexamples up to the cap, so reports do not depend on
+the path.  The local criteria and the identity bounds are scalar.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -85,9 +88,13 @@ EQ = "eq"  # lhs == rhs
 LT = "lt"  # lhs < rhs
 
 _PASSING = {SUB: (LESS, EQUAL), SUP: (EQUAL, GREATER), EQ: (EQUAL,), LT: (LESS,)}
-# relation -> whether order LESS, EQUAL, GREATER fails it, indexed by order + 1
-_FAILS = {rel: np.array([o not in ok for o in (LESS, EQUAL, GREATER)])
+# relation -> whether order LESS, EQUAL, GREATER fails it, indexed by
+# order + 1; _VISIT marks the orders the sweep calls compare at, the failing
+# ones and vector.UNDECIDED (at index 3)
+_FAILS = {rel: np.array([o not in ok for o in (LESS, EQUAL, GREATER)] + [False])
           for rel, ok in _PASSING.items()}
+_VISIT = {rel: fails | [False, False, False, True] for rel, fails in _FAILS.items()}
+_UNDECIDED_ONLY = np.array([False, False, False, True])
 
 
 @dataclass(frozen=True)
@@ -149,8 +156,9 @@ class CheckReport:
 
 # compare(*col) -> (order of lhs against rhs, lhs, rhs, exact fallback ran)
 Compare = Callable[..., tuple[int, object, object, bool]]
-# decide(row) -> the order at each col of cols(row), or None if undecided
-Decide = Callable[[int], "np.ndarray | None"]
+# decide(row) -> the order at each col of cols(row), vector.UNDECIDED at
+# the cells it leaves to compare, or None to leave it the whole row
+Decide = Callable[[int | None], "np.ndarray | None"]
 
 
 @dataclass(frozen=True)
@@ -158,19 +166,20 @@ class Property:
     """A relation between two sides, to be checked at every point.
 
     The points are (row, *col) for each row in rows and each col in
-    cols(row), with coordinates named by names; at(row) is the row's
+    cols(row), with coordinates named by names; a row of None (a line)
+    adds no coordinate, so its points are the cols.  at(row) is the row's
     compare closure, called once per point as compare(*col).  limit is
     the sieve limit that covers every value the sweep evaluates.
 
-    vector, when set, decides a whole row at once: vector(row) is the
-    order of the two sides at every col of cols(row), in that order, or
-    None when it cannot prove the row's int64 arithmetic exact; at(row)
-    then decides the row point by point."""
+    vector, when set, decides a row at once: vector(row) is the order of
+    the two sides at every col of cols(row), in that order, with
+    vector.UNDECIDED at the cells it cannot prove, or None when it can
+    prove none of them; at(row) then decides those cells point by point."""
 
     names: tuple[str, ...]
-    rows: Iterable[int]
-    cols: Callable[[int], list[tuple]]
-    at: Callable[[int], Compare]
+    rows: Iterable[int | None]
+    cols: Callable[[int | None], Sequence[tuple]]
+    at: Callable[[int | None], Compare]
     relation: str  # SUB, SUP, EQ or LT
     limit: int = 0
     vector: Decide | None = None
@@ -181,41 +190,44 @@ def _sweep(prop: Property, cfg: CheckConfig,
     """Check prop at every point: (verdict, the first
     cfg.counterexample_cap counterexamples, points checked, stats).
 
-    A row that prop.vector decides calls compare only at its failing
-    points, up to the cap, to recompute their sides.  With
+    compare runs, in column order, at every cell prop.vector leaves
+    UNDECIDED (every cell of a row it returns None for), and at the failing
+    cells it decides, up to the cap, to recompute their sides.  With
     cfg.stop_at_first the sweep ends after the first row that has a
     counterexample.  threads changes nothing (see the module docstring)."""
     passing = _PASSING[prop.relation]
+    fails, visit = _FAILS[prop.relation], _VISIT[prop.relation]
+    cap = cfg.counterexample_cap
     cex: list[Counterexample] = []
     checked = failed = exact = 0
     for row in prop.rows:
         compare = prop.at(row)
+        lead = () if row is None else (row,)
         failed_before = failed
         cols = prop.cols(row)
         orders = None if prop.vector is None else prop.vector(row)
         if orders is None:
-            for col in cols:
-                order, lhs, rhs, used_exact = compare(*col)
-                checked += 1
-                exact += used_exact
-                if order not in passing:
-                    failed += 1
-                    if len(cex) < cfg.counterexample_cap:
-                        point = tuple(zip(prop.names, (row, *col)))
-                        cex.append(Counterexample(point, lhs, rhs))
-        else:
-            checked += len(orders)
-            bad = np.flatnonzero(_FAILS[prop.relation][orders + 1])
-            failed += len(bad)
-            for i in bad[:cfg.counterexample_cap - len(cex)]:
-                col = cols[i]
-                order, lhs, rhs, used_exact = compare(*col)
-                exact += used_exact
-                point = tuple(zip(prop.names, (row, *col)))
-                if order in passing:
-                    raise InconsistencyError(
-                        f"the int64 and Fraction paths disagree at {point}; "
-                        "this is an implementation bug")
+            orders = np.full(len(cols), vector.UNDECIDED, dtype=np.int8)
+        checked += len(cols)
+        at = orders + 1
+        failed += int(np.count_nonzero(fails[at]))
+        todo = np.flatnonzero((_UNDECIDED_ONLY if len(cex) == cap else visit)[at])
+        for i, decided in zip(todo.tolist(), orders[todo].tolist()):
+            fallback = decided == vector.UNDECIDED
+            if not fallback and len(cex) == cap:
+                continue
+            col = cols[i]
+            order, lhs, rhs, used_exact = compare(*col)
+            exact += used_exact
+            if fallback and order in passing:
+                continue
+            point = tuple(zip(prop.names, (*lead, *col)))
+            if order in passing:
+                raise InconsistencyError(
+                    f"the vector and scalar paths disagree at {point}; "
+                    "this is an implementation bug")
+            failed += fallback
+            if len(cex) < cap:
                 cex.append(Counterexample(point, lhs, rhs))
         if cfg.stop_at_first and failed > failed_before:
             break
@@ -246,11 +258,32 @@ def sweep_report(function: str, label: str, params: dict, prop: Property,
     )
 
 
-def line(name: str, points: Iterable[int], compare: Compare, relation: str,
-         limit: int = 0) -> Property:
-    """A property with one coordinate: compare(x) at each point x."""
-    return Property((name,), points, lambda x: ((),),
-                    lambda x: partial(compare, x), relation, limit)
+class _Singletons:
+    """The points of a line as its row's columns: (x,) for each x in xs,
+    made on access so a long line holds no tuple per point."""
+
+    __slots__ = ("xs",)
+
+    def __init__(self, xs: Sequence[int]):
+        self.xs = xs
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def __getitem__(self, i: int) -> tuple[int]:
+        return (self.xs[i],)
+
+
+def line(name: str, points: Sequence[int], compare: Compare, relation: str,
+         limit: int = 0,
+         decide: Callable[[np.ndarray], np.ndarray | None] | None = None) -> Property:
+    """A property with one coordinate: compare(x) at each point x, all in
+    one row.  decide(xs), unless None, decides the points at once, given
+    as an int64 array (see Property.vector)."""
+    vector = None if decide is None else (
+        lambda _: decide(np.asarray(points, dtype=np.int64)))
+    return Property((name,), (None,), lambda _: _Singletons(points),
+                    lambda _: compare, relation, limit, vector)
 
 
 def _grid(cfg: CheckConfig, compare: Compare, relation: str, limit: int,
@@ -420,6 +453,28 @@ def _as_int(v: Value, fn_name: str, at: int) -> int:
     return v.numerator
 
 
+def power_formula(f: vector.RowValues,
+                  g: vector.RowValues) -> Callable[[int, np.ndarray], np.ndarray | None]:
+    """The cross-power comparison f(mn)^g(mn) vs f(m)^(g(m) n) f(n)^(g(n) m)
+    as decide(m, ns): the log2 filter of vector.power_orders over int64
+    rows of f and g.  None for a row with no tables, a base <= 0 or an
+    exponent that is not an integer >= 0, whose errors the scalar path
+    raises in place."""
+
+    def decide(m, ns):
+        n = vector.Columns(ns, 1, 1)
+        try:
+            fmn, fm, fn = (vector.positive(f(x)) for x in (m * n, m, n))
+            gmn, gm, gn = (vector.exponents(g(x)) for x in (m * n, m, n))
+        except vector.Unproven:
+            return None
+        return vector.power_orders(
+            [(fmn.num, fmn.den, gmn)],
+            [(fm.num, fm.den, gm * ns), (fn.num, fn.den, gn * m)])
+
+    return decide
+
+
 def check_power_submult(f: ArithFn, g: ArithFn, direction: str, cfg: CheckConfig,
                         table: SpfTable, *, threads: int = 1,
                         use_filter: bool = True) -> CheckReport:
@@ -428,7 +483,10 @@ def check_power_submult(f: ArithFn, g: ArithFn, direction: str, cfg: CheckConfig
     h(mn) <= h(m) h(n) is equivalent, after raising both sides to the
     mn-th power, to f(mn)^g(mn) <= f(m)^(g(m) n) * f(n)^(g(n) m); both
     sides are products of integer powers of positive rationals, which
-    cmp_power_products orders exactly.  g must be integer-valued.
+    cmp_power_products orders exactly.  g must be integer-valued.  Rows
+    are filtered in bulk by power_formula; the cells it leaves undecided,
+    and every cell when use_filter is False, go to
+    cmp_power_products_detail.
     """
     fe = Evaluator(f, table)
     ge = Evaluator(g, table)
@@ -445,9 +503,13 @@ def check_power_submult(f: ArithFn, g: ArithFn, direction: str, cfg: CheckConfig
         order, used_exact = cmp_power_products_detail(lhs, rhs, use_filter=use_filter)
         return order, lhs, rhs, used_exact
 
+    decide = None
+    if use_filter:
+        decide = power_formula(vector.RowValues(fe, cfg.max_m, cfg.max_n),
+                               vector.RowValues(ge, cfg.max_m, cfg.max_n))
     # h's sub-multiplicativity evaluates f and g where sub-mult evaluates f
     prop = _grid(cfg, compare, direction,
-                 sieve_limit([PropertySpec(SUB_MULT)], cfg), False, None)
+                 sieve_limit([PropertySpec(SUB_MULT)], cfg), False, decide)
     label = "power-sub-mult" if direction == SUB else "power-sup-mult"
     return sweep_report(f"{f.name}^({g.name}/n)", label,
                         {"max_m": cfg.max_m, "max_n": cfg.max_n}, prop, cfg,

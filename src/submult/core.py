@@ -15,6 +15,8 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from submult import _spfsieve_py as _sieve
 from submult.errors import DomainError, ResourceError, UnsupportedInputError, UsageError
 
@@ -210,7 +212,8 @@ def primes_upto(limit: int) -> list[int]:
         return []
     _require_sieve_memory(limit)
     spf = _sieve.spf_sieve(limit)
-    return [i for i in range(2, limit + 1) if spf[i] == i]
+    return (np.flatnonzero(spf[2:] == np.arange(2, limit + 1, dtype=spf.dtype))
+            + 2).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +373,20 @@ def cmp_power_products_detail(lhs, rhs, *, digit_budget: int = DEFAULT_DIGIT_BUD
             f"exact power comparison needs ~{est:.0f} decimal digits, "
             f"budget is {digit_budget}"
         )
+    # x -> x**G is strictly increasing for x > 0, so dividing every
+    # exponent by their gcd G keeps the order; ties of exponent-scaled
+    # sides (such as f(mn)**(mn) vs f(m)**(mn) * f(n)**(mn)) shrink to
+    # small comparisons.  The budget above is for the unreduced sides.
+    g = math.gcd(*(exp for _, exp in left), *(exp for _, exp in right))
     # a/b vs c/d  <=>  a*d vs c*b, with each side's numerator and
     # denominator accumulated across factors.
     lnum = lden = rnum = rden = 1
     for base, exp in left:
-        lnum *= base.numerator**exp
-        lden *= base.denominator**exp
+        lnum *= base.numerator ** (exp // g)
+        lden *= base.denominator ** (exp // g)
     for base, exp in right:
-        rnum *= base.numerator**exp
-        rden *= base.denominator**exp
+        rnum *= base.numerator ** (exp // g)
+        rden *= base.denominator ** (exp // g)
     a = lnum * rden
     b = rnum * lden
     if a < b:

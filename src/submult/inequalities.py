@@ -10,12 +10,19 @@ Ids are stable CLI vocabulary:
   eq23        phi(p^(a+b))^k <= p^ka phi(p^kb)       non-strict
   corollary1  seed f(p)^g(p) < p^p on primes plus the full-range
               conclusion f(n)^g(n) < n^n, as two reports
+
+eq12, eq13 and corollary1 compare products of powers.  Each sweeps its
+range as one row: vector.power_orders decides the points in bulk from
+int64 value tables of the functions, and only the points it leaves
+undecided reach the scalar cmp_power_products_detail.  use_filter=False
+turns off both filters, so every point takes the exact path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from submult import vector
 from submult.checks import (
     FORMULAS,
     LT,
@@ -31,9 +38,7 @@ from submult.core import (
     build_spf_table,
     cmp_power_products_detail,
     d_rule,
-    eval_phi,
-    eval_sigma,
-    factorize,
+    factorize,  # noqa: F401 -- perfbench/tracer.py traces factorization here
     phi_rule,
     primes_upto,
     sigma_rule,
@@ -58,9 +63,32 @@ def verify_eq12(max_prime: int, *, use_filter: bool = True,
         order, used_exact = cmp_power_products_detail(lhs, rhs, use_filter=use_filter)
         return order, lhs, rhs, used_exact
 
-    prop = line("p", primes_upto(max_prime), compare, LT)
+    def decide(ps):
+        return vector.power_orders([(ps + 1, 1, ps - 1)], [(ps, 1, ps)])
+
+    prop = line("p", primes_upto(max_prime), compare, LT,
+                decide=decide if use_filter else None)
     return sweep_report("eq12", "(p+1)^(p-1) < p^p", {"max_prime": max_prime},
                         prop, CheckConfig(), threads)
+
+
+def _below_self(fe: Evaluator, ge: Evaluator, limit: int):
+    """f(x)^g(x) vs x^x as decide(xs), for ascending xs <= limit: the bulk
+    log2 filter on f's and g's value tables over [0, limit].  None when a
+    table is missing, a base is <= 0 or an exponent is not an integer
+    >= 0; the scalar path then raises any error in place."""
+
+    f, g = vector.RowValues(fe, 1, limit), vector.RowValues(ge, 1, limit)
+
+    def decide(xs):
+        x = vector.Columns(xs, 1, 1)
+        try:
+            fx, gx = vector.positive(f(x)), vector.exponents(g(x))
+        except vector.Unproven:
+            return None
+        return vector.power_orders([(fx.num, fx.den, gx)], [(xs, 1, xs)])
+
+    return decide
 
 
 def verify_eq13(max_n: int, *, table: SpfTable | None = None,
@@ -75,15 +103,17 @@ def verify_eq13(max_n: int, *, table: SpfTable | None = None,
         raise UsageError("max_n must be >= 2")
     if table is None:
         table = build_spf_table(max_n)
+    sigma = Evaluator(make_prime_power_fn("sigma", sigma_rule), table)
+    phi = Evaluator(make_prime_power_fn("phi", phi_rule), table)
 
     def compare(n):
-        fact = factorize(n, table)
-        lhs = ((eval_sigma(fact), int(eval_phi(fact))),)
+        lhs = ((sigma(n), int(phi(n))),)
         rhs = ((Fraction(n), n),)
         order, used_exact = cmp_power_products_detail(lhs, rhs, use_filter=use_filter)
         return order, lhs, rhs, used_exact
 
-    prop = line("n", range(2, max_n + 1), compare, LT)
+    prop = line("n", range(2, max_n + 1), compare, LT,
+                decide=_below_self(sigma, phi, max_n) if use_filter else None)
     return sweep_report("eq13", "sigma(n)^phi(n) < n^n", {"max_n": max_n}, prop,
                         CheckConfig(), threads)
 
@@ -160,8 +190,9 @@ def verify_corollary1(f: ArithFn, g: ArithFn, max_prime: int, max_n: int, *,
         raise UsageError(f"corollary1 requires a sub-hom tag on {g.name}")
     if max_prime < 2 or max_n < 2:
         raise UsageError("need max_prime >= 2 and max_n >= 2")
+    limit = max(max_prime, max_n)
     if table is None:
-        table = build_spf_table(max(max_prime, max_n))
+        table = build_spf_table(limit)
     fe, ge = Evaluator(f, table), Evaluator(g, table)
 
     def compare(x):
@@ -178,13 +209,16 @@ def verify_corollary1(f: ArithFn, g: ArithFn, max_prime: int, max_n: int, *,
         order, used_exact = cmp_power_products_detail(lhs, rhs, use_filter=use_filter)
         return order, lhs, rhs, used_exact
 
+    decide = _below_self(fe, ge, limit) if use_filter else None
     pair = f"{f.name}^{g.name}"
     report_a = sweep_report(
         "corollary1", f"{pair}: f(p)^g(p) < p^p on primes",
         {"max_prime": max_prime, "f": f.name, "g": g.name},
-        line("p", primes_upto(max_prime), compare, LT), CheckConfig(), threads)
+        line("p", primes_upto(max_prime), compare, LT, decide=decide),
+        CheckConfig(), threads)
     report_b = sweep_report(
         "corollary1", f"{pair}: f(n)^g(n) < n^n",
         {"max_n": max_n, "f": f.name, "g": g.name},
-        line("n", range(2, max_n + 1), compare, LT), CheckConfig(), threads)
+        line("n", range(2, max_n + 1), compare, LT, decide=decide),
+        CheckConfig(), threads)
     return report_a, report_b

@@ -1,4 +1,5 @@
-"""Exact int64 row decisions for the grid property families.
+"""Vector decisions for the sweeps: exact int64 rows for the grid
+property families, and a padded log2 filter for products of powers.
 
 A grid check compares the two sides of one formula shape
 (checks.FORMULAS) at every point (m, n).  On this path the shape runs
@@ -21,6 +22,14 @@ elementwise and reduced by gcd.  An entry that would overflow, a zero
 divisor or a rule that raises leaves the function without a table, so
 every row goes to the scalar path, which raises where the scalar sweep
 raises.  Values at k-th powers n^k come from the shared Evaluator.
+
+Products of powers (eq12, eq13, corollary1, the cross-power checks) are
+ordered by power_orders from the same tables: padded float64 bounds on the
+log2 of each side, over all of a row's columns at once.  It decides only
+where the bounds are disjoint under twice the pad of the scalar filter in
+core.cmp_power_products_detail, so it decides a subset of the cells the
+scalar filter decides, the same way; the rest are UNDECIDED and go to the
+scalar comparison, whose exact branch settles ties.
 """
 
 from __future__ import annotations
@@ -31,6 +40,8 @@ from functools import reduce
 
 import numpy as np
 
+from submult import core
+from submult.core import GREATER, LESS
 from submult.errors import SubmultError
 from submult.functions import PRODUCT, QUOTIENT, RECIPROCAL, SUM, ArithFn, Evaluator
 
@@ -374,3 +385,65 @@ class RowValues:
         if not (_fits(num) and _fits(den)):
             raise Unproven
         return Row(np.int64(num), np.int64(den), num.bit_length(), den.bit_length())
+
+
+# ---------------------------------------------------------------------------
+# Products of powers
+# ---------------------------------------------------------------------------
+
+UNDECIDED = 2  # an order power_orders leaves to the exact scalar comparison
+
+# Twice the scalar filter's pads (core._PAD_ABS, core._PAD_REL).  Each
+# interval here then contains the scalar filter's interval for the same
+# side with room to spare for rounding (float64 errors here are near
+# 2**-52 relative, the added pad is 1e-12 relative plus 1e-9 per unit of
+# exponent), so every cell decided here is one the scalar filter decides
+# the same way: the exact fallbacks a sweep counts do not depend on the
+# path.
+_PAD_ABS = 2 * core._PAD_ABS
+_PAD_REL = 2 * core._PAD_REL
+
+
+def _log2_bounds(x) -> tuple[np.ndarray, np.ndarray]:
+    """Padded lower and upper bounds on log2(x) at each x >= 1."""
+    mid = np.log2(np.asarray(x, dtype=np.float64))
+    pad = _PAD_ABS + np.abs(mid) * _PAD_REL
+    return mid - pad, mid + pad
+
+
+def _log2_side(side) -> tuple[np.ndarray, np.ndarray]:
+    lo = hi = 0.0
+    for num, den, exp in side:
+        nlo, nhi = _log2_bounds(num)
+        dlo, dhi = _log2_bounds(den)
+        lo = lo + exp * (nlo - dhi)
+        hi = hi + exp * (nhi - dlo)
+    return lo, hi
+
+
+def power_orders(lhs, rhs) -> np.ndarray:
+    """The order of two products of powers at each column: LESS or
+    GREATER where the sides' padded log2 intervals are disjoint, UNDECIDED
+    elsewhere (ties and near-ties, for the exact scalar comparison).
+
+    A side is a list of factors (num, den, exp): the base num / den with
+    num, den >= 1 and the exponent exp >= 0, each an array over the
+    columns or one number broadcast over them."""
+    (llo, lhi), (rlo, rhi) = _log2_side(lhs), _log2_side(rhs)
+    return np.where(lhi < rlo, LESS,
+                    np.where(rhi < llo, GREATER, UNDECIDED)).astype(np.int8)
+
+
+def positive(row: Row) -> Row:
+    """row, as power bases; Unproven unless every value is positive."""
+    if not (row.num > 0).all():
+        raise Unproven  # the scalar path raises DomainError in place
+    return row
+
+
+def exponents(row: Row) -> np.ndarray:
+    """row's values as float64 power exponents; Unproven unless each is
+    an integer >= 0 (tables hold reduced fractions, so den == 1)."""
+    if not ((row.den == 1).all() and (row.num >= 0).all()):
+        raise Unproven  # the scalar path raises UnsupportedInputError in place
+    return np.asarray(row.num, dtype=np.float64)

@@ -11,6 +11,7 @@ from submult.core import (
     LESS,
     build_spf_table,
     cmp_power_products,
+    cmp_power_products_detail,
     cmp_powers,
     cmp_values,
     eval_d,
@@ -141,6 +142,25 @@ def test_primes_upto():
     assert len(primes_upto(10_000)) == 1229
 
 
+def _eratosthenes(limit):
+    """Primes up to limit by a plain sieve on Python lists."""
+    composite = [False] * (limit + 1)
+    primes = []
+    for i in range(2, limit + 1):
+        if not composite[i]:
+            primes.append(i)
+            for j in range(i * i, limit + 1, i):
+                composite[j] = True
+    return primes
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 5, 30, 97, 1000, 10**5])
+def test_primes_upto_matches_a_reference_sieve(limit):
+    primes = primes_upto(limit)
+    assert primes == _eratosthenes(limit)
+    assert all(type(p) is int for p in primes)
+
+
 # --- classical functions ---------------------------------------------------
 
 
@@ -249,6 +269,41 @@ def test_cmp_power_products():
     assert cmp_power_products([(2, 3)], [(2, 1), (2, 2)]) == EQUAL
     # base-1 and exponent-0 factors are inert
     assert cmp_power_products([(1, 5), (3, 0)], []) == EQUAL
+
+
+@st.composite
+def _sides_with_a_common_exponent_factor(draw):
+    """Two products of powers whose exponents all share a drawn factor;
+    half of them equal by construction (each base split into its
+    numerator and the reciprocal of its denominator)."""
+    common = draw(st.integers(1, 12))
+    factor = st.tuples(st.fractions(min_value=Fraction(1, 60), max_value=60),
+                       st.integers(0, 8).map(lambda e: common * e))
+    lhs = draw(st.lists(factor, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        rhs = [part for base, exp in lhs
+               for part in ((base.numerator, exp), (Fraction(1, base.denominator), exp))]
+    else:
+        rhs = draw(st.lists(factor, min_size=1, max_size=3))
+    return lhs, rhs
+
+
+def _product(side):
+    out = Fraction(1)
+    for base, exp in side:
+        out *= Fraction(base) ** exp
+    return out
+
+
+@given(_sides_with_a_common_exponent_factor(), st.booleans())
+@settings(max_examples=300)
+def test_exact_branch_divides_out_the_exponent_gcd(sides, use_filter):
+    lhs, rhs = sides
+    x, y = _product(lhs), _product(rhs)
+    order, used_exact = cmp_power_products_detail(lhs, rhs, use_filter=use_filter)
+    assert order == (x > y) - (x < y)
+    if not use_filter and order != EQUAL:
+        assert used_exact
 
 
 def test_prime_power_helper():

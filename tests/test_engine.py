@@ -72,6 +72,9 @@ def test_benchmark_tracer_wraps_and_restores_every_traced_name(capsys):
               "--max-exp", "2", "--max-m", "6", "--max-n", "6", "--json"])
         bridged = json.loads(capsys.readouterr().out)["reports"]
         main(["inequality", "eq13", "--max-n", "50", "--json"])
+        # n^n < n^n: every point is a tie the vector filter leaves undecided
+        main(["inequality", "corollary1", "--f", "identity", "--g", "identity",
+              "--max-prime", "7", "--max-n", "10", "--json"])
     finally:
         tracer.uninstall()
     for t, orig in originals.items():
@@ -79,14 +82,17 @@ def test_benchmark_tracer_wraps_and_restores_every_traced_name(capsys):
     capsys.readouterr()
     totals = tracer.totals()
     # every sweep runs through checks._sweep: 4 primes x 9 exponent pairs
-    # locally, 36 global pairs, 49 eq13 points
-    assert totals["checks.sweep"]["calls"] == 3
-    assert totals["checks.sweep"]["points"] == 4 * 9 + 36 + 49
+    # locally, 36 global pairs, 49 eq13 points, 4 primes and 9 points of
+    # corollary1
+    assert totals["checks.sweep"]["calls"] == 5
+    assert totals["checks.sweep"]["points"] == 4 * 9 + 36 + 49 + 4 + 9
     # the global pairs are decided in int64; only their counterexamples'
     # sides are recomputed with Fractions
     global_cex = len(bridged[1]["counterexamples"])
     assert totals["core.cmp_values"]["calls"] == 4 * 9 + global_cex
-    assert totals["core.cmp_power"]["calls"] == 49
+    # the vector log2 filter decides every eq13 point; only the cells it
+    # leaves undecided, here the corollary1 ties, reach the scalar comparison
+    assert totals["core.cmp_power"]["calls"] == 4 + 9
     assert totals["core.factorize"]["calls"] > 0
 
 

@@ -1,5 +1,7 @@
-"""The int64 row path of the grid sweeps against the scalar Fraction path,
-which stays the oracle, and the builtins against brute-force oracles."""
+"""The vector paths against the scalar path, which stays the oracle: the
+int64 rows of the grid sweeps, checked also against brute-force oracles,
+and the log2 filter of the power comparisons (eq12, eq13, corollary1 and
+the cross-power checks)."""
 
 import dataclasses
 from fractions import Fraction
@@ -10,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submult import checks, vector
-from submult.checks import HOLDS, REFUTED, CheckConfig, grid_property
+from submult import checks, inequalities, vector
+from submult.checks import HOLDS, REFUTED, SUB, SUP, CheckConfig, grid_property
 from submult.cli import main
-from submult.errors import DomainError
+from submult.core import cmp_power_products_detail
+from submult.errors import DomainError, SubmultError
 from submult.functions import (
     QUOTIENT,
     Evaluator,
+    Registry,
     builtin_registry,
     combine,
     make_prime_power_fn,
@@ -32,6 +36,7 @@ from submult.inference import (
     SUB_MULT,
     SUP_HOM,
     PropertySpec,
+    PropertyTag,
 )
 
 from oracles import d_oracle, phi_oracle, sigma_oracle
@@ -166,3 +171,152 @@ def test_grid_check_is_decided_in_int64(monkeypatch, capsys, function, family,
     capsys.readouterr()
     assert code == (1 if counterexamples else 0)
     assert len(calls) == counterexamples
+
+
+# --- the log2 filter of the power comparisons ------------------------------------
+
+REGISTRY = builtin_registry()
+
+
+def _report_or_error(run):
+    """run()'s reports as (verdict, counterexamples with sides, points,
+    stats) each, or the type and message of the error it raises."""
+    try:
+        reports = run()
+    except SubmultError as err:
+        return type(err), str(err)
+    if not isinstance(reports, tuple):
+        reports = (reports,)
+    return [(r.verdict, [(c.point, c.lhs, c.rhs) for c in r.counterexamples],
+             r.pairs_checked, r.stats) for r in reports]
+
+
+def _vector_and_scalar(run):
+    """run() with the vector filter, then with every Property's vector
+    dropped, so that each point goes to the scalar comparison."""
+    fast = _report_or_error(run)
+
+    def scalar_report(function, label, params, prop, *args,
+                      original=checks.sweep_report, **kwargs):
+        return original(function, label, params,
+                        dataclasses.replace(prop, vector=None), *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(inequalities, "sweep_report", scalar_report)
+        m.setattr(checks, "sweep_report", scalar_report)
+        scalar = _report_or_error(run)
+    return fast, scalar
+
+
+@pytest.mark.parametrize("exp", [1, 7, 1000])
+def test_power_orders_decide_only_what_the_scalar_filter_decides(exp):
+    """x^e vs (x + k)^e and (x / (x + k))^e vs 1 across the band of k where
+    the scalar filter's padded intervals separate and the vector filter's,
+    twice as wide, do not yet."""
+    x = 10**12
+    ks = np.arange(-40_000, 40_001, 53)
+    cases = [
+        (vector.power_orders([(x, 1, exp)], [(x + ks, 1, exp)]),
+         lambda k: ([(x, exp)], [(x + k, exp)])),
+        (vector.power_orders([(x, x + ks, exp)], [(1, 1, exp)]),
+         lambda k: ([(Fraction(x, x + k), exp)], [])),
+    ]
+    for orders, sides in cases:
+        left_to_scalar = 0
+        for k, order in zip(ks.tolist(), orders.tolist()):
+            scalar, used_exact = cmp_power_products_detail(*sides(k))
+            if order == vector.UNDECIDED:
+                left_to_scalar += not used_exact and scalar != 0
+            else:
+                assert (order, used_exact) == (scalar, False), k
+        assert left_to_scalar > 0
+        assert (orders != vector.UNDECIDED).sum() > len(ks) // 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(max_prime=st.integers(2, 3000), max_n=st.integers(2, 1500))
+def test_eq12_eq13_filter_matches_the_scalar_path(max_prime, max_n):
+    for run in (lambda: inequalities.verify_eq12(max_prime),
+                lambda: inequalities.verify_eq13(max_n)):
+        fast, scalar = _vector_and_scalar(run)
+        assert fast == scalar
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=st.sampled_from([n for n in REGISTRY.names() if REGISTRY.has_tag(n, SUB_MULT)]),
+       g=st.sampled_from([n for n in REGISTRY.names() if REGISTRY.has_tag(n, SUB_HOM)]),
+       max_prime=st.integers(2, 300), max_n=st.integers(2, 600))
+def test_corollary1_filter_matches_the_scalar_path(f, g, max_prime, max_n):
+    """Fraction-valued bases (n_over_phi, sigma_over_phi) and exponents that
+    are not integers (n_over_phi, sigma_over_d) included: the latter raise
+    the same error at the same point on both paths."""
+    def run():
+        return inequalities.verify_corollary1(REGISTRY.get(f), REGISTRY.get(g),
+                                              max_prime, max_n, registry=REGISTRY)
+
+    fast, scalar = _vector_and_scalar(run)
+    assert fast == scalar
+
+
+def test_corollary1_zero_base_raises_the_scalar_error():
+    registry = Registry()
+    zero_at_4 = make_prime_power_fn("zero-at-4", lambda p, a: 0 if (p, a) == (2, 2)
+                                    else p**a, positive=False)
+    for fn, family in ((zero_at_4, SUB_MULT), (builtin_registry().get("phi"), SUB_HOM)):
+        registry.register(fn, [PropertyTag(fn.name, family)])
+    with np.errstate(all="raise"):  # the zero never reaches np.log2
+        fast, scalar = _vector_and_scalar(lambda: inequalities.verify_corollary1(
+            zero_at_4, registry.get("phi"), 20, 20, registry=registry))
+    assert fast == scalar and fast[0] is DomainError
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.sampled_from(REGISTRY.names()), expo=st.sampled_from(REGISTRY.names()),
+       direction=st.sampled_from([SUB, SUP]), max_m=st.integers(2, 12),
+       max_n=st.integers(2, 12), stop=st.booleans(), cap=st.integers(1, 10))
+def test_cross_power_filter_matches_the_scalar_path(table_10k, base, expo,
+                                                    direction, max_m, max_n, stop,
+                                                    cap):
+    """Every registry function as the exponent: the integer-valued ones are
+    decided, the others raise the same error at the same point."""
+    cfg = CheckConfig(max_m=max_m, max_n=max_n, stop_at_first=stop,
+                      counterexample_cap=cap)
+
+    def run():
+        return checks.check_power_submult(REGISTRY.get(base), REGISTRY.get(expo),
+                                          direction, cfg, table_10k)
+
+    fast, scalar = _vector_and_scalar(run)
+    assert fast == scalar
+
+
+@pytest.fixture
+def power_comparisons(monkeypatch):
+    """Every call of the scalar power comparison, wherever a sweep makes it."""
+    calls = []
+    original = inequalities.cmp_power_products_detail
+
+    def counting(lhs, rhs, **kwargs):
+        calls.append((lhs, rhs))
+        return original(lhs, rhs, **kwargs)
+
+    monkeypatch.setattr(inequalities, "cmp_power_products_detail", counting)
+    monkeypatch.setattr(checks, "cmp_power_products_detail", counting)
+    return calls
+
+
+def test_without_the_filter_every_point_is_exact(power_comparisons):
+    report = inequalities.verify_eq13(500, use_filter=False)
+    assert report.holds and report.stats == {"exact_fallbacks": 499}
+    assert len(power_comparisons) == 499
+
+
+@pytest.mark.parametrize("argv", [
+    ["inequality", "eq13", "--max-n", "20000"],
+    ["inequality", "corollary1", "--f", "sigma", "--g", "phi",
+     "--max-prime", "5000", "--max-n", "15000"]])
+def test_power_inequalities_are_decided_in_bulk(capsys, power_comparisons, argv):
+    """No point of these is a near-tie, so the scalar comparison never runs."""
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert power_comparisons == []
