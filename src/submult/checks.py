@@ -368,9 +368,12 @@ def vector_formula(family: str, k: int | None,
 
 
 def sieve_limit(specs: Iterable[PropertySpec], cfg: CheckConfig) -> int:
-    """The sieve limit covering every value that sweeping the specs over
-    cfg's grid evaluates.  Each argument of a formula grows with m and
-    n, so the largest is taken at the grid's far corner."""
+    """The sieve limit covering every argument that sweeping the specs
+    over cfg's grid factors through the sieve.  Each argument of a formula
+    grows with m and n, so the largest is taken at the grid's far corner.
+    A k-th power x**k counts as its base x, so the shapes run at k = 1:
+    the sweep's Evaluator factors x**k as x with every exponent times k
+    (see grid_property)."""
     args = []
 
     def record(x):
@@ -378,7 +381,7 @@ def sieve_limit(specs: Iterable[PropertySpec], cfg: CheckConfig) -> int:
         return 1
 
     for spec in specs:
-        FORMULAS[spec.family][0](record, spec.k, cfg.max_m, cfg.max_n)
+        FORMULAS[spec.family][0](record, 1, cfg.max_m, cfg.max_n)
     return max(args)
 
 
@@ -390,7 +393,10 @@ def sieve_limit(specs: Iterable[PropertySpec], cfg: CheckConfig) -> int:
 def grid_property(ev: Evaluator, spec: PropertySpec, cfg: CheckConfig) -> Property:
     """The spec's formula over cfg's grid, decided row by row in int64
     where ev's values have a table (see submult.vector), point by point
-    with Fraction values elsewhere."""
+    with Fraction values elsewhere.  Registers spec.k with ev, which then
+    evaluates m**k and n**k from the factorizations of m and n."""
+    if spec.k is not None:
+        ev.add_power(spec.k)
     rows = vector.RowValues(ev, cfg.max_m, cfg.max_n)
     return _grid(cfg, formula(spec.family, spec.k, ev), FORMULAS[spec.family][1],
                  sieve_limit([spec], cfg), spec.family == MULTIPLICATIVE,
@@ -432,7 +438,8 @@ def check_k_submult(f: ArithFn, k: int, direction: str, cfg: CheckConfig,
                     table: SpfTable, *, threads: int = 1) -> CheckReport:
     """f(mn)^k <= f(m^k) f(n^k) ("sub") or >= ("sup") over the grid.
 
-    Refuses to start unless the sieve covers max_m^k and max_n^k."""
+    Refuses to start unless the sieve covers max_m * max_n; f at m^k and
+    n^k comes from the factorizations of m and n."""
     spec = PropertySpec(K_SUB_MULT if direction == SUB else K_SUP_MULT, k)
     return run_property_check(f, spec, cfg, table, threads=threads)
 

@@ -132,8 +132,10 @@ TRIAL_BOUND = 10**6
 def trial_factorize(n: int) -> Factorization:
     """Factor n by trial division; the fallback above any sieve limit.
 
-    Intended for the occasional out-of-range evaluation, not for bulk
-    sweeps (those presize their sieve and refuse to start otherwise).
+    Intended for the occasional out-of-range evaluation, never reached
+    by sweeps: they presize their sieve to every argument they factor,
+    refuse to start otherwise, and take a k-th power above the sieve from
+    its base's factorization (functions.Evaluator).
     Divides by candidates up to TRIAL_BOUND only.  A cofactor with no
     prime factor up to the bound is prime when it is below TRIAL_BOUND**2
     or when is_prime certifies it; otherwise ResourceError is raised.

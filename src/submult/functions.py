@@ -11,6 +11,7 @@ through cross-power comparisons (see checks.check_power_submult).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -129,21 +130,52 @@ class Evaluator:
     """Caching wrapper around evaluate() for sweeps.  One evaluator per
     function serves every sweep of a command, so a value computed for one
     property, and an int64 value table built for one, is reused by the
-    next."""
+    next.
+
+    A sweep that takes f at k-th powers x**k registers k with
+    add_power(k).  An x**k above the sieve limit is then evaluated from
+    x's sieve factorization with every exponent times k, so the sieve
+    need only cover the bases x; it is never trial-divided."""
 
     def __init__(self, fn: ArithFn, table: SpfTable | None = None):
         self.fn = fn
         self.table = table
         self._cache: dict[int, Value] = {}
+        self._powers: set[int] = set()
         # int64 value tables of fn, built lazily by submult.vector
         self.tables: dict[tuple, object] = {}
+
+    def add_power(self, k: int) -> None:
+        """Evaluate k-th powers above the sieve limit from their base."""
+        self._powers.add(k)
 
     def __call__(self, n: int) -> Value:
         v = self._cache.get(n)
         if v is None:
-            v = evaluate(self.fn, n, self.table)
+            root = self._root(n)
+            if root is None:
+                v = evaluate(self.fn, n, self.table)
+            else:
+                x, k = root
+                pairs = factorize(x, self.table).pairs
+                v = evaluate_fact(self.fn, Factorization(
+                    tuple((p, a * k) for p, a in pairs)))
             self._cache[n] = v
         return v
+
+    def _root(self, n: int) -> tuple[int, int] | None:
+        """(x, k) with x**k == n, k registered and x within the sieve, when
+        n is above the sieve limit; None otherwise."""
+        table = self.table
+        if table is None or n <= table.limit:
+            return None
+        for k in sorted(self._powers):
+            # x <= limit bounds n's bit length, so exp() cannot overflow
+            if n.bit_length() <= k * table.limit.bit_length():
+                x = round(math.exp(math.log(n) / k))
+                if x <= table.limit and x**k == n:
+                    return x, k
+        return None
 
 
 def make_prime_power_fn(name: str, rule: PrimePowerRule, *,

@@ -21,7 +21,9 @@ the children of products, quotients, sums and reciprocals are combined
 elementwise and reduced by gcd.  An entry that would overflow, a zero
 divisor or a rule that raises leaves the function without a table, so
 every row goes to the scalar path, which raises where the scalar sweep
-raises.  Values at k-th powers n^k come from the shared Evaluator.
+raises.  Values at k-th powers n^k come from the shared Evaluator,
+which factors n^k as n with every exponent times k, so the spf table
+need not reach n^k.
 
 Products of powers (eq12, eq13, corollary1, the cross-power checks) are
 ordered by power_orders from the same tables: padded float64 bounds on the
@@ -281,8 +283,9 @@ def value_table(ev: Evaluator, limit: int) -> Table | None:
 
 
 def power_table(ev: Evaluator, k: int, count: int) -> Table | None:
-    """f(n^k) for n in [0, count] from the evaluator (the entry at 0 is a
-    placeholder); None when a value does not fit or cannot be evaluated."""
+    """f(n^k) for n in [0, count] from the evaluator, which takes each
+    from n's factorization (the entry at 0 is a placeholder); None when a
+    value does not fit or cannot be evaluated."""
     key = ("power", k, count)
     if key not in ev.tables:
         try:

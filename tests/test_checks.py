@@ -148,10 +148,13 @@ def test_k_checks_hold_on_50_grid(registry):
     assert check_k_subhom(registry.get("sigma"), 2, SUP, cfg, table).holds
 
 
-def test_k_check_refuses_small_sieve(registry, table_10k):
+def test_k_check_refuses_small_sieve(registry):
+    # m^3 and n^3 are factored from m and n: the sieve must reach m n only
     cfg = CheckConfig(max_m=50, max_n=50)
-    with pytest.raises(ResourceError, match="125000"):
-        check_k_submult(registry.get("phi"), 3, SUB, cfg, table_10k)
+    with pytest.raises(ResourceError, match="at least 2500,"):
+        check_k_submult(registry.get("phi"), 3, SUB, cfg, build_spf_table(2499))
+    assert check_k_submult(registry.get("phi"), 3, SUB, cfg,
+                           build_spf_table(2500)).holds
 
 
 def test_k_trivial_at_one(registry, table_10k):

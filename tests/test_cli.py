@@ -105,6 +105,15 @@ def test_check_k_family(capsys):
     assert env["reports"][0]["property"] == "k-sup-mult(k=2)"
 
 
+def test_check_k_family_sieves_to_m_times_n(capsys):
+    # m^3, n^3 up to 10^9 are factored from m, n: a 10^6 sieve does
+    code, out, err = run_cli(capsys, "check", "d", "k-sup-mult", "--k", "3",
+                             "--max-m", "1000", "--max-n", "1000")
+    assert code == 0
+    assert "sieve limit: 1000000\n" in err
+    assert "holds-on-range" in out
+
+
 def test_check_bad_property_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "phi", "nonsense"])

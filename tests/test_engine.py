@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from submult import checks, vector
+from submult import checks, functions, vector
 from submult.checks import (
     HOLDS,
     REFUTED,
@@ -22,15 +22,10 @@ from submult.checks import (
 )
 from submult.cli import main
 from submult.core import build_spf_table, primes_upto
-from submult.functions import Evaluator
 from submult.inequalities import verify_eq16, verify_eq23
 from submult.inference import (
     FAMILIES,
     K_FAMILIES,
-    K_SUB_HOM,
-    K_SUB_MULT,
-    K_SUP_HOM,
-    K_SUP_MULT,
     SUP_MULT,
     PropertySpec,
 )
@@ -99,73 +94,93 @@ def test_benchmark_tracer_wraps_and_restores_every_traced_name(capsys):
 # --- sieve limit ---------------------------------------------------------------
 
 
-def _closed_form(spec, max_m, max_n):
-    """The sieve limits the checkers required before they were derived
-    from the formulas."""
-    needed = max_m * max_n
-    if spec.family in (K_SUB_MULT, K_SUP_MULT):
-        needed = max(needed, max_m**spec.k, max_n**spec.k)
-    elif spec.family in (K_SUB_HOM, K_SUP_HOM):
-        needed = max(needed, max_n**spec.k)
-    return needed
-
-
 ALL_SPECS = ([PropertySpec(f) for f in FAMILIES if f not in K_FAMILIES]
              + [PropertySpec(f, k) for f in K_FAMILIES for k in (2, 3, 4)])
 
 
 @pytest.fixture
-def evaluated(monkeypatch):
-    """Every argument the global sweeps evaluate a function at, and the
+def factored(monkeypatch):
+    """Every argument the global sweeps factor through the sieve, and the
     top of every int64 value table they read."""
     seen = []
 
-    class Recording(Evaluator):
-        def __call__(self, n):
-            seen.append(n)
-            return super().__call__(n)
+    def recording_factorize(n, table, factorize=functions.factorize):
+        seen.append(n)
+        return factorize(n, table)
 
     def recording_table(ev, limit, table=vector.value_table):
         seen.append(limit)
         return table(ev, limit)
 
-    monkeypatch.setattr(checks, "Evaluator", Recording)
+    monkeypatch.setattr(functions, "factorize", recording_factorize)
     monkeypatch.setattr(vector, "value_table", recording_table)
     return seen
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=PropertySpec.label)
 @pytest.mark.parametrize("max_m, max_n", [(9, 7), (7, 9)])
-def test_sieve_limit_is_the_closed_form_and_suffices(registry, evaluated, spec,
+def test_sieve_limit_is_the_closed_form_and_suffices(registry, factored, spec,
                                                      max_m, max_n):
+    # every family factors m, n and m n, and the bases m, n of m^k, n^k
     cfg = CheckConfig(max_m=max_m, max_n=max_n)
     limit = sieve_limit([spec], cfg)
-    assert limit == _closed_form(spec, max_m, max_n)
+    assert limit == max_m * max_n
     run_property_check(registry.get("sigma"), spec, cfg, build_spf_table(limit))
-    assert max(evaluated) <= limit
+    assert factored and max(factored) <= limit
 
 
 def _announced_limit(err):
     return int(re.search(r"sieve limit: (\d+)", err).group(1))
 
 
-def test_classify_sieve_limit(capsys, evaluated):
+def test_classify_sieve_limit(capsys, factored):
     main(["classify", "phi", "--max-m", "12", "--max-n", "9", "--k-set", "2,3,4"])
     limit = _announced_limit(capsys.readouterr().err)
-    assert limit == max(12 * 9, max(12, 9) ** 4)
-    assert max(evaluated) <= limit
+    assert limit == 12 * 9
+    assert max(factored) <= limit
 
 
 @pytest.mark.parametrize("criterion, k", [("eq14", None), ("eq18", 3),
                                           ("eq21", None), ("eq22", 3)])
-def test_local_bridge_sieve_limit(capsys, evaluated, criterion, k):
+def test_local_bridge_sieve_limit(capsys, factored, criterion, k):
     argv = ["local", "sigma", criterion, "sup", "--bridge", "--max-prime", "5",
             "--max-exp", "2", "--max-m", "12", "--max-n", "9"]
     main(argv + (["--k", str(k)] if k else []))
     limit = _announced_limit(capsys.readouterr().err)
-    family = LocalCriterion(criterion, "sup", k).global_family()
-    assert limit == _closed_form(PropertySpec(family, k), 12, 9)
-    assert max(evaluated) <= limit
+    assert limit == 12 * 9
+    assert max(factored) <= limit
+
+
+@pytest.fixture
+def no_trial_division(monkeypatch):
+    """trial_factorize raises wherever the package binds it."""
+    def refuse(n):
+        raise AssertionError(f"trial division of {n}")
+
+    for module in ("core", "functions", "local"):
+        monkeypatch.setattr(f"submult.{module}.trial_factorize", refuse)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("family", K_FAMILIES)
+def test_k_sweeps_never_trial_divide(registry, no_trial_division, family, k):
+    cfg = CheckConfig(max_m=12, max_n=9, counterexample_cap=3)
+    spec = PropertySpec(family, k)
+    table = build_spf_table(sieve_limit([spec], cfg))
+    for fn in registry.functions():
+        run_property_check(fn, spec, cfg, table)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "d", "--k-set", "2,3,4"],
+    ["local", "sigma", "eq18", "sup", "--k", "3", "--bridge", "--max-prime", "5",
+     "--max-exp", "2"],
+    ["local", "phi", "eq22", "sub", "--k", "3", "--bridge", "--max-prime", "5",
+     "--max-exp", "2"],
+], ids=["classify", "eq18", "eq22"])
+def test_commands_never_trial_divide(capsys, no_trial_division, argv):
+    assert main(argv + ["--max-m", "12", "--max-n", "9", "--json"]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["reports"]
 
 
 # --- formulas shared by checks, local criteria and inequalities ------------------

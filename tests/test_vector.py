@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from submult import checks, inequalities, vector
 from submult.checks import HOLDS, REFUTED, SUB, SUP, CheckConfig, grid_property
 from submult.cli import main
-from submult.core import cmp_power_products_detail
+from submult.core import build_spf_table, cmp_power_products_detail
 from submult.errors import DomainError, SubmultError
 from submult.functions import (
     QUOTIENT,
@@ -152,6 +152,59 @@ def test_zero_divisor_raises_the_scalar_error(table_1m):
             checks._sweep(prop, cfg, 1)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+
+
+def _undefined_at(p0, a0):
+    """p^a + 1, except that it raises at p0^a for every a >= a0."""
+    def rule(p, a):
+        if p == p0 and a >= a0:
+            raise DomainError(f"undefined at {p}^{a}")
+        return p**a + 1 if a else 1
+    return make_prime_power_fn(f"undefined-at-{p0}^{a0}", rule)
+
+
+def _outcome_or_error(prop, cfg):
+    """The sweep's outcome, or its error and the point it was comparing."""
+    where = []
+
+    def at(row):
+        compare = prop.at(row)
+
+        def spy(*col):
+            where.append((row, *col))
+            return compare(*col)
+        return spy
+
+    try:
+        return _outcome(dataclasses.replace(prop, at=at), cfg)
+    except SubmultError as err:
+        return type(err), str(err), where[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fn=st.one_of(st.sampled_from(FUNCTIONS),
+                    st.builds(_undefined_at, st.sampled_from([2, 3, 5]),
+                              st.integers(2, 6))),
+       family=st.sampled_from(K_FAMILIES), k=st.sampled_from([2, 3, 4]),
+       max_m=st.integers(2, 12), max_n=st.integers(2, 12), stop=st.booleans(),
+       cap=st.integers(1, 10))
+def test_k_powers_factored_from_their_base(fn, family, k, max_m, max_n, stop, cap):
+    """A k-family on a sieve up to max_m * max_n, where m^k and n^k are
+    factored from m and n, against the same sweep on a sieve that covers
+    m^k and n^k."""
+    spec = PropertySpec(family, k)
+    cfg = CheckConfig(max_m=max_m, max_n=max_n, stop_at_first=stop,
+                      counterexample_cap=cap)
+    small = build_spf_table(checks.sieve_limit([spec], cfg))
+    large = build_spf_table(max(max_m, max_n) ** k)
+    assert small.limit == max_m * max_n
+    prop = grid_property(Evaluator(fn, small), spec, cfg)
+    outcome = _outcome_or_error(prop, cfg)
+    assert outcome == _outcome_or_error(
+        grid_property(Evaluator(fn, large), spec, cfg), cfg)
+    assert outcome == _outcome_or_error(dataclasses.replace(prop, vector=None), cfg)
+    if fn.name in ORACLES:
+        assert outcome == _brute_force(fn.name, spec, cfg)
 
 
 @pytest.mark.parametrize("function, family, counterexamples", [
