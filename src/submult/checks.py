@@ -26,11 +26,14 @@ once per row on int64 numerators and denominators of all the row's
 columns, wherever bit-length bounds prove every product below 2**62.  The
 power comparisons (the cross-power checks here, eq12, eq13 and corollary1
 in submult.inequalities, each a line of one row) run a padded log2 filter
-over the row in numpy and leave ties and near-ties undecided.  Undecided
-cells, rows the vector path cannot take and functions without an int64
-value table go to the scalar path, which is also what recomputes a
-decided row's counterexamples up to the cap, so reports do not depend on
-the path.  The local criteria and the identity bounds are scalar.
+over the row in numpy and leave ties and near-ties undecided; the
+cross-power checks then settle in numpy the cells whose sides normalize
+to the same factors and the exact ties that fit int64 and the digit
+budget (vector.cross_power_ties).  Undecided cells, rows the vector path
+cannot take and functions without an int64 value table go to the scalar
+path, which is also what recomputes a decided row's counterexamples up to
+the cap, so reports do not depend on the path.  The local criteria and the
+identity bounds are scalar.
 """
 
 from __future__ import annotations
@@ -88,13 +91,15 @@ EQ = "eq"  # lhs == rhs
 LT = "lt"  # lhs < rhs
 
 _PASSING = {SUB: (LESS, EQUAL), SUP: (EQUAL, GREATER), EQ: (EQUAL,), LT: (LESS,)}
-# relation -> whether order LESS, EQUAL, GREATER fails it, indexed by
-# order + 1; _VISIT marks the orders the sweep calls compare at, the failing
-# ones and vector.UNDECIDED (at index 3)
-_FAILS = {rel: np.array([o not in ok for o in (LESS, EQUAL, GREATER)] + [False])
+# relation -> whether order LESS, EQUAL, GREATER, vector.UNDECIDED or
+# vector.TIE fails it, indexed by order + 1 (a TIE fails as EQUAL does);
+# _VISIT marks the orders the sweep calls compare at, the failing ones and
+# vector.UNDECIDED (at index 3)
+_FAILS = {rel: np.array([o not in ok for o in (LESS, EQUAL, GREATER)]
+                        + [False, EQUAL not in ok])
           for rel, ok in _PASSING.items()}
-_VISIT = {rel: fails | [False, False, False, True] for rel, fails in _FAILS.items()}
-_UNDECIDED_ONLY = np.array([False, False, False, True])
+_UNDECIDED_ONLY = np.array([False, False, False, True, False])
+_VISIT = {rel: fails | _UNDECIDED_ONLY for rel, fails in _FAILS.items()}
 
 
 @dataclass(frozen=True)
@@ -174,7 +179,9 @@ class Property:
     vector, when set, decides a row at once: vector(row) is the order of
     the two sides at every col of cols(row), in that order, with
     vector.UNDECIDED at the cells it cannot prove, or None when it can
-    prove none of them; at(row) then decides those cells point by point."""
+    prove none of them; at(row) then decides those cells point by point.
+    vector.TIE marks an EQUAL that compare would have reached through its
+    exact fallback, and counts as one."""
 
     names: tuple[str, ...]
     rows: Iterable[int | None]
@@ -192,9 +199,11 @@ def _sweep(prop: Property, cfg: CheckConfig,
 
     compare runs, in column order, at every cell prop.vector leaves
     UNDECIDED (every cell of a row it returns None for), and at the failing
-    cells it decides, up to the cap, to recompute their sides.  With
-    cfg.stop_at_first the sweep ends after the first row that has a
-    counterexample.  threads changes nothing (see the module docstring)."""
+    cells it decides, up to the cap, to recompute their sides.  Exact
+    fallbacks are counted at vector.TIE cells and where compare reports
+    one at an UNDECIDED cell.  With cfg.stop_at_first the sweep ends after
+    the first row that has a counterexample.  threads changes nothing (see
+    the module docstring)."""
     passing = _PASSING[prop.relation]
     fails, visit = _FAILS[prop.relation], _VISIT[prop.relation]
     cap = cfg.counterexample_cap
@@ -209,6 +218,7 @@ def _sweep(prop: Property, cfg: CheckConfig,
         if orders is None:
             orders = np.full(len(cols), vector.UNDECIDED, dtype=np.int8)
         checked += len(cols)
+        exact += int(np.count_nonzero(orders == vector.TIE))
         at = orders + 1
         failed += int(np.count_nonzero(fails[at]))
         todo = np.flatnonzero((_UNDECIDED_ONLY if len(cex) == cap else visit)[at])
@@ -218,7 +228,7 @@ def _sweep(prop: Property, cfg: CheckConfig,
                 continue
             col = cols[i]
             order, lhs, rhs, used_exact = compare(*col)
-            exact += used_exact
+            exact += fallback and used_exact
             if fallback and order in passing:
                 continue
             point = tuple(zip(prop.names, (*lead, *col)))
@@ -464,20 +474,23 @@ def power_formula(f: vector.RowValues,
                   g: vector.RowValues) -> Callable[[int, np.ndarray], np.ndarray | None]:
     """The cross-power comparison f(mn)^g(mn) vs f(m)^(g(m) n) f(n)^(g(n) m)
     as decide(m, ns): the log2 filter of vector.power_orders over int64
-    rows of f and g.  None for a row with no tables, a base <= 0 or an
-    exponent that is not an integer >= 0, whose errors the scalar path
-    raises in place."""
+    rows of f and g, then vector.cross_power_ties on what it leaves.  None
+    for a row with no tables, a base <= 0 or an exponent that is not an
+    integer >= 0, whose errors the scalar path raises in place."""
 
     def decide(m, ns):
         n = vector.Columns(ns, 1, 1)
         try:
-            fmn, fm, fn = (vector.positive(f(x)) for x in (m * n, m, n))
-            gmn, gm, gn = (vector.exponents(g(x)) for x in (m * n, m, n))
+            fs = tuple(vector.positive(f(x)) for x in (m * n, m, n))
+            gs = tuple(g(x) for x in (m * n, m, n))
+            gmn, gm, gn = (vector.exponents(x) for x in gs)
         except vector.Unproven:
             return None
-        return vector.power_orders(
+        fmn, fm, fn = fs
+        orders = vector.power_orders(
             [(fmn.num, fmn.den, gmn)],
             [(fm.num, fm.den, gm * ns), (fn.num, fn.den, gn * m)])
+        return vector.cross_power_ties(orders, m, ns, fs, gs)
 
     return decide
 
@@ -491,7 +504,7 @@ def check_power_submult(f: ArithFn, g: ArithFn, direction: str, cfg: CheckConfig
     mn-th power, to f(mn)^g(mn) <= f(m)^(g(m) n) * f(n)^(g(n) m); both
     sides are products of integer powers of positive rationals, which
     cmp_power_products orders exactly.  g must be integer-valued.  Rows
-    are filtered in bulk by power_formula; the cells it leaves undecided,
+    are decided in bulk by power_formula; the cells it leaves undecided,
     and every cell when use_filter is False, go to
     cmp_power_products_detail.
     """

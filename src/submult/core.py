@@ -322,13 +322,16 @@ def _normalize_side(side) -> list[tuple[Fraction, int]]:
     return sorted((b, e) for b, e in merged.items() if e != 0)
 
 
+DIGITS_PER_BIT = 0.30103  # log10(2), as the digit budget counts it
+
+
 def _estimated_digits(factors: list[tuple[Fraction, int]]) -> float:
     num_bits = 0
     den_bits = 0
     for base, exp in factors:
         num_bits += exp * base.numerator.bit_length()
         den_bits += exp * base.denominator.bit_length()
-    return max(num_bits, den_bits) * 0.30103
+    return max(num_bits, den_bits) * DIGITS_PER_BIT
 
 
 def cmp_power_products(lhs, rhs, *, digit_budget: int = DEFAULT_DIGIT_BUDGET,

@@ -30,8 +30,14 @@ ordered by power_orders from the same tables: padded float64 bounds on the
 log2 of each side, over all of a row's columns at once.  It decides only
 where the bounds are disjoint under twice the pad of the scalar filter in
 core.cmp_power_products_detail, so it decides a subset of the cells the
-scalar filter decides, the same way; the rest are UNDECIDED and go to the
-scalar comparison, whose exact branch settles ties.
+scalar filter decides, the same way; the rest are UNDECIDED.  For the
+cross-power checks, cross_power_ties then settles the UNDECIDED cells the
+scalar comparison settles without its filter: sides that normalize to the
+same factors (EQUAL) and, in int64 after dividing the exponents by their
+gcd, exact ties within the digit budget (TIE, which the sweep counts as
+an exact fallback, as the scalar path would).  What is left, near-ties,
+ties beyond int64 or the budget and every UNDECIDED cell of eq12, eq13
+and corollary1, goes to the scalar comparison.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from functools import reduce
 import numpy as np
 
 from submult import core
-from submult.core import GREATER, LESS
+from submult.core import EQUAL, GREATER, LESS
 from submult.errors import SubmultError
 from submult.functions import PRODUCT, QUOTIENT, RECIPROCAL, SUM, ArithFn, Evaluator
 
@@ -394,7 +400,8 @@ class RowValues:
 # Products of powers
 # ---------------------------------------------------------------------------
 
-UNDECIDED = 2  # an order power_orders leaves to the exact scalar comparison
+UNDECIDED = 2  # an order left to the exact scalar comparison
+TIE = 3  # EQUAL, proved by cross_power_ties where the scalar exact branch runs
 
 # Twice the scalar filter's pads (core._PAD_ABS, core._PAD_REL).  Each
 # interval here then contains the scalar filter's interval for the same
@@ -427,7 +434,8 @@ def _log2_side(side) -> tuple[np.ndarray, np.ndarray]:
 def power_orders(lhs, rhs) -> np.ndarray:
     """The order of two products of powers at each column: LESS or
     GREATER where the sides' padded log2 intervals are disjoint, UNDECIDED
-    elsewhere (ties and near-ties, for the exact scalar comparison).
+    elsewhere (ties and near-ties, for cross_power_ties or the exact
+    scalar comparison).
 
     A side is a list of factors (num, den, exp): the base num / den with
     num, den >= 1 and the exponent exp >= 0, each an array over the
@@ -450,3 +458,78 @@ def exponents(row: Row) -> np.ndarray:
     if not ((row.den == 1).all() and (row.num >= 0).all()):
         raise Unproven  # the scalar path raises UnsupportedInputError in place
     return np.asarray(row.num, dtype=np.float64)
+
+
+def _bit_lengths(x) -> np.ndarray:
+    """At each x >= 0, a bound b >= x.bit_length(), so x < 2**b (exact
+    below 2**53; rounding is monotone and keeps 2**(b-1) exact), as
+    float64 so that products with int64 exponents cannot wrap."""
+    return np.frexp(np.asarray(x, dtype=np.float64))[1].astype(np.float64)
+
+
+# cross_power_ties' bases by (numerator or denominator, argument): the
+# factors of lhs * rhs.den and of rhs * lhs.den, one per argument mn, m, n
+_ARGS = np.arange(3)
+_LEFT = (np.array([0, 1, 1]), _ARGS)
+_RIGHT = (np.array([1, 0, 0]), _ARGS)
+
+
+def cross_power_ties(orders: np.ndarray, m: int, ns: np.ndarray,
+                     f: tuple[Row, Row, Row], g: tuple[Row, Row, Row]) -> np.ndarray:
+    """Settle, in place, the UNDECIDED cells of orders (power_orders of
+    f(mn)^g(mn) vs f(m)^(g(m) n) f(n)^(g(n) m) at the columns ns, with f
+    and g the positive bases and the exponents >= 0 as Rows at mn, m, n)
+    that core.cmp_power_products_detail settles without raising:
+
+    - EQUAL where its normalized sides are identical (factors with base 1
+      or exponent 0 dropped, f(m) and f(n) merged when equal), which it
+      returns before its filter, its budget and its exact branch;
+    - TIE where the sides are equal in value, proved in int64 after
+      dividing the exponents by their gcd, and where a bound on its digit
+      estimate keeps to core.DEFAULT_DIGIT_BUDGET: its filter's intervals
+      overlap at a tie, so its exact branch runs and returns EQUAL.
+
+    Every other cell, near-ties included, stays UNDECIDED, and so does a
+    cell whose reduced powers the bounds cannot prove below 2**BITS, and
+    every cell of a row whose exponents g(m) n, g(n) m they cannot.
+    orders is returned."""
+    todo = np.flatnonzero(orders == UNDECIDED)
+    _, gm, gn = g
+    if (not todo.size or gm.nbits + int(ns[-1]).bit_length() > BITS
+            or gn.nbits + m.bit_length() > BITS):
+        return orders
+
+    def at(x):
+        return x[todo] if np.ndim(x) else x
+
+    # the numerators and denominators, and the exponents, at mn, m, n
+    bases = np.empty((2, 3, todo.size), dtype=np.int64)
+    exps = np.empty((3, todo.size), dtype=np.int64)
+    for i, (fx, gx) in enumerate(zip(f, g)):
+        bases[0, i], bases[1, i], exps[i] = at(fx.num), at(fx.den), at(gx.num)
+    exps[1] *= ns[todo]
+    exps[2] *= m
+    exps[(bases == 1).all(axis=0)] = 0  # a base 1 is dropped like an exponent 0
+    # rhs normalizes to lhs's one factor, or both to none: each factor of
+    # rhs is dropped or has lhs's base, and the exponents add up
+    dropped_or_same = (exps == 0) | (bases == bases[:, :1]).all(axis=0)
+    identical = (exps[1] + exps[2] == exps[0]) & dropped_or_same[1:].all(axis=0)
+    orders[todo[identical]] = EQUAL
+    if identical.all():  # such as the m = 1 row, when f(1) = 1
+        return orders
+
+    reduced = exps // np.maximum(np.gcd.reduce(exps), 1)
+    ceils = _bit_lengths(bases - 1)  # x <= 2**ceil at each base x >= 1
+    fits = (((reduced * ceils[_LEFT]).sum(axis=0) <= BITS)
+            & ((reduced * ceils[_RIGHT]).sum(axis=0) <= BITS))
+    reduced[:, ~fits] = 0
+    tie = fits & ~identical & ((bases[_LEFT] ** reduced).prod(axis=0)
+                               == (bases[_RIGHT] ** reduced).prod(axis=0))
+
+    # the scalar digit estimate, with the unreduced exponents, bounded above:
+    # per side, the larger of its numerator's and its denominator's bits
+    bits = exps * _bit_lengths(bases)
+    digits = bits[:, 0].max(axis=0) + bits[:, 1:].sum(axis=1).max(axis=0)
+    tie &= digits * core.DIGITS_PER_BIT * (1 + 1e-9) <= core.DEFAULT_DIGIT_BUDGET
+    orders[todo[tie]] = TIE
+    return orders

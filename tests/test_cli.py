@@ -52,7 +52,7 @@ def test_resource_refusals_exit_2(capsys, monkeypatch):
 
     monkeypatch.setattr(core._sieve, "spf_sieve", never)
     code, _, err = run_cli(capsys, "check", "d", "k-sup-mult", "--k", "3",
-                           "--max-m", "100000", "--max-n", "100000")
+                           "--max-m", "1000000", "--max-n", "1000000")
     assert code == 2 and "physical memory" in err
 
     def out_of_memory(limit):

@@ -12,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submult import checks, inequalities, vector
+from submult import checks, core, inequalities, vector
 from submult.checks import HOLDS, REFUTED, SUB, SUP, CheckConfig, grid_property
 from submult.cli import main
-from submult.core import build_spf_table, cmp_power_products_detail
-from submult.errors import DomainError, SubmultError
+from submult.core import EQUAL, GREATER, build_spf_table, cmp_power_products_detail
+from submult.errors import DomainError, ResourceError, SubmultError
 from submult.functions import (
+    PRODUCT,
     QUOTIENT,
+    SUM,
     Evaluator,
     Registry,
     builtin_registry,
@@ -323,24 +325,121 @@ def test_corollary1_zero_base_raises_the_scalar_error():
     assert fast == scalar and fast[0] is DomainError
 
 
-@settings(max_examples=150, deadline=None)
-@given(base=st.sampled_from(REGISTRY.names()), expo=st.sampled_from(REGISTRY.names()),
+# f(p^a) = (a + 2) / (a + 1) for a >= 1: equal at every prime, so f(m) = f(n)
+# for some m != n and the scalar comparison merges their factors
+_BY_EXPONENT = make_prime_power_fn("by-exponent",
+                                   lambda p, a: Fraction(a + 2, a + 1) if a else 1)
+# bases with f(1) != 1, whose factor at m = 1 or n = 1 is not dropped
+_SHIFTED = [combine(SUM, (REGISTRY.get("constant-1"), fn), name=f"1+{fn.name}")
+            for fn in (_BY_EXPONENT, REGISTRY.get("phi"))]
+# an exponent that is 0 at every even n
+_ZERO_AT_EVEN = make_prime_power_fn("zero-at-even", lambda p, a: 0 if p == 2 and a
+                                    else p**a, positive=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.sampled_from(REGISTRY.functions() + [_BY_EXPONENT, *_SHIFTED]),
+       expo=st.sampled_from(REGISTRY.functions() + [_ZERO_AT_EVEN]),
        direction=st.sampled_from([SUB, SUP]), max_m=st.integers(2, 12),
        max_n=st.integers(2, 12), stop=st.booleans(), cap=st.integers(1, 10))
 def test_cross_power_filter_matches_the_scalar_path(table_10k, base, expo,
                                                     direction, max_m, max_n, stop,
                                                     cap):
     """Every registry function as the exponent: the integer-valued ones are
-    decided, the others raise the same error at the same point."""
+    decided, the others raise the same error at the same point.  Bases
+    whose sides normalize to identical factors (f(1) = 1 dropped, or
+    f(m) = f(n) merged) or not (f(1) != 1), and an exponent 0."""
     cfg = CheckConfig(max_m=max_m, max_n=max_n, stop_at_first=stop,
                       counterexample_cap=cap)
 
     def run():
-        return checks.check_power_submult(REGISTRY.get(base), REGISTRY.get(expo),
-                                          direction, cfg, table_10k)
+        return checks.check_power_submult(base, expo, direction, cfg, table_10k)
 
     fast, scalar = _vector_and_scalar(run)
     assert fast == scalar
+
+
+def _row(*values) -> vector.Row:
+    """One cell per value, as the rows of f and g."""
+    xs = [Fraction(v) for v in values]
+    num = np.array([x.numerator for x in xs], dtype=np.int64)
+    den = np.array([x.denominator for x in xs], dtype=np.int64)
+    return vector.Row(num, den, max(x.numerator for x in xs).bit_length(),
+               max(x.denominator for x in xs).bit_length())
+
+
+# (f(mn), f(m), f(n), g(mn), g(m), g(n)) at m = 2, n = 3, the order
+# cross_power_ties gives the cell, and what the scalar comparison returns
+_TIE_CASES = {
+    "identical, f(n) = 1 dropped": ((5, 5, 1, 9, 3, 4), EQUAL, (EQUAL, False)),
+    "identical, f(m) = f(n) merged": ((Fraction(3, 2),) * 3 + (7, 1, 2),
+                                      EQUAL, (EQUAL, False)),
+    "identical, every factor dropped": ((1, 7, 1, 4, 0, 5), EQUAL, (EQUAL, False)),
+    "tie": ((6, 2, 3, 6, 2, 3), vector.TIE, (EQUAL, True)),
+    "tie of fractions": ((Fraction(9, 4), Fraction(3, 2), Fraction(3, 2), 6, 2, 3),
+                         vector.TIE, (EQUAL, True)),
+    "tie just within the budget": ((6, 2, 3, 6 * 79_000, 2 * 79_000, 3 * 79_000),
+                                   vector.TIE, (EQUAL, True)),
+    "near-tie": ((10**10 + 1, 10**5, 10**5, 6, 2, 3),
+                 vector.UNDECIDED, (GREATER, True)),
+    "reduced powers beyond int64": ((2**20, 2**30, 2**5, 5, 1, 1),
+                                    vector.UNDECIDED, (EQUAL, True)),
+    "exponents beyond int64": ((6, 2, 3, 6 * 2**60, 2 * 2**60, 3 * 2**60),
+                               vector.UNDECIDED, ResourceError),
+    "tie over the budget": ((6, 2, 3, 6 * 10**6, 2 * 10**6, 3 * 10**6),
+                            vector.UNDECIDED, ResourceError),
+}
+
+
+@pytest.mark.parametrize("case", _TIE_CASES)
+def test_cross_power_ties_settle_what_the_scalar_path_settles(case):
+    (fmn, fm, fn, gmn, gm, gn), settled, scalar = _TIE_CASES[case]
+    m, n = 2, 3
+    orders = vector.cross_power_ties(
+        np.array([vector.UNDECIDED], dtype=np.int8), m, np.array([n]),
+        (_row(fmn), _row(fm), _row(fn)), (_row(gmn), _row(gm), _row(gn)))
+    assert orders.tolist() == [settled]
+    sides = ([(fmn, gmn)], [(fm, gm * n), (fn, gn * m)])
+    if scalar is ResourceError:
+        with pytest.raises(ResourceError):
+            cmp_power_products_detail(*sides)
+    else:
+        assert cmp_power_products_detail(*sides) == scalar
+
+
+# f(n) = the odd part of n, and g(n) = 2^15 n: f(2n) = f(n), so at m = 1
+# and m = 2 the sides normalize to the same factor; at m = 3 the cells are
+# ties, the first over the digit budget at n = 5 (~1.3 million digits)
+_ODD_PART = make_prime_power_fn("odd-part", lambda p, a: 1 if p == 2 else p**a)
+_TWO = combine(SUM, (REGISTRY.get("constant-1"),) * 2, name="two")
+_SCALED_IDENTITY = combine(PRODUCT, (_TWO,) * 15 + (REGISTRY.get("identity"),),
+                           name="2^15n")
+
+
+def test_over_budget_ties_raise_where_the_scalar_path_raises(table_10k,
+                                                           power_comparisons):
+    outcomes = []
+    for use_filter in (True, False):
+        power_comparisons.clear()
+        with pytest.raises(ResourceError) as err:
+            checks.check_power_submult(_ODD_PART, _SCALED_IDENTITY, SUB,
+                                       CheckConfig(max_m=3, max_n=40), table_10k,
+                                       use_filter=use_filter)
+        outcomes.append((str(err.value), power_comparisons[-1]))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] == (((15, 15 * 2**15),), ((3, 15 * 2**15), (5, 15 * 2**15)))
+
+
+def test_identical_sides_over_the_budget_pass(table_10k, power_comparisons):
+    """As in the scalar comparison, which returns before its budget."""
+    cfg = CheckConfig(max_m=2, max_n=40)
+    fmn, gmn = Fraction(5), 80 * 2**15  # at (m, n) = (2, 40)
+    assert core._estimated_digits([(fmn, gmn)]) > core.DEFAULT_DIGIT_BUDGET
+    for use_filter in (True, False):
+        report = checks.check_power_submult(_ODD_PART, _SCALED_IDENTITY, SUB, cfg,
+                                            table_10k, use_filter=use_filter)
+        assert report.holds and report.stats == {}
+    assert len(power_comparisons) == 80  # only the run without the filter
 
 
 @pytest.fixture
@@ -362,6 +461,19 @@ def test_without_the_filter_every_point_is_exact(power_comparisons):
     report = inequalities.verify_eq13(500, use_filter=False)
     assert report.holds and report.stats == {"exact_fallbacks": 499}
     assert len(power_comparisons) == 499
+
+
+@pytest.mark.parametrize("base, exact_fallbacks", [("identity", 2401), ("sigma", 1448)])
+def test_cross_power_ties_are_settled_in_bulk(power_comparisons, base, exact_fallbacks):
+    """f(mn)^(mn) vs f(m)^(mn) f(n)^(mn): every cell of the 50 x 50 grid
+    off the m = 1 and n = 1 edges is a tie or near a tie for the log2
+    filter, and each tie still counts as an exact fallback."""
+    cfg = CheckConfig(max_m=50, max_n=50)
+    report = checks.check_power_submult(
+        REGISTRY.get(base), REGISTRY.get("identity"), SUB, cfg,
+        build_spf_table(cfg.max_m * cfg.max_n))
+    assert report.holds and report.stats == {"exact_fallbacks": exact_fallbacks}
+    assert power_comparisons == []
 
 
 @pytest.mark.parametrize("argv", [
