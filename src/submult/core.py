@@ -85,23 +85,31 @@ class SpfTable:
 
     limit: int
     spf: "object" = field(repr=False)  # int32 (int64 from 2**31) array, len limit + 1
+    # int64 value tables built on this sieve by submult.vector, by
+    # (function, limit, k): every Evaluator that shares the sieve shares them
+    tables: dict = field(default_factory=dict, repr=False)
 
 
-def _require_sieve_memory(limit: int) -> None:
-    """Refuse, before allocating, a sieve whose estimated memory exceeds
-    half of the machine's physical memory."""
-    need = _sieve.sieve_bytes(limit)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have // 2:
+def memory_budget() -> int:
+    """Bytes a sieve, or a value table with the sieve and the tables kept
+    on it, may take: half of the machine's physical memory."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+
+
+def require_memory(need: int, what: str) -> None:
+    """Refuse, before allocating, what when its estimated need in bytes
+    exceeds memory_budget()."""
+    budget = memory_budget()
+    if need > budget:
         raise ResourceError(
-            f"a sieve up to {limit} needs about {need / 2**30:.1f} GiB, more "
-            f"than half of the {have / 2**30:.1f} GiB of physical memory")
+            f"{what} needs about {need / 2**30:.1f} GiB, more than the "
+            f"{budget / 2**30:.1f} GiB budget, half of physical memory")
 
 
 def build_spf_table(limit: int) -> SpfTable:
     if limit < 2:
         raise UsageError(f"sieve limit must be >= 2, got {limit}")
-    _require_sieve_memory(limit)
+    require_memory(_sieve.sieve_bytes(limit), f"a sieve up to {limit}")
     spf = _sieve.spf_sieve(limit)
     spf.setflags(write=False)
     return SpfTable(limit=limit, spf=spf)
@@ -212,7 +220,7 @@ def primes_upto(limit: int) -> list[int]:
     """All primes <= limit, ascending."""
     if limit < 2:
         return []
-    _require_sieve_memory(limit)
+    require_memory(_sieve.sieve_bytes(limit), f"a sieve up to {limit}")
     spf = _sieve.spf_sieve(limit)
     return (np.flatnonzero(spf[2:] == np.arange(2, limit + 1, dtype=spf.dtype))
             + 2).tolist()

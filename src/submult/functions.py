@@ -129,8 +129,9 @@ def evaluate(f: ArithFn, n: int, table: SpfTable | None = None) -> Value:
 class Evaluator:
     """Caching wrapper around evaluate() for sweeps.  One evaluator per
     function serves every sweep of a command, so a value computed for one
-    property, and an int64 value table built for one, is reused by the
-    next.
+    property is reused by the next.  The int64 value tables of
+    submult.vector are kept on the spf table instead (SpfTable.tables),
+    so evaluators of the same function on the same sieve share them.
 
     A sweep that takes f at k-th powers x**k registers k with
     add_power(k).  An x**k above the sieve limit is then evaluated from
@@ -142,8 +143,6 @@ class Evaluator:
         self.table = table
         self._cache: dict[int, Value] = {}
         self._powers: set[int] = set()
-        # int64 value tables of fn, built lazily by submult.vector
-        self.tables: dict[tuple, object] = {}
 
     def add_power(self, k: int) -> None:
         """Evaluate k-th powers above the sieve limit from their base."""

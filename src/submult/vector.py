@@ -14,16 +14,22 @@ sweep decides the row with the scalar Fraction path, which stays in the
 code as the oracle.
 
 f's values come from int64 (num, den) tables over [0, limit], built from
-the spf table in numpy rounds that each split one prime power off every
-entry, 4096 entries at a time.  Each prime-power rule is called once per
-prime power q = p^a <= limit, through the function's own scalar rule;
-the children of products, quotients, sums and reciprocals are combined
-elementwise and reduced by gcd.  An entry that would overflow, a zero
-divisor or a rule that raises leaves the function without a table, so
-every row goes to the scalar path, which raises where the scalar sweep
-raises.  Values at k-th powers n^k come from the shared Evaluator,
-which factors n^k as n with every exponent times k, so the spf table
-need not reach n^k.
+the spf table.  Each prime-power rule is called once per prime power
+q = p^a <= limit, through the function's own scalar rule, and its value
+is placed at q; every other n is filled by one multiplicative
+recurrence, f(n) = f(q(n)) f(n / q(n)) with q(n) the full power of
+spf(n) in n, over slices of at most 4096 entries whose factors all lie
+below the slice.  The rules' tables are then combined, 4096 entries at
+a time and in place, as products, quotients, sums and reciprocals
+combine their children, and reduced by gcd.  An entry that would
+overflow, a zero divisor or a rule that raises leaves the function
+without a table, so every row goes to the scalar path, which raises
+where the scalar sweep raises.  Values at k-th powers n^k come from the
+same recurrence with the rule at p^(k a), so the spf table need not
+reach n^k.  Tables are kept on the spf table, by function, limit and k,
+so each is built once per command.  A build that would not fit in the
+memory budget beside the sieve and the tables already kept on it is
+refused with ResourceError before its tables are allocated.
 
 Products of powers (eq12, eq13, corollary1, the cross-power checks) are
 ordered by power_orders from the same tables: padded float64 bounds on the
@@ -45,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import isqrt
 
 import numpy as np
 
@@ -54,7 +61,7 @@ from submult.errors import SubmultError
 from submult.functions import PRODUCT, QUOTIENT, RECIPROCAL, SUM, ArithFn, Evaluator
 
 BITS = 62  # every int64 product formed here is below 2**BITS
-_CHUNK = 4096  # table entries built at once; bounds the temporaries
+_CHUNK = 4096  # table entries filled at once; bounds the temporaries
 _ONE = np.int64(1)
 
 # An exact rational per entry: (numerators, denominators > 0), both int64;
@@ -67,7 +74,7 @@ class Unproven(Exception):
 
 
 def _absmax(a) -> int:
-    return max(int(a.max()), -int(a.min()))
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
 def _fits(x: int) -> bool:
@@ -139,96 +146,170 @@ def _reciprocal(x: Pair) -> Pair:
     return np.sign(a) * _dense(b, a), np.abs(a)
 
 
-def _prime_power_rounds(spf: np.ndarray, lo: int, hi: int):
-    """Split each n in [lo, hi) into prime powers.  Round r lists, for
-    every n with more than r distinct prime factors, its position n - lo
-    and q = p^a, the full power of its (r+1)-th smallest prime p."""
-    r = np.arange(max(lo, 2), hi, dtype=np.int64)
-    pos = r - lo
-    rounds = []
-    while pos.size:
-        p = spf[r].astype(np.int64)
-        q = p.copy()
-        r = r // p
-        more = np.flatnonzero(spf[r] == p)
-        while more.size:
-            q[more] *= p[more]
-            r[more] //= p[more]
-            more = more[spf[r[more]] == p[more]]
-        rounds.append((pos, q))
-        keep = r > 1
-        pos, r = pos[keep], r[keep]
-    return rounds
+def _chunks(start: int, stop: int):
+    """[lo, hi) covering [start, stop) in order, _CHUNK entries each."""
+    for lo in range(start, stop, _CHUNK):
+        yield lo, min(lo + _CHUNK, stop)
 
 
-def _rule_values(rule, spf: np.ndarray, limit: int):
-    """The rule at every prime power q = p^a <= limit, called once each:
-    (q ascending, numerators, denominators or None)."""
-    qs, vals = [], []
-    try:
-        for lo in range(2, limit + 1, _CHUNK):
-            hi = min(lo + _CHUNK, limit + 1)
-            for p in (np.flatnonzero(spf[lo:hi] == np.arange(lo, hi)) + lo).tolist():
-                q, a = p, 1
-                while q <= limit:
-                    qs.append(q)
-                    vals.append(rule(p, a))
-                    q, a = q * p, a + 1
-    except Exception:  # a rule's own failure is the scalar path's to raise,
-        raise Unproven from None  # at the point that needs the value
-    if not all(isinstance(v, (int, Fraction)) for v in vals):
-        raise Unproven
-    try:
-        num = np.array([v.numerator for v in vals], dtype=np.int64)
-        den = np.array([v.denominator for v in vals], dtype=np.int64)
-    except OverflowError:
-        raise Unproven from None
+def _slices(limit: int):
+    """[lo, hi) covering [2, limit] in order, with hi <= 2 lo and at most
+    _CHUNK entries: every proper divisor of an n in a slice is below lo."""
+    lo = 2
+    while lo <= limit:
+        hi = min(2 * lo, lo + _CHUNK, limit + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _prime_powers(spf: np.ndarray, limit: int):
+    """Every prime power p^a <= limit, primes first: (q = p^a, p, a) as
+    int64 arrays."""
+    primes = np.concatenate(
+        [np.zeros(0, dtype=np.int64)]
+        + [np.flatnonzero(spf[lo:hi] == np.arange(lo, hi)) + lo
+           for lo, hi in _chunks(2, limit + 1)])
+    powers = []  # (p^a, p, a) for a >= 2
+    for p in primes[primes <= isqrt(limit)].tolist():
+        q, a = p * p, 2
+        while q <= limit:
+            powers.append((q, p, a))
+            q, a = q * p, a + 1
+    qs, ps, exps = np.array(powers, dtype=np.int64).reshape(-1, 3).T
+    return (np.concatenate([primes, qs]), np.concatenate([primes, ps]),
+            np.concatenate([np.ones_like(primes), exps]))
+
+
+def _rule_values(rule, ps: np.ndarray, exps: np.ndarray, k: int) -> list:
+    """rule(p, k a) at each p, a of ps, exps, called once each, _CHUNK at a
+    time: [numerators, denominators or None when every one is 1]."""
+    num = np.empty(len(ps), dtype=np.int64)
+    den = np.empty(len(ps), dtype=np.int64)
+    for lo, hi in _chunks(0, len(ps)):
+        try:
+            vals = [rule(p, k * a)
+                    for p, a in zip(ps[lo:hi].tolist(), exps[lo:hi].tolist())]
+        except Exception:  # a rule's own failure is the scalar path's to raise,
+            raise Unproven from None  # at the point that needs the value
+        if not all(isinstance(v, (int, Fraction)) for v in vals):
+            raise Unproven
+        try:
+            num[lo:hi] = [v.numerator for v in vals]
+            den[lo:hi] = [v.denominator for v in vals]
+        except OverflowError:
+            raise Unproven from None
     _prove(_absmax(num).bit_length(), _absmax(den).bit_length())
-    order = np.argsort(qs)
-    den = den[order]
-    return (np.array(qs, dtype=np.int64)[order], num[order],
-            None if (den == 1).all() else den)
+    return [num, None if (den == 1).all() else den]
 
 
-def _build(fn: ArithFn, spf: np.ndarray, limit: int) -> Pair:
-    """fn at every n in [0, limit] (the entry at 0 is a placeholder)."""
+def _leaves(rules: dict, qs: np.ndarray, spf: np.ndarray, limit: int) -> dict:
+    """For each rule's [numerators, denominators or None] at the prime
+    powers qs, the same over every n in [0, limit], each entry the
+    unreduced product of n's prime-power values.  Those are placed first;
+    then, slice by slice, f(n) = f(n / r) f(r) with r = rest(n), n over the
+    full power of spf(n) in n, so that n / r is n itself or below the slice
+    and r is below it.  With m = n / spf(n), rest(n) is rest(m) where
+    spf(m) = spf(n), and m elsewhere; it is kept, in spf's dtype, up to
+    limit / 2, the largest m."""
     leaves = {}
+    for f, parts in rules.items():
+        leaves[f] = [None if part is None else np.ones(limit + 1, dtype=np.int64)
+                     for part in parts]
+        for t, part in zip(leaves[f], parts):
+            if t is not None:
+                t[qs] = part
+    tables = [t for parts in leaves.values() for t in parts if t is not None]
+    rest = np.ones(limit // 2 + 1, dtype=spf.dtype)
+    for lo, hi in _slices(limit):
+        ns = np.arange(lo, hi, dtype=spf.dtype)
+        p = spf[lo:hi]
+        m = ns // p
+        r = np.where(spf[m] == p, rest[m], m)
+        kept = rest[lo:hi]
+        kept[:] = r[:len(kept)]
+        q = ns // r
+        for t in tables:
+            t[lo:hi] = _times(t[q], t[r])
+    return leaves
 
-    def values(f: ArithFn, rounds, size: int) -> Pair:
-        if f.rule is not None:
-            if f not in leaves:
-                leaves[f] = _rule_values(f.rule, spf, limit)
-            qs, qnum, qden = leaves[f]
-            num = np.ones(size, dtype=np.int64)
-            den = None if qden is None else np.ones(size, dtype=np.int64)
-            for pos, q in rounds:
-                j = np.searchsorted(qs, q)
-                num[pos] = _times(num[pos], qnum[j])
-                if den is not None:
-                    den[pos] = _times(den[pos], qden[j])
-            return (num, None) if den is None else _reduced(num, den)
-        parts = [values(c, rounds, size) for c in f.children]
-        if f.kind == PRODUCT:
-            return reduce(_mul, parts)
-        if f.kind == SUM:
-            return reduce(_add, parts)
-        if f.kind == QUOTIENT:
-            return _mul(parts[0], _reciprocal(parts[1]))
-        if f.kind == RECIPROCAL:
-            return _reciprocal(parts[0])
+
+def _rules(f: ArithFn) -> list[ArithFn]:
+    """The prime-power rules of f's tree, in order; Unproven when the tree
+    holds a node without standalone values."""
+    if f.rule is not None:
+        return [f]
+    if f.kind not in (PRODUCT, SUM, QUOTIENT, RECIPROCAL):
         raise Unproven  # a power combinator has no standalone values
+    return [g for c in f.children for g in _rules(c)]
 
-    num = np.empty(limit + 1, dtype=np.int64)
-    den = None
-    for lo in range(0, limit + 1, _CHUNK):
-        hi = min(lo + _CHUNK, limit + 1)
-        cnum, cden = values(fn, _prime_power_rounds(spf, lo, hi), hi - lo)
+
+def _build(fn: ArithFn, spf: np.ndarray, limit: int, k: int = 1,
+           held: int = 0) -> Pair:
+    """fn(n^k) at every n in [0, limit] (the entry at 0 is a placeholder,
+    fn's value at 1).  Each rule's values are built over [0, limit]; then
+    fn is combined from them _CHUNK entries at a time, into their arrays.
+    ResourceError, before any array of limit + 1 entries is allocated,
+    when held bytes and the build's would exceed the memory budget."""
+    qs, ps, exps = _prime_powers(spf, limit)
+    rules = {f: _rule_values(f.rule, ps, exps, k) for f in dict.fromkeys(_rules(fn))}
+    what = f"the value table of {fn.name}" + (f" at n^{k}" if k > 1 else "")
+    core.require_memory(held + _build_bytes(fn, spf, limit, qs, rules),
+                        f"{what} up to {limit}")
+    leaves = _leaves(rules, qs, spf, limit)
+    del rules, qs, ps, exps
+    # Each chunk reads the leaves at its own entries only, so fn's values
+    # are written over the first two of the leaves' arrays
+    hosts = [t for parts in leaves.values() for t in parts if t is not None]
+    num, den = hosts[0], (hosts[1] if len(hosts) > 1 else None)
+    fractional = False
+    for lo, hi in _chunks(0, limit + 1):
+        cnum, cden = _combine(fn, leaves, slice(lo, hi))
         num[lo:hi] = cnum
-        if cden is not None:
-            if den is None:
-                den = np.ones(limit + 1, dtype=np.int64)
-            den[lo:hi] = cden
-    return num, den
+        if cden is not None and den is None:
+            den = np.ones(limit + 1, dtype=np.int64)
+        if den is not None:
+            den[lo:hi] = 1 if cden is None else cden
+        fractional |= cden is not None
+    return num, den if fractional else None
+
+
+def _combine(f: ArithFn, leaves: dict, at: slice) -> Pair:
+    """f's values at the entries at, from the values of each rule g of
+    f's tree, leaves[g], combined elementwise and reduced by gcd."""
+    if f.rule is not None:
+        num, den = (None if part is None else part[at] for part in leaves[f])
+        return (num, None) if den is None else _reduced(num, den)
+    parts = [_combine(c, leaves, at) for c in f.children]
+    if f.kind == PRODUCT:
+        return reduce(_mul, parts)
+    if f.kind == SUM:
+        return reduce(_add, parts)
+    if f.kind == QUOTIENT:
+        return _mul(parts[0], _reciprocal(parts[1]))
+    return _reciprocal(parts[0])  # RECIPROCAL: _rules admits no other kind
+
+
+def _build_bytes(fn: ArithFn, spf: np.ndarray, limit: int, qs: np.ndarray,
+                 rules: dict) -> int:
+    """A bound on the bytes _build and the Table made of its result hold
+    at once, from its memory check on.  Throughout, 8 B per entry for each
+    rule's numerators and each of its denominators, and 256 B per entry of
+    a chunk for the rules' Python values and the temporaries of a slice, a
+    chunk and each node of fn's tree.  Then the larger of what the two
+    phases add: while the rules' tables are built, rest (half an entry of
+    spf's dtype per entry) and the prime powers with each rule's values at
+    them; while fn is combined and its Table made, 2 B per entry for the
+    running bit bounds and 8 B for fn's denominators when fn is not a rule
+    and there is no second array of the rules' to hold them."""
+    def nodes(f: ArithFn) -> int:
+        return 1 + sum(nodes(c) for c in f.children)
+
+    entries = limit + 1
+    arrays = sum(part is not None for parts in rules.values() for part in parts)
+    rule_phase = entries * spf.itemsize // 2 + len(qs) * (24 + 16 * len(rules))
+    combine_phase = entries * (2 + (8 if fn.rule is None and arrays == 1 else 0))
+    return (entries * 8 * arrays + max(rule_phase, combine_phase)
+            + 256 * _CHUNK * (1 + nodes(fn)))
 
 
 def _running_bits(a: np.ndarray) -> np.ndarray:
@@ -265,6 +346,11 @@ class Table:
     def __len__(self) -> int:
         return len(self.num)
 
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.num, self.den, self.nbits, self.dbits)
+                   if a is not None)
+
     def row(self, at, top: int) -> Row:
         """The values at the indices at, the largest of which is top."""
         if self.den is None:
@@ -273,39 +359,35 @@ class Table:
                    int(self.dbits[top]))
 
 
+def _table(ev: Evaluator, limit: int, k: int) -> Table | None:
+    """ev's function at n^k for n in [0, limit], built once per spf table
+    and kept on it; None when the spf table does not reach limit, an entry
+    does not fit, a divisor is zero or a rule raises.  ResourceError, before
+    the table's arrays are allocated, when the sieve, the tables already
+    kept on it and the build would exceed the memory budget."""
+    sieve = ev.table
+    if sieve is None or sieve.limit < limit:
+        return None
+    key = (ev.fn, limit, k)
+    if key not in sieve.tables:
+        held = sieve.spf.nbytes + sum(t.nbytes for t in sieve.tables.values()
+                                      if t is not None)
+        try:
+            sieve.tables[key] = Table.of(*_build(ev.fn, sieve.spf, limit, k, held))
+        except Unproven:
+            sieve.tables[key] = None
+    return sieve.tables[key]
+
+
 def value_table(ev: Evaluator, limit: int) -> Table | None:
-    """ev's function on [0, limit], built once per evaluator from its spf
-    table; None when the spf table does not reach limit, an entry does
-    not fit, a divisor is zero or a rule raises."""
-    key = ("values", limit)
-    if key not in ev.tables:
-        ev.tables[key] = None
-        if ev.table is not None and ev.table.limit >= limit:
-            try:
-                ev.tables[key] = Table.of(*_build(ev.fn, ev.table.spf, limit))
-            except Unproven:
-                pass
-    return ev.tables[key]
+    """ev's function on [0, limit] (see _table)."""
+    return _table(ev, limit, 1)
 
 
 def power_table(ev: Evaluator, k: int, count: int) -> Table | None:
-    """f(n^k) for n in [0, count] from the evaluator, which takes each
-    from n's factorization (the entry at 0 is a placeholder); None when a
-    value does not fit or cannot be evaluated."""
-    key = ("power", k, count)
-    if key not in ev.tables:
-        try:
-            vals = [Fraction(1)] + [ev(n**k) for n in range(1, count + 1)]
-        except SubmultError:
-            vals = []
-        if vals and all(_fits(v.numerator) and _fits(v.denominator) for v in vals):
-            den = np.array([v.denominator for v in vals], dtype=np.int64)
-            ev.tables[key] = Table.of(
-                np.array([v.numerator for v in vals], dtype=np.int64),
-                None if (den == 1).all() else den)
-        else:
-            ev.tables[key] = None
-    return ev.tables[key]
+    """ev's function at n^k for n in [0, count], from the rule values at
+    p^(k a) (see _table), so the spf table need only reach count."""
+    return _table(ev, count, k)
 
 
 # ---------------------------------------------------------------------------

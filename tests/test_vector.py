@@ -4,8 +4,10 @@ and the log2 filter of the power comparisons (eq12, eq13, corollary1 and
 the cross-power checks)."""
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -18,13 +20,16 @@ from submult.cli import main
 from submult.core import EQUAL, GREATER, build_spf_table, cmp_power_products_detail
 from submult.errors import DomainError, ResourceError, SubmultError
 from submult.functions import (
+    POWER,
     PRODUCT,
     QUOTIENT,
+    RECIPROCAL,
     SUM,
     Evaluator,
     Registry,
     builtin_registry,
     combine,
+    evaluate,
     make_prime_power_fn,
 )
 from submult.inference import (
@@ -37,6 +42,7 @@ from submult.inference import (
     SUB_HOM,
     SUB_MULT,
     SUP_HOM,
+    SUP_MULT,
     PropertySpec,
     PropertyTag,
 )
@@ -45,11 +51,13 @@ from oracles import d_oracle, phi_oracle, sigma_oracle
 
 # Every registry function, plus prime-power rules with Fraction values and
 # with negative values.
+MEAN_DIVISOR = make_prime_power_fn(
+    "mean-divisor-rule", lambda p, a: Fraction(p ** (a + 1) - 1, (p - 1) * (a + 1)))
 FUNCTIONS = builtin_registry().functions() + [
-    make_prime_power_fn("mean-divisor-rule",
-                        lambda p, a: Fraction(p ** (a + 1) - 1, (p - 1) * (a + 1))),
+    MEAN_DIVISOR,
     make_prime_power_fn("liouville", lambda p, a: (-1) ** a, positive=False),
 ]
+REGISTRY = builtin_registry()
 ORACLES = {"phi": phi_oracle, "d": d_oracle, "sigma": sigma_oracle}
 
 
@@ -228,9 +236,164 @@ def test_grid_check_is_decided_in_int64(monkeypatch, capsys, function, family,
     assert len(calls) == counterexamples
 
 
-# --- the log2 filter of the power comparisons ------------------------------------
+# --- the value tables -------------------------------------------------------
 
-REGISTRY = builtin_registry()
+# Limits at the edges of the builder's slices: 2^j - 1, 2^j, 2^j + 1 and the
+# multiples of _CHUNK, each with its neighbours.
+_EDGES = sorted({e + d for e in [2**j for j in range(1, 14)]
+                 + [c * vector._CHUNK for c in (1, 2, 3)] for d in (-1, 0, 1)})
+
+
+@cache
+def _evaluated(fn, k, n, table):
+    return evaluate(fn, n**k, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fn=st.sampled_from(FUNCTIONS), k=st.sampled_from([1, 2, 3, 4]),
+       data=st.data())
+def test_tables_match_the_scalar_evaluation(table_1m, fn, k, data):
+    """value_table (k = 1) and power_table (k >= 2) against evaluate at
+    every n (n^k is trial-divided above the sieve); None where a value is
+    beyond 2^62, a table where every value is below 2^61."""
+    limit = data.draw(st.sampled_from(
+        [e for e in _EDGES if 2 <= e <= (12289 if k == 1 else 1025)]))
+    ev = Evaluator(fn, table_1m)
+    table = vector.value_table(ev, limit) if k == 1 else vector.power_table(ev, k, limit)
+    want = [_evaluated(fn, k, n, table_1m) for n in range(1, limit + 1)]
+    bits = max(max(abs(v.numerator), v.denominator).bit_length() for v in want)
+    if bits > 62:
+        assert table is None
+    if bits > 61:
+        return
+    values = want[:1] + want  # the entry at 0 is a placeholder, f(1)
+    nums = [v.numerator for v in values]
+    dens = [v.denominator for v in values]
+    assert (table.den is None) == (set(dens) == {1})
+    columns = [(table.num, table.nbits, nums), (table.den, table.dbits, dens)]
+    for got, running, exact in columns[:1 if table.den is None else 2]:
+        assert got.tolist() == exact
+        assert running.tolist() == [x.bit_length()
+                                    for x in accumulate(map(abs, exact), max)]
+
+
+def test_tables_are_left_out_where_an_entry_cannot_be_built(table_1m):
+    """None exactly where an entry is above 2^62, a divisor is zero or a
+    rule raises: the scalar path then raises or decides in place."""
+    def tables(fn, limit, k):
+        ev = Evaluator(fn, table_1m)
+        return vector.value_table(ev, limit), vector.power_table(ev, k, limit)
+
+    n_16 = make_prime_power_fn("n^16", lambda p, a: p ** (16 * a))
+    assert [t is None for t in tables(n_16, 12, 2)] == [False, True]  # 12^32
+    assert [t is None for t in tables(n_16, 15, 2)] == [True, True]  # 15^16
+    zero_at_3 = make_prime_power_fn("zero-at-3", lambda p, a: 0 if p == 3 and a else 1)
+    zero_at_3 = combine(QUOTIENT, (REGISTRY.get("sigma"), zero_at_3))
+    assert [t is None for t in tables(zero_at_3, 2, 2)] == [False, False]
+    assert [t is None for t in tables(zero_at_3, 3, 2)] == [True, True]
+    raises_at_9 = _undefined_at(3, 2)  # rule(3, a) raises for a >= 2
+    assert [t is None for t in tables(raises_at_9, 8, 2)] == [False, True]
+    assert [t is None for t in tables(raises_at_9, 2, 2)] == [False, False]
+    assert [t is None for t in tables(raises_at_9, 9, 2)] == [True, True]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The (function, limit, k) of every table built."""
+    calls = []
+    original = vector._build
+
+    def counting(fn, spf, limit, k=1, held=0):
+        calls.append((fn.name, limit, k))
+        return original(fn, spf, limit, k, held)
+
+    monkeypatch.setattr(vector, "_build", counting)
+    return calls
+
+
+def test_each_table_is_built_once_per_command(capsys, builds):
+    """Evaluators of one function on one sieve share its tables, however
+    many checks make their own."""
+    fn = combine(POWER, (REGISTRY.get("identity"), REGISTRY.get("identity")))
+    cfg = CheckConfig(max_m=50, max_n=50)
+    table = build_spf_table(cfg.max_m * cfg.max_n)
+    for tag in (PropertyTag(fn.name, SUB_MULT), PropertyTag(fn.name, SUP_MULT)):
+        checks.reports_for_tag(fn, tag, cfg, table)
+    assert builds == [("identity", 2500, 1)]
+    builds.clear()
+    for name in ("sigma_over_d", "n_plus_d"):
+        main(["classify", name, "--max-m", "20", "--max-n", "30", "--k-set", "2,3"])
+    capsys.readouterr()
+    assert builds == [(name, *key) for name in ("sigma_over_d", "n_plus_d")
+                      for key in ((600, 1), (30, 2), (30, 3))]
+
+
+def test_tables_beyond_the_memory_budget_are_refused(capsys, monkeypatch):
+    """ResourceError, exit 2, before the builder allocates a full-length
+    array: the sieve of the 50 x 50 grid fits the patched budget, its
+    value table does not."""
+    def never(*args):
+        raise AssertionError("a full-length array was allocated")
+
+    monkeypatch.setattr(vector, "_leaves", never)
+    monkeypatch.setattr(core, "memory_budget",
+                        lambda: core._sieve.sieve_bytes(2500))
+    assert main(["check", "sigma", "sub-mult", "--max-m", "50", "--max-n", "50"]) == 2
+    err = capsys.readouterr().err
+    assert "the value table of sigma up to 2500" in err
+    assert "physical memory" in err
+
+
+@pytest.fixture
+def needs(monkeypatch):
+    """The bytes of every memory check."""
+    calls = []
+    original = core.require_memory
+
+    def recording(need, what):
+        calls.append(need)
+        original(need, what)
+
+    monkeypatch.setattr(core, "require_memory", recording)
+    return calls
+
+
+def test_tables_kept_on_a_sieve_count_against_the_budget(monkeypatch, needs):
+    """A table that fits the budget beside a bare sieve is refused beside
+    one that already keeps a table of the same size."""
+    cfg = CheckConfig(max_m=50, max_n=50)
+    sieve = build_spf_table(2500)
+    checks.check_submult(REGISTRY.get("sigma"), SUB, cfg, sieve)
+    sigma_need = needs[-1]
+    assert sigma_need > sieve.spf.nbytes
+    monkeypatch.setattr(core, "memory_budget", lambda: sigma_need)
+    checks.check_submult(REGISTRY.get("phi"), SUB, cfg, build_spf_table(2500))
+    assert needs[-1] == sigma_need
+    with pytest.raises(ResourceError, match="the value table of phi up to 2500"):
+        checks.check_submult(REGISTRY.get("phi"), SUB, cfg, sieve)
+    assert needs[-1] == sigma_need + sieve.tables[REGISTRY.get("sigma"), 2500, 1].nbytes
+
+
+@pytest.mark.parametrize("fn", [
+    REGISTRY.get("sigma"), REGISTRY.get("n_over_phi"), REGISTRY.get("n_plus_d"),
+    MEAN_DIVISOR, combine(SUM, (MEAN_DIVISOR, MEAN_DIVISOR, REGISTRY.get("phi"))),
+    combine(RECIPROCAL, (REGISTRY.get("sigma"),))],
+    ids=lambda fn: fn.name)
+@pytest.mark.parametrize("k, limit", [(1, 10**6), (2, 400_000)])
+def test_the_memory_estimate_bounds_the_build(table_1m, needs, fn, k, limit):
+    """What _build and the finished Table allocate at once stays within
+    the bytes the budget is checked against, at limits where the arrays
+    over every entry, not the chunks' temporaries, are most of both."""
+    tracemalloc.start()
+    try:
+        table = vector.Table.of(*vector._build(fn, table_1m.spf, limit, k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table is not None and 0 < peak <= needs[-1]
+
+
+# --- the log2 filter of the power comparisons ------------------------------------
 
 
 def _report_or_error(run):
