@@ -20,28 +20,31 @@ ignored: exact Fraction arithmetic holds the interpreter lock, and a
 thread pool measured no faster than one thread.
 
 Checks also carry a vector path (Property.vector, built on submult.vector)
-that decides a row at once.  The global families (check, classify, the
-global half of local --bridge, reports_for_tag) run the same formula shape
-once per row on int64 numerators and denominators of all the row's
-columns, wherever bit-length bounds prove every product below 2**62.  The
-power comparisons (the cross-power checks here, eq12, eq13 and corollary1
-in submult.inequalities, each a line of one row) run a padded log2 filter
-over the row in numpy and leave ties and near-ties undecided; the
+that decides a block of consecutive rows, of at most _CELLS cells, at
+once.  The global families (check, classify, the global half of local
+--bridge, reports_for_tag) run the same formula shape once per block on
+int64 numerators and denominators of all its cells, and decide each row
+whose bit-length bounds prove every product below 2**62.  The power
+comparisons (the cross-power checks here, eq12, eq13 and corollary1 in
+submult.inequalities, each a line of one row) run a padded log2 filter
+over the block in numpy and leave ties and near-ties undecided; the
 cross-power checks then settle in numpy the cells whose sides normalize
 to the same factors and the exact ties that fit int64 and the digit
-budget (vector.cross_power_ties).  Undecided cells, rows the vector path
-cannot take and functions without an int64 value table go to the scalar
-path, which is also what recomputes a decided row's counterexamples up to
-the cap, so reports do not depend on the path.  The local criteria and the
-identity bounds are scalar.
+budget (vector.cross_power_ties).  The sweep then visits the block's rows
+in order: undecided cells, rows the vector path cannot take and functions
+without an int64 value table go to the scalar path, which is also what
+recomputes a decided row's counterexamples up to the cap, so reports do
+not depend on the path.  The local criteria and the identity bounds are
+scalar.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -95,11 +98,11 @@ _PASSING = {SUB: (LESS, EQUAL), SUP: (EQUAL, GREATER), EQ: (EQUAL,), LT: (LESS,)
 # vector.TIE fails it, indexed by order + 1 (a TIE fails as EQUAL does);
 # _VISIT marks the orders the sweep calls compare at, the failing ones and
 # vector.UNDECIDED (at index 3)
-_FAILS = {rel: np.array([o not in ok for o in (LESS, EQUAL, GREATER)]
-                        + [False, EQUAL not in ok])
+_FAILS = {rel: (*(o not in ok for o in (LESS, EQUAL, GREATER)), False, EQUAL not in ok)
           for rel, ok in _PASSING.items()}
 _UNDECIDED_ONLY = np.array([False, False, False, True, False])
-_VISIT = {rel: fails | _UNDECIDED_ONLY for rel, fails in _FAILS.items()}
+_ORDERS = len(_UNDECIDED_ONLY)
+_VISIT = {rel: np.array(fails) | _UNDECIDED_ONLY for rel, fails in _FAILS.items()}
 
 
 @dataclass(frozen=True)
@@ -161,9 +164,12 @@ class CheckReport:
 
 # compare(*col) -> (order of lhs against rhs, lhs, rhs, exact fallback ran)
 Compare = Callable[..., tuple[int, object, object, bool]]
-# decide(row) -> the order at each col of cols(row), vector.UNDECIDED at
-# the cells it leaves to compare, or None to leave it the whole row
-Decide = Callable[[int | None], "np.ndarray | None"]
+# decide(rows) -> for each of a block of rows, the order at each col of
+# cols(row), vector.UNDECIDED at the cells it leaves to compare, or None to
+# leave it the whole row
+Decide = Callable[[list], "list[np.ndarray | None]"]
+
+_CELLS = 8192  # cells of a block of rows decided at once; bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -176,12 +182,13 @@ class Property:
     compare closure, called once per point as compare(*col).  limit is
     the sieve limit that covers every value the sweep evaluates.
 
-    vector, when set, decides a row at once: vector(row) is the order of
-    the two sides at every col of cols(row), in that order, with
-    vector.UNDECIDED at the cells it cannot prove, or None when it can
-    prove none of them; at(row) then decides those cells point by point.
-    vector.TIE marks an EQUAL that compare would have reached through its
-    exact fallback, and counts as one."""
+    vector, when set, decides a block of consecutive rows at once: for
+    each row of vector(rows), in order, the order of the two sides at
+    every col of cols(row), in that order, with vector.UNDECIDED at the
+    cells it cannot prove, or None when it can prove none of them; at(row)
+    then decides those cells point by point.  vector.TIE marks an EQUAL
+    that compare would have reached through its exact fallback, and
+    counts as one."""
 
     names: tuple[str, ...]
     rows: Iterable[int | None]
@@ -190,6 +197,34 @@ class Property:
     relation: str  # SUB, SUP, EQ or LT
     limit: int = 0
     vector: Decide | None = None
+
+
+def _blocks(prop: Property):
+    """(row, cols(row), the order at each col, the number of cols at each
+    order + 1) for each row of prop, in order.  prop.vector is asked once
+    per block of consecutive rows of at most _CELLS cells in all, or of one
+    row; the cells it leaves to compare are vector.UNDECIDED."""
+    rows, colss, cells = [], [], 0
+    for row in prop.rows:
+        cols = prop.cols(row)
+        if rows and cells + len(cols) > _CELLS:
+            yield from _decided(prop, rows, colss)
+            rows, colss, cells = [], [], 0
+        rows.append(row)
+        colss.append(cols)
+        cells += len(cols)
+    if rows:
+        yield from _decided(prop, rows, colss)
+
+
+def _decided(prop: Property, rows: list, colss: list):
+    sizes = [len(cols) for cols in colss]
+    decided = [None] * len(rows) if prop.vector is None else prop.vector(rows)
+    orders = [np.full(size, vector.UNDECIDED, dtype=np.int8) if row is None else row
+              for row, size in zip(decided, sizes)]
+    at = np.concatenate(orders) + 1 + _ORDERS * np.repeat(np.arange(len(rows)), sizes)
+    counts = np.bincount(at, minlength=_ORDERS * len(rows)).reshape(-1, _ORDERS)
+    return zip(rows, colss, orders, counts.tolist())
 
 
 def _sweep(prop: Property, cfg: CheckConfig,
@@ -209,36 +244,33 @@ def _sweep(prop: Property, cfg: CheckConfig,
     cap = cfg.counterexample_cap
     cex: list[Counterexample] = []
     checked = failed = exact = 0
-    for row in prop.rows:
-        compare = prop.at(row)
-        lead = () if row is None else (row,)
-        failed_before = failed
-        cols = prop.cols(row)
-        orders = None if prop.vector is None else prop.vector(row)
-        if orders is None:
-            orders = np.full(len(cols), vector.UNDECIDED, dtype=np.int8)
+    for row, cols, orders, counts in _blocks(prop):
         checked += len(cols)
-        exact += int(np.count_nonzero(orders == vector.TIE))
-        at = orders + 1
-        failed += int(np.count_nonzero(fails[at]))
-        todo = np.flatnonzero((_UNDECIDED_ONLY if len(cex) == cap else visit)[at])
-        for i, decided in zip(todo.tolist(), orders[todo].tolist()):
-            fallback = decided == vector.UNDECIDED
-            if not fallback and len(cex) == cap:
-                continue
-            col = cols[i]
-            order, lhs, rhs, used_exact = compare(*col)
-            exact += fallback and used_exact
-            if fallback and order in passing:
-                continue
-            point = tuple(zip(prop.names, (*lead, *col)))
-            if order in passing:
-                raise InconsistencyError(
-                    f"the vector and scalar paths disagree at {point}; "
-                    "this is an implementation bug")
-            failed += fallback
-            if len(cex) < cap:
-                cex.append(Counterexample(point, lhs, rhs))
+        exact += counts[vector.TIE + 1]
+        failed_before = failed
+        failed += sum(c for c, f in zip(counts, fails) if f)
+        if counts[vector.UNDECIDED + 1] or (failed > failed_before and len(cex) < cap):
+            compare = prop.at(row)
+            lead = () if row is None else (row,)
+            wanted = _UNDECIDED_ONLY if len(cex) == cap else visit
+            todo = np.flatnonzero(wanted[orders + 1])
+            for i, decided in zip(todo.tolist(), orders[todo].tolist()):
+                fallback = decided == vector.UNDECIDED
+                if not fallback and len(cex) == cap:
+                    continue
+                col = cols[i]
+                order, lhs, rhs, used_exact = compare(*col)
+                exact += fallback and used_exact
+                if fallback and order in passing:
+                    continue
+                point = tuple(zip(prop.names, (*lead, *col)))
+                if order in passing:
+                    raise InconsistencyError(
+                        f"the vector and scalar paths disagree at {point}; "
+                        "this is an implementation bug")
+                failed += fallback
+                if len(cex) < cap:
+                    cex.append(Counterexample(point, lhs, rhs))
         if cfg.stop_at_first and failed > failed_before:
             break
     stats = {"exact_fallbacks": exact} if exact else {}
@@ -291,7 +323,7 @@ def line(name: str, points: Sequence[int], compare: Compare, relation: str,
     one row.  decide(xs), unless None, decides the points at once, given
     as an int64 array (see Property.vector)."""
     vector = None if decide is None else (
-        lambda _: decide(np.asarray(points, dtype=np.int64)))
+        lambda _: [decide(np.asarray(points, dtype=np.int64))])
     return Property((name,), (None,), lambda _: _Singletons(points),
                     lambda _: compare, relation, limit, vector)
 
@@ -299,20 +331,33 @@ def line(name: str, points: Sequence[int], compare: Compare, relation: str,
 def _grid(cfg: CheckConfig, compare: Compare, relation: str, limit: int,
           coprime: bool, decide) -> Property:
     """compare(m, n) over the (m, n) grid of cfg, only at coprime pairs
-    when coprime is set; decide(m, ns), unless None, decides row m at the
-    columns ns at once (see Property.vector)."""
+    when coprime is set.  decide(m, n), unless None, decides a block of
+    rows at every column at once, given the rows as a column m and the
+    columns as a row n, both vector.Args: the orders at its cells and at
+    each row whether they are proven, or None (see Property.vector)."""
     ns = np.arange(1, cfg.max_n + 1)
     every = [(n,) for n in range(1, cfg.max_n + 1)]
 
-    def columns(m):
-        return ns[np.gcd(ns, m) == 1] if coprime else ns
-
     def pick(m):
-        return [(n,) for n in columns(m).tolist()] if coprime else every
+        return [(n,) for n in ns[np.gcd(ns, m) == 1].tolist()] if coprime else every
 
-    vector = None if decide is None else (lambda m: decide(m, columns(m)))
+    def decide_block(rows):
+        ms = np.array(rows, dtype=np.int64)[:, None]
+        keep = np.gcd(ms, ns) == 1 if coprime else None
+        # the largest column each row reads bounds its values
+        top = ns[-1] if keep is None else np.where(keep, ns, 0).max(axis=1)[:, None]
+        decided = decide(vector.Arg(ms, ms), vector.Arg(ns, top))
+        if decided is None:
+            return [None] * len(rows)
+        orders, proven = decided
+        if keep is not None:
+            orders = [row[cols] for row, cols in zip(orders, keep)]
+        proven = np.broadcast_to(proven, ms.shape)[:, 0].tolist()
+        return [row if ok else None for row, ok in zip(orders, proven)]
+
     return Property(("m", "n"), range(1, cfg.max_m + 1), pick,
-                    lambda m: partial(compare, m), relation, limit, vector)
+                    lambda m: partial(compare, m), relation, limit,
+                    None if decide is None else decide_block)
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +406,16 @@ def formula(family: str, k: int | None, f: Callable[[int], Value]) -> Compare:
     return compare
 
 
-def vector_formula(family: str, k: int | None,
-                   f: vector.RowValues) -> Callable[[int, np.ndarray], np.ndarray | None]:
-    """The family's formula as decide(m, ns): the order of its sides at
-    (m, n) for each n in ns, evaluated by the same shape as formula() on
-    int64 rows of f; None where the bounds cannot prove the row exact."""
+def vector_formula(family: str, k: int | None, f: vector.RowValues):
+    """The family's formula as decide(m, n) over a block of rows (see
+    _grid): the order of its sides at each cell, evaluated by the same
+    shape as formula() on int64 values of f, and at each row whether the
+    bounds prove it exact; None for a block without tables."""
     shape = FORMULAS[family][0]
 
-    def decide(m, ns):
+    def decide(m, n):
         try:
-            return vector.orders(*shape(f, k, m, vector.Columns(ns, 1, 1)))
+            return vector.orders(*shape(f, k, m, n))
         except vector.Unproven:
             return None
 
@@ -401,10 +446,11 @@ def sieve_limit(specs: Iterable[PropertySpec], cfg: CheckConfig) -> int:
 
 
 def grid_property(ev: Evaluator, spec: PropertySpec, cfg: CheckConfig) -> Property:
-    """The spec's formula over cfg's grid, decided row by row in int64
-    where ev's values have a table (see submult.vector), point by point
-    with Fraction values elsewhere.  Registers spec.k with ev, which then
-    evaluates m**k and n**k from the factorizations of m and n."""
+    """The spec's formula over cfg's grid, decided a block of rows at a
+    time in int64 where ev's values have a table (see submult.vector),
+    point by point with Fraction values elsewhere.  Registers spec.k with
+    ev, which then evaluates m**k and n**k from the factorizations of m
+    and n."""
     if spec.k is not None:
         ev.add_power(spec.k)
     rows = vector.RowValues(ev, cfg.max_m, cfg.max_n)
@@ -470,27 +516,28 @@ def _as_int(v: Value, fn_name: str, at: int) -> int:
     return v.numerator
 
 
-def power_formula(f: vector.RowValues,
-                  g: vector.RowValues) -> Callable[[int, np.ndarray], np.ndarray | None]:
+def power_formula(f: vector.RowValues, g: vector.RowValues):
     """The cross-power comparison f(mn)^g(mn) vs f(m)^(g(m) n) f(n)^(g(n) m)
-    as decide(m, ns): the log2 filter of vector.power_orders over int64
-    rows of f and g, then vector.cross_power_ties on what it leaves.  None
-    for a row with no tables, a base <= 0 or an exponent that is not an
-    integer >= 0, whose errors the scalar path raises in place."""
+    as decide(m, n) over a block of rows (see _grid): the log2 filter of
+    vector.power_orders over int64 values of f and g, then
+    vector.cross_power_ties on what it leaves.  A row with a base <= 0 or
+    an exponent that is not an integer >= 0 is not proven, and the scalar
+    path raises its error in place; None for a block without tables."""
 
-    def decide(m, ns):
-        n = vector.Columns(ns, 1, 1)
+    def decide(m, n):
+        args = (m * n, m, n)
         try:
-            fs = tuple(vector.positive(f(x)) for x in (m * n, m, n))
-            gs = tuple(g(x) for x in (m * n, m, n))
-            gmn, gm, gn = (vector.exponents(x) for x in gs)
+            fs, fok = zip(*(vector.positive(f(x)) for x in args))
+            gs, gok = zip(*(vector.exponents(g(x)) for x in args))
         except vector.Unproven:
             return None
         fmn, fm, fn = fs
+        gmn, gm, gn = (np.asarray(x.num, dtype=np.float64) for x in gs)
         orders = vector.power_orders(
             [(fmn.num, fmn.den, gmn)],
-            [(fm.num, fm.den, gm * ns), (fn.num, fn.den, gn * m)])
-        return vector.cross_power_ties(orders, m, ns, fs, gs)
+            [(fm.num, fm.den, gm * n.x), (fn.num, fn.den, gn * m.x)])
+        return (vector.cross_power_ties(orders, m.x, n.x, fs, gs),
+                reduce(operator.and_, fok + gok))
 
     return decide
 

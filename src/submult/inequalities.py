@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from submult import vector
 from submult.checks import (
     FORMULAS,
@@ -81,12 +83,15 @@ def _below_self(fe: Evaluator, ge: Evaluator, limit: int):
     f, g = vector.RowValues(fe, 1, limit), vector.RowValues(ge, 1, limit)
 
     def decide(xs):
-        x = vector.Columns(xs, 1, 1)
+        x = vector.Arg(xs, xs[-1])
         try:
-            fx, gx = vector.positive(f(x)), vector.exponents(g(x))
+            (fx, fok), (gx, gok) = vector.positive(f(x)), vector.exponents(g(x))
         except vector.Unproven:
             return None
-        return vector.power_orders([(fx.num, fx.den, gx)], [(xs, 1, xs)])
+        if not np.all(fok & gok):
+            return None
+        exps = np.asarray(gx.num, dtype=np.float64)
+        return vector.power_orders([(fx.num, fx.den, exps)], [(xs, 1, xs)])
 
     return decide
 

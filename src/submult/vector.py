@@ -3,15 +3,17 @@ property families, and a padded log2 filter for products of powers.
 
 A grid check compares the two sides of one formula shape
 (checks.FORMULAS) at every point (m, n).  On this path the shape runs
-once per row m, on all of the row's columns at once: f's values are
-Rows, int64 numerators and denominators over the columns, and the row is
-decided by the sign of lnum * rden - rnum * lden.
+once per block of consecutive rows, on all of its cells at once: m is an
+Arg over a column of the block's rows and n one over the row of its
+columns, so m n, m**k and n**k are 2-D lookups in f's tables; f's values
+are Rows, int64 numerators and denominators over the block's cells, and
+each cell is decided by the sign of lnum * rden - rnum * lden.
 
 Exactness rests on bit-length bounds.  A Row carries bounds
-|num| < 2**nbits and den < 2**dbits, and a product is formed only when
-the bounds prove it is below 2**62; otherwise Unproven is raised and the
-sweep decides the row with the scalar Fraction path, which stays in the
-code as the oracle.
+|num| < 2**nbits and den < 2**dbits in each row, and orders() decides
+only the rows whose bounds prove every product below 2**62; the sweep
+decides the others with the scalar Fraction path, which stays in the
+code as the oracle.  Unproven is raised for a block without tables.
 
 f's values come from int64 (num, den) tables over [0, limit], built from
 the spf table.  Each prime-power rule is called once per prime power
@@ -33,7 +35,7 @@ refused with ResourceError before its tables are allocated.
 
 Products of powers (eq12, eq13, corollary1, the cross-power checks) are
 ordered by power_orders from the same tables: padded float64 bounds on the
-log2 of each side, over all of a row's columns at once.  It decides only
+log2 of each side, over a line or a block of rows at once.  It decides only
 where the bounds are disjoint under twice the pad of the scalar filter in
 core.cmp_power_products_detail, so it decides a subset of the cells the
 scalar filter decides, the same way; the rest are UNDECIDED.  For the
@@ -57,7 +59,6 @@ import numpy as np
 
 from submult import core
 from submult.core import EQUAL, GREATER, LESS
-from submult.errors import SubmultError
 from submult.functions import PRODUCT, QUOTIENT, RECIPROCAL, SUM, ArithFn, Evaluator
 
 BITS = 62  # every int64 product formed here is below 2**BITS
@@ -75,10 +76,6 @@ class Unproven(Exception):
 
 def _absmax(a) -> int:
     return max(int(a.max(initial=0)), -int(a.min(initial=0)))
-
-
-def _fits(x: int) -> bool:
-    return x.bit_length() <= BITS
 
 
 def _prove(*bits: int) -> None:
@@ -351,12 +348,13 @@ class Table:
         return sum(a.nbytes for a in (self.num, self.den, self.nbits, self.dbits)
                    if a is not None)
 
-    def row(self, at, top: int) -> Row:
-        """The values at the indices at, the largest of which is top."""
+    def row(self, at, top) -> Row:
+        """The values at the indices at, with the bounds at top, the
+        largest of a row's indices, for each row of a block."""
+        nbits = self.nbits[top].astype(np.int64)
         if self.den is None:
-            return Row(self.num[at], _ONE, int(self.nbits[top]), 1)
-        return Row(self.num[at], self.den[at], int(self.nbits[top]),
-                   int(self.dbits[top]))
+            return Row(self.num[at], _ONE, nbits, 1)
+        return Row(self.num[at], self.den[at], nbits, self.dbits[top].astype(np.int64))
 
 
 def _table(ev: Evaluator, limit: int, k: int) -> Table | None:
@@ -396,86 +394,95 @@ def power_table(ev: Evaluator, k: int, count: int) -> Table | None:
 
 
 class Row:
-    """Exact rationals num / den, den > 0, at each of a row's columns (or
-    one value, broadcast over them), with |num| < 2**nbits and
-    den < 2**dbits.  Products are formed only when the bounds prove they
-    fit; otherwise Unproven is raised."""
+    """Exact rationals num / den, den > 0, at the cells of a block of
+    rows: arrays that broadcast to the block, with |num| < 2**nbits and
+    den < 2**dbits in each row (nbits and dbits broadcast to a column of
+    the block's rows).  Products are formed in every row and their bounds
+    added; a row whose bounds exceed BITS may have wrapped in int64, and
+    orders() leaves it out."""
 
     __slots__ = ("num", "den", "nbits", "dbits")
 
-    def __init__(self, num, den, nbits: int, dbits: int):
+    def __init__(self, num, den, nbits, dbits):
         self.num, self.den, self.nbits, self.dbits = num, den, nbits, dbits
 
     def __mul__(self, other):
         if isinstance(other, Row):
-            nbits, dbits = self.nbits + other.nbits, self.dbits + other.dbits
-            _prove(nbits, dbits)
-            return Row(self.num * other.num, self.den * other.den, nbits, dbits)
-        if isinstance(other, int):
-            nbits = self.nbits + abs(other).bit_length()
-            _prove(nbits)
-            return Row(self.num * np.int64(other), self.den, nbits, self.dbits)
+            return Row(self.num * other.num, self.den * other.den,
+                       self.nbits + other.nbits, self.dbits + other.dbits)
+        if isinstance(other, Arg):  # m or m**k as a factor
+            return Row(self.num * other.values(), self.den,
+                       self.nbits + other.bits(), self.dbits)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> Row:
-        _prove(k * self.nbits, k * self.dbits)
+        if k > BITS:  # dbits >= 1, so no row's bound holds
+            raise Unproven
         return Row(self.num**k, self.den**k, k * self.nbits, k * self.dbits)
 
 
-def orders(lhs: Row, rhs: Row) -> np.ndarray:
-    """-1, 0 or 1 at each column as lhs <, = or > rhs."""
-    _prove(lhs.nbits + rhs.dbits, rhs.nbits + lhs.dbits)
-    return np.sign(lhs.num * rhs.den - rhs.num * lhs.den)
+def orders(lhs: Row, rhs: Row) -> tuple[np.ndarray, np.ndarray]:
+    """-1, 0 or 1 at each cell as lhs <, = or > rhs, and at each row
+    whether the bounds prove its orders exact."""
+    exact = (lhs.nbits + rhs.dbits <= BITS) & (rhs.nbits + lhs.dbits <= BITS)
+    return np.sign(lhs.num * rhs.den - rhs.num * lhs.den), exact
 
 
-class Columns:
-    """The coordinate n of a row's columns ns, as the formula shapes use
-    it: m * n and n ** k stay symbolic (scale * n ** power), so no
-    argument is ever formed in int64 and each is looked up in its table."""
+class Arg:
+    """An argument of f at the cells of a block of rows: x**power, with x
+    an int64 array that broadcasts to the block (the rows' m as a column,
+    the columns' n as a row, or their products m n) and top the largest x
+    in each row, broadcasting to a column of the rows.  The formula shapes
+    multiply and raise Args and multiply Rows by them; x**power is never
+    formed as an index but looked up at x in a power table."""
 
-    __slots__ = ("ns", "scale", "power")
+    __slots__ = ("x", "top", "power")
 
-    def __init__(self, ns: np.ndarray, scale: int, power: int):
-        self.ns, self.scale, self.power = ns, scale, power
+    def __init__(self, x, top, power: int = 1):
+        self.x, self.top, self.power = x, top, power
 
-    def __rmul__(self, m: int) -> Columns:
-        return Columns(self.ns, m * self.scale, self.power)
+    def __mul__(self, other):
+        if isinstance(other, Arg) and self.power == other.power == 1:
+            return Arg(self.x * other.x, self.top * other.top)
+        return NotImplemented
 
-    def __pow__(self, k: int) -> Columns:
-        return Columns(self.ns, self.scale**k, self.power * k)
+    def __pow__(self, k: int) -> Arg:
+        return Arg(self.x, self.top, self.power * k)
+
+    # Past BITS, the power of an x >= 2 is beyond every bound as it would
+    # be at its own exponent, and 1 stays 1.
+
+    def values(self) -> np.ndarray:
+        """x**power at each cell, exact in each row whose bits() <= BITS."""
+        return self.x ** min(self.power, BITS + 1)
+
+    def bits(self) -> np.ndarray:
+        """The bit length of top**power in each row: a bound on values()."""
+        tops = np.asarray(self.top)
+        power = min(self.power, BITS + 1)
+        return np.array([(t**power).bit_length() for t in tops.ravel().tolist()],
+                        dtype=np.int64).reshape(tops.shape)
 
 
 class RowValues:
-    """f as the formula shapes call it on the rows of a max_m x max_n
-    grid: at Columns the values over a row's columns, at an int one
-    value.  The tables are built on first use."""
+    """f as the formula shapes call it on a block of rows of a max_m x
+    max_n grid: at an Arg, the values at its cells.  The tables are built
+    on first use: f over [0, max_m max_n], which holds every product m n,
+    and f at x^k over [0, max(max_m, max_n)], for the powers m^k and n^k."""
 
     def __init__(self, ev: Evaluator, max_m: int, max_n: int):
-        self.ev, self.limit, self.count = ev, max_m * max_n, max_n
+        self.ev, self.limit, self.count = ev, max_m * max_n, max(max_m, max_n)
 
-    def __call__(self, x) -> Row:
-        values = value_table(self.ev, self.limit)
-        if values is None:
-            raise Unproven
-        if isinstance(x, Columns):  # ns ascending, so its last is the top
-            if x.power == 1:
-                return values.row(x.scale * x.ns, x.scale * int(x.ns[-1]))
+    def __call__(self, x: Arg) -> Row:
+        if x.power == 1:
+            table = value_table(self.ev, self.limit)
+        else:
             table = power_table(self.ev, x.power, self.count)
-            if table is None or x.scale != 1:
-                raise Unproven
-            return table.row(x.ns, int(x.ns[-1]))
-        if x < len(values):
-            return values.row(x, x)
-        try:
-            v = self.ev(x)
-        except SubmultError:
-            raise Unproven from None  # the scalar path raises it in place
-        num, den = v.numerator, v.denominator
-        if not (_fits(num) and _fits(den)):
+        if table is None:
             raise Unproven
-        return Row(np.int64(num), np.int64(den), num.bit_length(), den.bit_length())
+        return table.row(x.x, x.top)
 
 
 # ---------------------------------------------------------------------------
@@ -514,32 +521,40 @@ def _log2_side(side) -> tuple[np.ndarray, np.ndarray]:
 
 
 def power_orders(lhs, rhs) -> np.ndarray:
-    """The order of two products of powers at each column: LESS or
+    """The order of two products of powers at each cell: LESS or
     GREATER where the sides' padded log2 intervals are disjoint, UNDECIDED
     elsewhere (ties and near-ties, for cross_power_ties or the exact
     scalar comparison).
 
     A side is a list of factors (num, den, exp): the base num / den with
     num, den >= 1 and the exponent exp >= 0, each an array over the
-    columns or one number broadcast over them."""
+    cells or one that broadcasts to them."""
     (llo, lhi), (rlo, rhi) = _log2_side(lhs), _log2_side(rhs)
     return np.where(lhi < rlo, LESS,
                     np.where(rhi < llo, GREATER, UNDECIDED)).astype(np.int8)
 
 
-def positive(row: Row) -> Row:
-    """row, as power bases; Unproven unless every value is positive."""
-    if not (row.num > 0).all():
-        raise Unproven  # the scalar path raises DomainError in place
-    return row
+def positive(row: Row) -> tuple[Row, np.ndarray]:
+    """row as power bases, with 1 in place of every value <= 0, and at
+    each row of the block whether it holds none (at such a value the
+    scalar path raises DomainError)."""
+    good = row.num > 0
+    if good.all():
+        return row, True
+    return (Row(np.where(good, row.num, 1), row.den, row.nbits, row.dbits),
+            good.all(axis=-1, keepdims=True))
 
 
-def exponents(row: Row) -> np.ndarray:
-    """row's values as float64 power exponents; Unproven unless each is
-    an integer >= 0 (tables hold reduced fractions, so den == 1)."""
-    if not ((row.den == 1).all() and (row.num >= 0).all()):
-        raise Unproven  # the scalar path raises UnsupportedInputError in place
-    return np.asarray(row.num, dtype=np.float64)
+def exponents(row: Row) -> tuple[Row, np.ndarray]:
+    """row as power exponents, with 0 in place of every value that is not
+    an integer >= 0, and at each row of the block whether it holds none
+    (at such a value the scalar path raises UnsupportedInputError).
+    Tables hold reduced fractions, so an integer has den 1."""
+    good = (row.den == 1) & (row.num >= 0)
+    if good.all():
+        return row, True
+    return (Row(np.where(good, row.num, 0), _ONE, row.nbits, 1),
+            good.all(axis=-1, keepdims=True))
 
 
 def _bit_lengths(x) -> np.ndarray:
@@ -556,12 +571,14 @@ _LEFT = (np.array([0, 1, 1]), _ARGS)
 _RIGHT = (np.array([1, 0, 0]), _ARGS)
 
 
-def cross_power_ties(orders: np.ndarray, m: int, ns: np.ndarray,
+def cross_power_ties(orders: np.ndarray, m: np.ndarray, n: np.ndarray,
                      f: tuple[Row, Row, Row], g: tuple[Row, Row, Row]) -> np.ndarray:
     """Settle, in place, the UNDECIDED cells of orders (power_orders of
-    f(mn)^g(mn) vs f(m)^(g(m) n) f(n)^(g(n) m) at the columns ns, with f
-    and g the positive bases and the exponents >= 0 as Rows at mn, m, n)
-    that core.cmp_power_products_detail settles without raising:
+    f(mn)^g(mn) vs f(m)^(g(m) n) f(n)^(g(n) m) over a block of rows, with
+    m and n int64 arrays that broadcast to the block, a column of its rows
+    and a row of its columns, and f and g the positive bases and the
+    exponents >= 0 as Rows at mn, m, n) that core.cmp_power_products_detail
+    settles without raising:
 
     - EQUAL where its normalized sides are identical (factors with base 1
       or exponent 0 dropped, f(m) and f(n) merged when equal), which it
@@ -575,28 +592,30 @@ def cross_power_ties(orders: np.ndarray, m: int, ns: np.ndarray,
     cell whose reduced powers the bounds cannot prove below 2**BITS, and
     every cell of a row whose exponents g(m) n, g(n) m they cannot.
     orders is returned."""
-    todo = np.flatnonzero(orders == UNDECIDED)
     _, gm, gn = g
-    if (not todo.size or gm.nbits + int(ns[-1]).bit_length() > BITS
-            or gn.nbits + m.bit_length() > BITS):
+    rows = ((gm.nbits + _bit_lengths(np.max(n, axis=-1, keepdims=True)) <= BITS)
+            & (gn.nbits + _bit_lengths(m) <= BITS))
+    todo = np.flatnonzero((orders == UNDECIDED) & rows)
+    if not todo.size:
         return orders
+    cells = np.unravel_index(todo, orders.shape)
 
     def at(x):
-        return x[todo] if np.ndim(x) else x
+        return np.broadcast_to(x, orders.shape)[cells]
 
     # the numerators and denominators, and the exponents, at mn, m, n
     bases = np.empty((2, 3, todo.size), dtype=np.int64)
     exps = np.empty((3, todo.size), dtype=np.int64)
     for i, (fx, gx) in enumerate(zip(f, g)):
         bases[0, i], bases[1, i], exps[i] = at(fx.num), at(fx.den), at(gx.num)
-    exps[1] *= ns[todo]
-    exps[2] *= m
+    exps[1] *= at(n)
+    exps[2] *= at(m)
     exps[(bases == 1).all(axis=0)] = 0  # a base 1 is dropped like an exponent 0
     # rhs normalizes to lhs's one factor, or both to none: each factor of
     # rhs is dropped or has lhs's base, and the exponents add up
     dropped_or_same = (exps == 0) | (bases == bases[:, :1]).all(axis=0)
     identical = (exps[1] + exps[2] == exps[0]) & dropped_or_same[1:].all(axis=0)
-    orders[todo[identical]] = EQUAL
+    orders.flat[todo[identical]] = EQUAL
     if identical.all():  # such as the m = 1 row, when f(1) = 1
         return orders
 
@@ -613,5 +632,5 @@ def cross_power_ties(orders: np.ndarray, m: int, ns: np.ndarray,
     bits = exps * _bit_lengths(bases)
     digits = bits[:, 0].max(axis=0) + bits[:, 1:].sum(axis=1).max(axis=0)
     tie &= digits * core.DIGITS_PER_BIT * (1 + 1e-9) <= core.DEFAULT_DIGIT_BUDGET
-    orders[todo[tie]] = TIE
+    orders.flat[todo[tie]] = TIE
     return orders

@@ -11,7 +11,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from submult import checks, core, inequalities, vector
@@ -38,6 +38,7 @@ from submult.inference import (
     K_SUB_HOM,
     K_SUB_MULT,
     K_SUP_HOM,
+    K_SUP_MULT,
     MULTIPLICATIVE,
     SUB_HOM,
     SUB_MULT,
@@ -112,17 +113,70 @@ def _brute_force(name, spec, cfg):
     return (REFUTED if failed else HOLDS), cex, checked, {}
 
 
+def _undefined_at(p0, a0):
+    """p^a + 1, except that it raises at p0^a for every a >= a0."""
+    def rule(p, a):
+        if p == p0 and a >= a0:
+            raise DomainError(f"undefined at {p}^{a}")
+        return p**a + 1 if a else 1
+    return make_prime_power_fn(f"undefined-at-{p0}^{a0}", rule)
+
+
+def _spied(prop, where):
+    """prop, appending to where each point it compares."""
+    def at(row):
+        compare = prop.at(row)
+
+        def spy(*col):
+            where.append((row, *col))
+            return compare(*col)
+        return spy
+
+    return dataclasses.replace(prop, at=at)
+
+
+def _outcome_or_error(prop, cfg):
+    """The sweep's outcome, or its error and the point it was comparing."""
+    where = []
+    try:
+        return _outcome(_spied(prop, where), cfg)
+    except SubmultError as err:
+        return type(err), str(err), where[-1]
+
+
+# The vector path's cells per block of rows: one row, three rows, every row
+_BLOCKS = {"one row": lambda cfg: 1, "three rows": lambda cfg: 3 * cfg.max_n,
+           "the whole grid": lambda cfg: cfg.max_m * cfg.max_n}
+
+# sigma^3: at 16 x 16, f(mn)^k fits in int64 in the first rows only, and
+# products beyond it wrap to wrong orders
+SIGMA_CUBED = make_prime_power_fn("sigma^3",
+                                  lambda p, a: ((p ** (a + 1) - 1) // (p - 1)) ** 3)
+
+
 @settings(max_examples=300, deadline=None)
-@given(fn=st.sampled_from(FUNCTIONS), family=st.sampled_from(FAMILIES),
-       k=st.sampled_from([2, 3]), max_m=st.integers(2, 40),
-       max_n=st.integers(2, 40), stop=st.booleans(), cap=st.integers(1, 10))
+@given(fn=st.one_of(st.sampled_from(FUNCTIONS), st.just(SIGMA_CUBED),
+                    st.builds(_undefined_at, st.sampled_from([2, 3, 5]),
+                              st.integers(1, 4))),
+       family=st.sampled_from(FAMILIES), k=st.sampled_from([2, 3]),
+       max_m=st.integers(2, 40), max_n=st.integers(2, 40), stop=st.booleans(),
+       cap=st.integers(1, 10), block=st.sampled_from(list(_BLOCKS)))
+@example(fn=SIGMA_CUBED, family=K_SUP_MULT, k=3, max_m=16, max_n=16, stop=False,
+         cap=4, block="three rows")
 def test_int64_rows_match_the_scalar_path(table_1m, fn, family, k, max_m, max_n,
-                                          stop, cap):
+                                          stop, cap, block):
+    """Every formula shape and the coprime grid, with the rows decided in
+    blocks of one row, of a few rows and of the whole grid: the same
+    outcome as the scalar sweep, or the same error at the same point."""
     spec = _spec(family, k)
     cfg = CheckConfig(max_m=max_m, max_n=max_n, stop_at_first=stop,
                       counterexample_cap=cap)
-    fast, scalar = _both_paths(fn, spec, cfg, table_1m)
-    assert fast == scalar
+    prop = grid_property(Evaluator(fn, table_1m), spec, cfg)
+    scalar = grid_property(Evaluator(fn, table_1m), spec, cfg)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(checks, "_CELLS", _BLOCKS[block](cfg))
+        fast = _outcome_or_error(prop, cfg)
+    assert fast == _outcome_or_error(dataclasses.replace(scalar, vector=None), cfg)
     if fn.name in ORACLES:
         assert fast == _brute_force(fn.name, spec, cfg)
 
@@ -142,8 +196,12 @@ def test_rows_the_bound_cannot_prove_go_to_the_scalar_path(table_1m):
     spec = PropertySpec(K_SUB_MULT, 2)
     cfg = CheckConfig(max_m=40, max_n=40)
     prop = grid_property(Evaluator(fn, table_1m), spec, cfg)
-    decided = [prop.vector(m) is not None for m in prop.rows]
+    rows = list(prop.rows)
+    decided = [orders is not None for orders in prop.vector(rows)]
+    assert len(decided) == len(rows)
+    # one block of rows: the first are decided in it, the rest are not
     assert any(decided) and not all(decided)
+    assert decided == sorted(decided, reverse=True)
     fast, scalar = _both_paths(fn, spec, cfg, table_1m)
     assert fast == scalar
 
@@ -162,33 +220,6 @@ def test_zero_divisor_raises_the_scalar_error(table_1m):
             checks._sweep(prop, cfg, 1)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
-
-
-def _undefined_at(p0, a0):
-    """p^a + 1, except that it raises at p0^a for every a >= a0."""
-    def rule(p, a):
-        if p == p0 and a >= a0:
-            raise DomainError(f"undefined at {p}^{a}")
-        return p**a + 1 if a else 1
-    return make_prime_power_fn(f"undefined-at-{p0}^{a0}", rule)
-
-
-def _outcome_or_error(prop, cfg):
-    """The sweep's outcome, or its error and the point it was comparing."""
-    where = []
-
-    def at(row):
-        compare = prop.at(row)
-
-        def spy(*col):
-            where.append((row, *col))
-            return compare(*col)
-        return spy
-
-    try:
-        return _outcome(dataclasses.replace(prop, at=at), cfg)
-    except SubmultError as err:
-        return type(err), str(err), where[-1]
 
 
 @settings(max_examples=300, deadline=None)
@@ -218,7 +249,7 @@ def test_k_powers_factored_from_their_base(fn, family, k, max_m, max_n, stop, ca
 
 
 @pytest.mark.parametrize("function, family, counterexamples", [
-    ("sigma", "sub-mult", 0), ("d", "sup-mult", 10)])
+    ("sigma", "sub-mult", 0), ("d", "sup-mult", 10), ("d", "k-sup-mult --k 3", 0)])
 def test_grid_check_is_decided_in_int64(monkeypatch, capsys, function, family,
                                         counterexamples):
     """Only the counterexamples' sides are recomputed with Fractions."""
@@ -230,7 +261,7 @@ def test_grid_check_is_decided_in_int64(monkeypatch, capsys, function, family,
         return original(x, y)
 
     monkeypatch.setattr(checks, "cmp_values", counting)
-    code = main(["check", function, family, "--max-m", "200", "--max-n", "200"])
+    code = main(["check", function, *family.split(), "--max-m", "200", "--max-n", "200"])
     capsys.readouterr()
     assert code == (1 if counterexamples else 0)
     assert len(calls) == counterexamples
@@ -396,34 +427,39 @@ def test_the_memory_estimate_bounds_the_build(table_1m, needs, fn, k, limit):
 # --- the log2 filter of the power comparisons ------------------------------------
 
 
-def _report_or_error(run):
+def _report_or_error(run, decide):
     """run()'s reports as (verdict, counterexamples with sides, points,
-    stats) each, or the type and message of the error it raises."""
-    try:
-        reports = run()
-    except SubmultError as err:
-        return type(err), str(err)
+    stats) each, or the type and message of the error it raises and the
+    last point compared before it; with every Property's vector dropped
+    unless decide, so that each point goes to the scalar comparison."""
+    where = []
+
+    def report(function, label, params, prop, *args, original=checks.sweep_report,
+               **kwargs):
+        if not decide:
+            prop = dataclasses.replace(prop, vector=None)
+        return original(function, label, params, _spied(prop, where), *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(inequalities, "sweep_report", report)
+        m.setattr(checks, "sweep_report", report)
+        try:
+            reports = run()
+        except SubmultError as err:
+            return type(err), str(err), where[-1] if where else None
     if not isinstance(reports, tuple):
         reports = (reports,)
     return [(r.verdict, [(c.point, c.lhs, c.rhs) for c in r.counterexamples],
              r.pairs_checked, r.stats) for r in reports]
 
 
-def _vector_and_scalar(run):
-    """run() with the vector filter, then with every Property's vector
-    dropped, so that each point goes to the scalar comparison."""
-    fast = _report_or_error(run)
-
-    def scalar_report(function, label, params, prop, *args,
-                      original=checks.sweep_report, **kwargs):
-        return original(function, label, params,
-                        dataclasses.replace(prop, vector=None), *args, **kwargs)
-
+def _vector_and_scalar(run, cells=checks._CELLS):
+    """run() with the vector filter, deciding blocks of rows of at most
+    cells cells, then with every point on the scalar comparison."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(inequalities, "sweep_report", scalar_report)
-        m.setattr(checks, "sweep_report", scalar_report)
-        scalar = _report_or_error(run)
-    return fast, scalar
+        m.setattr(checks, "_CELLS", cells)
+        fast = _report_or_error(run, decide=True)
+    return fast, _report_or_error(run, decide=False)
 
 
 @pytest.mark.parametrize("exp", [1, 7, 1000])
@@ -500,25 +536,41 @@ _ZERO_AT_EVEN = make_prime_power_fn("zero-at-even", lambda p, a: 0 if p == 2 and
                                     else p**a, positive=False)
 
 
+# 0 and -1 at 13 only: at max_n < 13, only row 13 holds a base <= 0 or a
+# negative exponent
+_ZERO_AT_13 = make_prime_power_fn(
+    "zero-at-13", lambda p, a: 0 if p == 13 and a else p**a, positive=False)
+_NEGATIVE_AT_13 = make_prime_power_fn(
+    "negative-at-13", lambda p, a: -1 if p == 13 and a else p**a, positive=False)
+
+
 @settings(max_examples=200, deadline=None)
-@given(base=st.sampled_from(REGISTRY.functions() + [_BY_EXPONENT, *_SHIFTED]),
-       expo=st.sampled_from(REGISTRY.functions() + [_ZERO_AT_EVEN]),
-       direction=st.sampled_from([SUB, SUP]), max_m=st.integers(2, 12),
-       max_n=st.integers(2, 12), stop=st.booleans(), cap=st.integers(1, 10))
+@given(base=st.sampled_from(REGISTRY.functions()
+                            + [_BY_EXPONENT, _ZERO_AT_13, *_SHIFTED]),
+       expo=st.sampled_from(REGISTRY.functions() + [_ZERO_AT_EVEN, _NEGATIVE_AT_13]),
+       direction=st.sampled_from([SUB, SUP]), max_m=st.integers(2, 16),
+       max_n=st.integers(2, 12), stop=st.booleans(), cap=st.integers(1, 10),
+       block=st.sampled_from(list(_BLOCKS)))
+@example(base=_ZERO_AT_13, expo=REGISTRY.get("identity"), direction=SUP, max_m=16,
+         max_n=12, stop=False, cap=4, block="three rows")
+@example(base=REGISTRY.get("sigma"), expo=_NEGATIVE_AT_13, direction=SUB, max_m=16,
+         max_n=12, stop=False, cap=4, block="the whole grid")
 def test_cross_power_filter_matches_the_scalar_path(table_10k, base, expo,
                                                     direction, max_m, max_n, stop,
-                                                    cap):
+                                                    cap, block):
     """Every registry function as the exponent: the integer-valued ones are
     decided, the others raise the same error at the same point.  Bases
     whose sides normalize to identical factors (f(1) = 1 dropped, or
-    f(m) = f(n) merged) or not (f(1) != 1), and an exponent 0."""
+    f(m) = f(n) merged) or not (f(1) != 1), and an exponent 0.  Rows
+    decided in blocks of any size, rows with a base <= 0 or an exponent
+    < 0 among them."""
     cfg = CheckConfig(max_m=max_m, max_n=max_n, stop_at_first=stop,
                       counterexample_cap=cap)
 
     def run():
         return checks.check_power_submult(base, expo, direction, cfg, table_10k)
 
-    fast, scalar = _vector_and_scalar(run)
+    fast, scalar = _vector_and_scalar(run, _BLOCKS[block](cfg))
     assert fast == scalar
 
 
@@ -559,9 +611,9 @@ def test_cross_power_ties_settle_what_the_scalar_path_settles(case):
     (fmn, fm, fn, gmn, gm, gn), settled, scalar = _TIE_CASES[case]
     m, n = 2, 3
     orders = vector.cross_power_ties(
-        np.array([vector.UNDECIDED], dtype=np.int8), m, np.array([n]),
+        np.array([[vector.UNDECIDED]], dtype=np.int8), np.array([[m]]), np.array([n]),
         (_row(fmn), _row(fm), _row(fn)), (_row(gmn), _row(gm), _row(gn)))
-    assert orders.tolist() == [settled]
+    assert orders.tolist() == [[settled]]
     sides = ([(fmn, gmn)], [(fm, gm * n), (fn, gn * m)])
     if scalar is ResourceError:
         with pytest.raises(ResourceError):
@@ -637,6 +689,36 @@ def test_cross_power_ties_are_settled_in_bulk(power_comparisons, base, exact_fal
         build_spf_table(cfg.max_m * cfg.max_n))
     assert report.holds and report.stats == {"exact_fallbacks": exact_fallbacks}
     assert power_comparisons == []
+
+
+def test_power_combinator_makes_no_scalar_power_compare(power_comparisons):
+    """identity^identity = identity: every cell off the m = 1 and n = 1
+    edges is a tie, settled in bulk in both directions."""
+    fn = combine(POWER, (REGISTRY.get("identity"), REGISTRY.get("identity")))
+    cfg = CheckConfig(max_m=50, max_n=50)
+    table = build_spf_table(cfg.max_m * cfg.max_n)
+    reports = [r for family in (SUB_MULT, SUP_MULT) for r in
+               checks.reports_for_tag(fn, PropertyTag(fn.name, family), cfg, table)]
+    assert ([(r.verdict, r.stats) for r in reports]
+            == [(HOLDS, {"exact_fallbacks": 2401})] * 2)
+    assert power_comparisons == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(xs=st.lists(st.integers(1, 3000), min_size=1, max_size=5),
+       k=st.integers(1, 70))
+def test_powers_of_an_arg_are_bounded_in_each_row(xs, k):
+    """A factor m**k of the hom shapes: bits() is the bit length of each
+    row's m**k, and values() is exact, wherever that is within BITS."""
+    ms = np.array(xs, dtype=np.int64)[:, None]
+    power = vector.Arg(ms, ms) ** k
+    for x, bits, value in zip(xs, power.bits().ravel().tolist(),
+                              power.values().ravel().tolist()):
+        exact = (x**k).bit_length()
+        if exact <= vector.BITS:
+            assert (bits, value) == (exact, x**k)
+        else:
+            assert bits > vector.BITS
 
 
 @pytest.mark.parametrize("argv", [
