@@ -333,8 +333,9 @@ def _grid(cfg: CheckConfig, compare: Compare, relation: str, limit: int,
     """compare(m, n) over the (m, n) grid of cfg, only at coprime pairs
     when coprime is set.  decide(m, n), unless None, decides a block of
     rows at every column at once, given the rows as a column m and the
-    columns as a row n, both vector.Args: the orders at its cells and at
-    each row whether they are proven, or None (see Property.vector)."""
+    columns as a row n (on a coprime grid, as a block with 1 in each
+    left-out cell), both vector.Args: the orders at its cells and at each
+    row whether they are proven, or None (see Property.vector)."""
     ns = np.arange(1, cfg.max_n + 1)
     every = [(n,) for n in range(1, cfg.max_n + 1)]
 
@@ -344,9 +345,9 @@ def _grid(cfg: CheckConfig, compare: Compare, relation: str, limit: int,
     def decide_block(rows):
         ms = np.array(rows, dtype=np.int64)[:, None]
         keep = np.gcd(ms, ns) == 1 if coprime else None
-        # the largest column each row reads bounds its values
-        top = ns[-1] if keep is None else np.where(keep, ns, 0).max(axis=1)[:, None]
-        decided = decide(vector.Arg(ms, ms), vector.Arg(ns, top))
+        # a left-out column is read at n = 1, and its order dropped
+        decided = decide(vector.Arg(ms),
+                         vector.Arg(ns if keep is None else np.where(keep, ns, 1)))
         if decided is None:
             return [None] * len(rows)
         orders, proven = decided

@@ -75,15 +75,15 @@ def verify_eq12(max_prime: int, *, use_filter: bool = True,
 
 
 def _below_self(fe: Evaluator, ge: Evaluator, limit: int):
-    """f(x)^g(x) vs x^x as decide(xs), for ascending xs <= limit: the bulk
-    log2 filter on f's and g's value tables over [0, limit].  None when a
-    table is missing, a base is <= 0 or an exponent is not an integer
-    >= 0; the scalar path then raises any error in place."""
+    """f(x)^g(x) vs x^x as decide(xs), for xs <= limit: the bulk log2
+    filter on f's and g's value tables over [0, limit].  None when a table
+    is missing, a base is <= 0 or an exponent is not an integer >= 0; the
+    scalar path then raises any error in place."""
 
     f, g = vector.RowValues(fe, 1, limit), vector.RowValues(ge, 1, limit)
 
     def decide(xs):
-        x = vector.Arg(xs, xs[-1])
+        x = vector.Arg(xs)
         try:
             (fx, fok), (gx, gok) = vector.positive(f(x)), vector.exponents(g(x))
         except vector.Unproven:

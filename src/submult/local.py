@@ -204,14 +204,16 @@ def _covered(m: int, n: int, max_prime: int, max_exp: int) -> bool:
 
 def bridge_consistency(f: ArithFn, crit: LocalCriterion, local: LocalReport,
                        global_report: CheckReport) -> BridgeReport:
-    """Assert that the pair of verdicts cannot contradict the proved
+    """Assert that no reported counterexample contradicts the proved
     local-to-global implication (and its converse, for eq14).
 
     Local holds + a reported global counterexample whose prime support
     lies inside the local grid is impossible unless the implementation
     is wrong; likewise (eq14 only) global holds + a local counterexample
     at (p, a, b) with p^a <= max_m and p^b <= max_n.  Raises
-    InconsistencyError on violation.
+    InconsistencyError on violation.  Only the counterexamples the reports
+    list are checked, at most the counterexample cap of each: one beyond
+    the cap goes unseen.
     """
     if local.function != f.name or global_report.function != f.name:
         raise UsageError("bridge: reports belong to a different function")

@@ -10,10 +10,12 @@ are Rows, int64 numerators and denominators over the block's cells, and
 each cell is decided by the sign of lnum * rden - rnum * lden.
 
 Exactness rests on bit-length bounds.  A Row carries bounds
-|num| < 2**nbits and den < 2**dbits in each row, and orders() decides
-only the rows whose bounds prove every product below 2**62; the sweep
-decides the others with the scalar Fraction path, which stays in the
-code as the oracle.  Unproven is raised for a block without tables.
+|num| < 2**nbits and den < 2**dbits in each row: f's values take them
+from the largest value the row looks up, and products add them.
+orders() decides only the rows whose bounds prove every product below
+2**62; the sweep decides the others with the scalar Fraction path, which
+stays in the code as the oracle.  Unproven is raised for a block without
+tables.
 
 f's values come from int64 (num, den) tables over [0, limit], built from
 the spf table.  Each prime-power rule is called once per prime power
@@ -50,7 +52,6 @@ and corollary1, goes to the scalar comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import isqrt
@@ -81,6 +82,20 @@ def _absmax(a) -> int:
 def _prove(*bits: int) -> None:
     if max(bits) > BITS:
         raise Unproven
+
+
+def _bit_lengths(x) -> np.ndarray:
+    """At each x >= 0, a bound b >= x.bit_length(), so x < 2**b, for any
+    int64 x: the exponent frexp gives is exact below 2**53, and above it
+    the conversion to float64 rounds monotonically and keeps 2**(b-1)
+    exact.  As float64, so that products with int64 exponents cannot wrap."""
+    return np.frexp(np.asarray(x, dtype=np.float64))[1].astype(np.float64)
+
+
+def _row_bits(a: np.ndarray) -> np.ndarray:
+    """A bound b with |x| < 2**b on every x of each row of a (along its
+    last axis), as a column of the rows."""
+    return _bit_lengths(np.abs(a).max(axis=-1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -288,76 +303,27 @@ def _combine(f: ArithFn, leaves: dict, at: slice) -> Pair:
 
 def _build_bytes(fn: ArithFn, spf: np.ndarray, limit: int, qs: np.ndarray,
                  rules: dict) -> int:
-    """A bound on the bytes _build and the Table made of its result hold
-    at once, from its memory check on.  Throughout, 8 B per entry for each
-    rule's numerators and each of its denominators, and 256 B per entry of
-    a chunk for the rules' Python values and the temporaries of a slice, a
-    chunk and each node of fn's tree.  Then the larger of what the two
-    phases add: while the rules' tables are built, rest (half an entry of
-    spf's dtype per entry) and the prime powers with each rule's values at
-    them; while fn is combined and its Table made, 2 B per entry for the
-    running bit bounds and 8 B for fn's denominators when fn is not a rule
-    and there is no second array of the rules' to hold them."""
+    """A bound on the bytes _build holds at once, from its memory check on.
+    Throughout, 8 B per entry for each rule's numerators and each of its
+    denominators, and 256 B per entry of a chunk for the rules' Python
+    values and the temporaries of a slice, a chunk and each node of fn's
+    tree.  Then the larger of what the two phases add: while the rules'
+    tables are built, rest (half an entry of spf's dtype per entry) and the
+    prime powers with each rule's values at them; while fn is combined,
+    8 B per entry for fn's denominators when fn is not a rule and there is
+    no second array of the rules' to hold them."""
     def nodes(f: ArithFn) -> int:
         return 1 + sum(nodes(c) for c in f.children)
 
     entries = limit + 1
     arrays = sum(part is not None for parts in rules.values() for part in parts)
     rule_phase = entries * spf.itemsize // 2 + len(qs) * (24 + 16 * len(rules))
-    combine_phase = entries * (2 + (8 if fn.rule is None and arrays == 1 else 0))
+    combine_phase = entries * 8 if fn.rule is None and arrays == 1 else 0
     return (entries * 8 * arrays + max(rule_phase, combine_phase)
             + 256 * _CHUNK * (1 + nodes(fn)))
 
 
-def _running_bits(a: np.ndarray) -> np.ndarray:
-    """At each i, a bound on the bit lengths of |a[0]|, ..., |a[i]|.  The
-    float64 exponent bounds a bit length from above: rounding is monotone
-    and keeps 2**(b-1) exact."""
-    out = np.empty(len(a), dtype=np.int8)
-    top = 0
-    for lo in range(0, len(a), _CHUNK):
-        bits = np.frexp(np.abs(a[lo:lo + _CHUNK]).astype(np.float64))[1]
-        bits[0] = max(bits[0], top)
-        np.maximum.accumulate(bits, out=bits)
-        out[lo:lo + len(bits)] = bits
-        top = int(bits[-1])
-    return out
-
-
-@dataclass(frozen=True)
-class Table:
-    """f at 0, 1, ..., len - 1 as int64 num / den (den None when every
-    denominator is 1), with running bounds nbits, dbits: for i <= j,
-    |num[i]| < 2**nbits[j] and den[i] < 2**dbits[j]."""
-
-    num: np.ndarray
-    den: np.ndarray | None
-    nbits: np.ndarray
-    dbits: np.ndarray | None
-
-    @classmethod
-    def of(cls, num: np.ndarray, den: np.ndarray | None) -> Table:
-        return cls(num, den, _running_bits(num),
-                   None if den is None else _running_bits(den))
-
-    def __len__(self) -> int:
-        return len(self.num)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.num, self.den, self.nbits, self.dbits)
-                   if a is not None)
-
-    def row(self, at, top) -> Row:
-        """The values at the indices at, with the bounds at top, the
-        largest of a row's indices, for each row of a block."""
-        nbits = self.nbits[top].astype(np.int64)
-        if self.den is None:
-            return Row(self.num[at], _ONE, nbits, 1)
-        return Row(self.num[at], self.den[at], nbits, self.dbits[top].astype(np.int64))
-
-
-def _table(ev: Evaluator, limit: int, k: int) -> Table | None:
+def _table(ev: Evaluator, limit: int, k: int) -> Pair | None:
     """ev's function at n^k for n in [0, limit], built once per spf table
     and kept on it; None when the spf table does not reach limit, an entry
     does not fit, a divisor is zero or a rule raises.  ResourceError, before
@@ -368,21 +334,21 @@ def _table(ev: Evaluator, limit: int, k: int) -> Table | None:
         return None
     key = (ev.fn, limit, k)
     if key not in sieve.tables:
-        held = sieve.spf.nbytes + sum(t.nbytes for t in sieve.tables.values()
-                                      if t is not None)
+        held = sieve.spf.nbytes + sum(a.nbytes for t in sieve.tables.values()
+                                      if t is not None for a in t if a is not None)
         try:
-            sieve.tables[key] = Table.of(*_build(ev.fn, sieve.spf, limit, k, held))
+            sieve.tables[key] = _build(ev.fn, sieve.spf, limit, k, held)
         except Unproven:
             sieve.tables[key] = None
     return sieve.tables[key]
 
 
-def value_table(ev: Evaluator, limit: int) -> Table | None:
+def value_table(ev: Evaluator, limit: int) -> Pair | None:
     """ev's function on [0, limit] (see _table)."""
     return _table(ev, limit, 1)
 
 
-def power_table(ev: Evaluator, k: int, count: int) -> Table | None:
+def power_table(ev: Evaluator, k: int, count: int) -> Pair | None:
     """ev's function at n^k for n in [0, count], from the rule values at
     p^(k a) (see _table), so the spf table need only reach count."""
     return _table(ev, count, k)
@@ -397,9 +363,10 @@ class Row:
     """Exact rationals num / den, den > 0, at the cells of a block of
     rows: arrays that broadcast to the block, with |num| < 2**nbits and
     den < 2**dbits in each row (nbits and dbits broadcast to a column of
-    the block's rows).  Products are formed in every row and their bounds
-    added; a row whose bounds exceed BITS may have wrapped in int64, and
-    orders() leaves it out."""
+    the block's rows).  A Row of f's values takes its bounds from the
+    largest of them in each row (RowValues); products are formed in every
+    row and their bounds added, and a row whose bounds exceed BITS may
+    have wrapped in int64, so orders() leaves it out."""
 
     __slots__ = ("num", "den", "nbits", "dbits")
 
@@ -432,24 +399,24 @@ def orders(lhs: Row, rhs: Row) -> tuple[np.ndarray, np.ndarray]:
 
 class Arg:
     """An argument of f at the cells of a block of rows: x**power, with x
-    an int64 array that broadcasts to the block (the rows' m as a column,
-    the columns' n as a row, or their products m n) and top the largest x
-    in each row, broadcasting to a column of the rows.  The formula shapes
-    multiply and raise Args and multiply Rows by them; x**power is never
-    formed as an index but looked up at x in a power table."""
+    an int64 array of values >= 0 that broadcasts to the block (the rows'
+    m as a column, the columns' n as a row or, on a coprime grid, a block,
+    or their products m n).  The formula shapes multiply and raise Args
+    and multiply Rows by them; x**power is never formed as an index but
+    looked up at x in a power table."""
 
-    __slots__ = ("x", "top", "power")
+    __slots__ = ("x", "power")
 
-    def __init__(self, x, top, power: int = 1):
-        self.x, self.top, self.power = x, top, power
+    def __init__(self, x, power: int = 1):
+        self.x, self.power = x, power
 
     def __mul__(self, other):
         if isinstance(other, Arg) and self.power == other.power == 1:
-            return Arg(self.x * other.x, self.top * other.top)
+            return Arg(self.x * other.x)
         return NotImplemented
 
     def __pow__(self, k: int) -> Arg:
-        return Arg(self.x, self.top, self.power * k)
+        return Arg(self.x, self.power * k)
 
     # Past BITS, the power of an x >= 2 is beyond every bound as it would
     # be at its own exponent, and 1 stays 1.
@@ -459,8 +426,9 @@ class Arg:
         return self.x ** min(self.power, BITS + 1)
 
     def bits(self) -> np.ndarray:
-        """The bit length of top**power in each row: a bound on values()."""
-        tops = np.asarray(self.top)
+        """The bit length of the largest x**power in each row, as a column
+        of the rows: a bound on values()."""
+        tops = np.max(self.x, axis=-1, keepdims=True)
         power = min(self.power, BITS + 1)
         return np.array([(t**power).bit_length() for t in tops.ravel().tolist()],
                         dtype=np.int64).reshape(tops.shape)
@@ -468,9 +436,10 @@ class Arg:
 
 class RowValues:
     """f as the formula shapes call it on a block of rows of a max_m x
-    max_n grid: at an Arg, the values at its cells.  The tables are built
-    on first use: f over [0, max_m max_n], which holds every product m n,
-    and f at x^k over [0, max(max_m, max_n)], for the powers m^k and n^k."""
+    max_n grid: at an Arg, the values at its cells, bounded in each row by
+    the largest of them.  The tables are built on first use: f over
+    [0, max_m max_n], which holds every product m n, and f at x^k over
+    [0, max(max_m, max_n)], for the powers m^k and n^k."""
 
     def __init__(self, ev: Evaluator, max_m: int, max_n: int):
         self.ev, self.limit, self.count = ev, max_m * max_n, max(max_m, max_n)
@@ -482,7 +451,12 @@ class RowValues:
             table = power_table(self.ev, x.power, self.count)
         if table is None:
             raise Unproven
-        return table.row(x.x, x.top)
+        num, den = table
+        num = num[x.x]
+        if den is None:
+            return Row(num, _ONE, _row_bits(num), 1)
+        den = den[x.x]
+        return Row(num, den, _row_bits(num), _row_bits(den))
 
 
 # ---------------------------------------------------------------------------
@@ -555,13 +529,6 @@ def exponents(row: Row) -> tuple[Row, np.ndarray]:
         return row, True
     return (Row(np.where(good, row.num, 0), _ONE, row.nbits, 1),
             good.all(axis=-1, keepdims=True))
-
-
-def _bit_lengths(x) -> np.ndarray:
-    """At each x >= 0, a bound b >= x.bit_length(), so x < 2**b (exact
-    below 2**53; rounding is monotone and keeps 2**(b-1) exact), as
-    float64 so that products with int64 exponents cannot wrap."""
-    return np.frexp(np.asarray(x, dtype=np.float64))[1].astype(np.float64)
 
 
 # cross_power_ties' bases by (numerator or denominator, argument): the

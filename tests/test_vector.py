@@ -7,7 +7,6 @@ import dataclasses
 import tracemalloc
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -249,10 +248,13 @@ def test_k_powers_factored_from_their_base(fn, family, k, max_m, max_n, stop, ca
 
 
 @pytest.mark.parametrize("function, family, counterexamples", [
-    ("sigma", "sub-mult", 0), ("d", "sup-mult", 10), ("d", "k-sup-mult --k 3", 0)])
+    ("sigma", "sub-mult", 0), ("d", "sup-mult", 10), ("d", "k-sup-mult --k 3", 0),
+    ("sigma", "multiplicative", 0)])
 def test_grid_check_is_decided_in_int64(monkeypatch, capsys, function, family,
                                         counterexamples):
-    """Only the counterexamples' sides are recomputed with Fractions."""
+    """Only the counterexamples' sides are recomputed with Fractions; on
+    the coprime grid, the left-out cells read at n = 1 leave every row
+    proven."""
     calls = []
     original = checks.cmp_values
 
@@ -298,14 +300,48 @@ def test_tables_match_the_scalar_evaluation(table_1m, fn, k, data):
     if bits > 61:
         return
     values = want[:1] + want  # the entry at 0 is a placeholder, f(1)
-    nums = [v.numerator for v in values]
+    num, den = table
+    assert num.tolist() == [v.numerator for v in values]
     dens = [v.denominator for v in values]
-    assert (table.den is None) == (set(dens) == {1})
-    columns = [(table.num, table.nbits, nums), (table.den, table.dbits, dens)]
-    for got, running, exact in columns[:1 if table.den is None else 2]:
-        assert got.tolist() == exact
-        assert running.tolist() == [x.bit_length()
-                                    for x in accumulate(map(abs, exact), max)]
+    assert (den is None) == (set(dens) == {1})
+    if den is not None:
+        assert den.tolist() == dens
+
+
+@settings(max_examples=150, deadline=None)
+@given(fn=st.one_of(st.sampled_from(FUNCTIONS), st.just(SIGMA_CUBED)),
+       k=st.sampled_from([2, 3, 4]), max_m=st.integers(1, 40),
+       max_n=st.integers(1, 40), data=st.data())
+def test_rows_are_bounded_by_their_own_values(table_1m, fn, k, max_m, max_n, data):
+    """The Rows RowValues looks up for a block of rows, at m n (on the
+    full and the coprime grid), m, n, m^k and n^k: every cell within its
+    row's bounds, and each row's bound at most the running bound over the
+    table up to the row's largest index."""
+    lo = data.draw(st.integers(1, max_m))
+    ms = np.arange(lo, data.draw(st.integers(lo, max_m)) + 1)[:, None]
+    ns = np.arange(1, max_n + 1)
+    m, n = vector.Arg(ms), vector.Arg(ns)
+    coprime = vector.Arg(np.where(np.gcd(ms, ns) == 1, ns, 1))
+    ev = Evaluator(fn, table_1m)
+    f = vector.RowValues(ev, max_m, max_n)
+    looked_up = [(x, vector.value_table(ev, max_m * max_n))
+                 for x in (m * n, m * coprime, m, n)]
+    looked_up += [(x**k, vector.power_table(ev, k, max(max_m, max_n))) for x in (m, n)]
+    for x, table in looked_up:
+        if table is None:
+            continue
+        row = f(x)
+        top = np.max(x.x, axis=-1, keepdims=True)
+        for values, bits, column in ((row.num, row.nbits, table[0]),
+                                     (row.den, row.dbits, table[1])):
+            if column is None:
+                assert (values == 1).all() and bits == 1
+                continue
+            bits = np.asarray(bits)
+            assert (np.abs(values) >> bits.astype(np.int64) == 0).all()
+            exponents = np.frexp(np.abs(column).astype(np.float64))[1]
+            running = np.maximum.accumulate(exponents)
+            assert (bits <= running[top]).all()
 
 
 def test_tables_are_left_out_where_an_entry_cannot_be_built(table_1m):
@@ -402,7 +438,8 @@ def test_tables_kept_on_a_sieve_count_against_the_budget(monkeypatch, needs):
     assert needs[-1] == sigma_need
     with pytest.raises(ResourceError, match="the value table of phi up to 2500"):
         checks.check_submult(REGISTRY.get("phi"), SUB, cfg, sieve)
-    assert needs[-1] == sigma_need + sieve.tables[REGISTRY.get("sigma"), 2500, 1].nbytes
+    assert needs[-1] == sigma_need + sum(
+        a.nbytes for a in sieve.tables[REGISTRY.get("sigma"), 2500, 1] if a is not None)
 
 
 @pytest.mark.parametrize("fn", [
@@ -412,16 +449,16 @@ def test_tables_kept_on_a_sieve_count_against_the_budget(monkeypatch, needs):
     ids=lambda fn: fn.name)
 @pytest.mark.parametrize("k, limit", [(1, 10**6), (2, 400_000)])
 def test_the_memory_estimate_bounds_the_build(table_1m, needs, fn, k, limit):
-    """What _build and the finished Table allocate at once stays within
-    the bytes the budget is checked against, at limits where the arrays
-    over every entry, not the chunks' temporaries, are most of both."""
+    """What _build allocates at once stays within the bytes the budget is
+    checked against, at limits where the arrays over every entry, not the
+    chunks' temporaries, are most of both."""
     tracemalloc.start()
     try:
-        table = vector.Table.of(*vector._build(fn, table_1m.spf, limit, k))
+        num, _ = vector._build(fn, table_1m.spf, limit, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table is not None and 0 < peak <= needs[-1]
+    assert len(num) == limit + 1 and 0 < peak <= needs[-1]
 
 
 # --- the log2 filter of the power comparisons ------------------------------------
@@ -711,7 +748,7 @@ def test_powers_of_an_arg_are_bounded_in_each_row(xs, k):
     """A factor m**k of the hom shapes: bits() is the bit length of each
     row's m**k, and values() is exact, wherever that is within BITS."""
     ms = np.array(xs, dtype=np.int64)[:, None]
-    power = vector.Arg(ms, ms) ** k
+    power = vector.Arg(ms) ** k
     for x, bits, value in zip(xs, power.bits().ravel().tolist(),
                               power.values().ravel().tolist()):
         exact = (x**k).bit_length()
