@@ -14,10 +14,7 @@ properties are quantified over all m, n >= 1.
 
 Points are enumerated in lexicographic order, so the counterexamples a
 sweep meets first are the smallest; a report keeps the first
-counterexample_cap of them.  Sweeps run on the calling thread, so a
-report never depends on the threads argument, which is accepted and
-ignored: exact Fraction arithmetic holds the interpreter lock, and a
-thread pool measured no faster than one thread.
+counterexample_cap of them.
 
 Checks also carry a vector path (Property.vector, built on submult.vector)
 that decides a block of consecutive rows, of at most _CELLS cells, at
@@ -227,6 +224,7 @@ def _decided(prop: Property, rows: list, colss: list):
     return zip(rows, colss, orders, counts.tolist())
 
 
+# threads is pinned: perfbench/tracer.py reads it as args[2] (ROADMAP item 1)
 def _sweep(prop: Property, cfg: CheckConfig,
            threads: int) -> tuple[str, list[Counterexample], int, dict]:
     """Check prop at every point: (verdict, the first
@@ -237,8 +235,11 @@ def _sweep(prop: Property, cfg: CheckConfig,
     cells it decides, up to the cap, to recompute their sides.  Exact
     fallbacks are counted at vector.TIE cells and where compare reports
     one at an UNDECIDED cell.  With cfg.stop_at_first the sweep ends after
-    the first row that has a counterexample.  threads changes nothing (see
-    the module docstring)."""
+    the first row that has a counterexample.
+
+    threads is ignored: sweeps run on the calling thread.  It stays the
+    third positional parameter only because the benchmark's tracer reads
+    it there; sweep_report passes 1."""
     passing = _PASSING[prop.relation]
     fails, visit = _FAILS[prop.relation], _VISIT[prop.relation]
     cap = cfg.counterexample_cap
@@ -278,8 +279,7 @@ def _sweep(prop: Property, cfg: CheckConfig,
 
 
 def sweep_report(function: str, label: str, params: dict, prop: Property,
-                 cfg: CheckConfig, threads: int,
-                 table: SpfTable | None = None) -> CheckReport:
+                 cfg: CheckConfig, table: SpfTable | None = None) -> CheckReport:
     """Sweep prop into a report.  Refuses to start when table does not
     reach the sieve limit the property needs."""
     t0 = time.perf_counter()
@@ -287,7 +287,7 @@ def sweep_report(function: str, label: str, params: dict, prop: Property,
         raise ResourceError(
             f"{label} needs a sieve limit of at least {prop.limit}, "
             f"table covers {table.limit}")
-    verdict, cex, checked, stats = _sweep(prop, cfg, threads)
+    verdict, cex, checked, stats = _sweep(prop, cfg, 1)
     return CheckReport(
         function=function,
         property=label,
@@ -366,7 +366,7 @@ def _grid(cfg: CheckConfig, compare: Compare, relation: str, limit: int,
 # ---------------------------------------------------------------------------
 
 # The four formula shapes: (lhs, rhs) of f at (m, n), with exponent k for
-# the k-forms.
+# the k-forms; f(x, k) is f at x^k.
 
 
 def _mult(f, k, m, n):
@@ -378,11 +378,11 @@ def _hom(f, k, m, n):
 
 
 def _k_mult(f, k, m, n):
-    return f(m * n) ** k, f(m**k) * f(n**k)
+    return f(m * n) ** k, f(m, k) * f(n, k)
 
 
 def _k_hom(f, k, m, n):
-    return f(m * n) ** k, m**k * f(n**k)
+    return f(m * n) ** k, m**k * f(n, k)
 
 
 # property family -> (formula shape, relation between its sides)
@@ -395,9 +395,10 @@ FORMULAS = {
 }
 
 
-def formula(family: str, k: int | None, f: Callable[[int], Value]) -> Compare:
-    """The family's formula as compare(m, n), with f giving the values of
-    the function; FORMULAS[family][1] is the relation its sides must satisfy."""
+def formula(family: str, k: int | None, f: Callable[..., Value]) -> Compare:
+    """The family's formula as compare(m, n), with f(x, k=1) giving the
+    values of the function at x^k; FORMULAS[family][1] is the relation its
+    sides must satisfy."""
     sides = partial(FORMULAS[family][0], f, k)
 
     def compare(m, n):
@@ -427,17 +428,15 @@ def sieve_limit(specs: Iterable[PropertySpec], cfg: CheckConfig) -> int:
     """The sieve limit covering every argument that sweeping the specs
     over cfg's grid factors through the sieve.  Each argument of a formula
     grows with m and n, so the largest is taken at the grid's far corner.
-    A k-th power x**k counts as its base x, so the shapes run at k = 1:
-    the sweep's Evaluator factors x**k as x with every exponent times k
-    (see grid_property)."""
+    f at x^k factors x, so x^k counts as its base x."""
     args = []
 
-    def record(x):
+    def record(x, k=1):
         args.append(x)
         return 1
 
     for spec in specs:
-        FORMULAS[spec.family][0](record, 1, cfg.max_m, cfg.max_n)
+        FORMULAS[spec.family][0](record, spec.k, cfg.max_m, cfg.max_n)
     return max(args)
 
 
@@ -449,63 +448,55 @@ def sieve_limit(specs: Iterable[PropertySpec], cfg: CheckConfig) -> int:
 def grid_property(ev: Evaluator, spec: PropertySpec, cfg: CheckConfig) -> Property:
     """The spec's formula over cfg's grid, decided a block of rows at a
     time in int64 where ev's values have a table (see submult.vector),
-    point by point with Fraction values elsewhere.  Registers spec.k with
-    ev, which then evaluates m**k and n**k from the factorizations of m
-    and n."""
-    if spec.k is not None:
-        ev.add_power(spec.k)
+    point by point with Fraction values elsewhere."""
     rows = vector.RowValues(ev, cfg.max_m, cfg.max_n)
     return _grid(cfg, formula(spec.family, spec.k, ev), FORMULAS[spec.family][1],
                  sieve_limit([spec], cfg), spec.family == MULTIPLICATIVE,
                  vector_formula(spec.family, spec.k, rows))
 
 
-def _check(ev: Evaluator, spec: PropertySpec, cfg: CheckConfig,
-           threads: int) -> CheckReport:
+def _check(ev: Evaluator, spec: PropertySpec, cfg: CheckConfig) -> CheckReport:
     prop = grid_property(ev, spec, cfg)
     params = {"max_m": cfg.max_m, "max_n": cfg.max_n}
     if spec.k is not None:
         params["k"] = spec.k
-    return sweep_report(ev.fn.name, spec.label(), params, prop, cfg, threads,
-                        ev.table)
+    return sweep_report(ev.fn.name, spec.label(), params, prop, cfg, ev.table)
 
 
-def check_multiplicative(f: ArithFn, cfg: CheckConfig, table: SpfTable, *,
-                         threads: int = 1) -> CheckReport:
+def check_multiplicative(f: ArithFn, cfg: CheckConfig, table: SpfTable) -> CheckReport:
     """f(mn) = f(m) f(n) over all coprime pairs of the grid."""
-    return run_property_check(f, PropertySpec(MULTIPLICATIVE), cfg, table,
-                              threads=threads)
+    return run_property_check(f, PropertySpec(MULTIPLICATIVE), cfg, table)
 
 
-def check_submult(f: ArithFn, direction: str, cfg: CheckConfig, table: SpfTable, *,
-                  threads: int = 1) -> CheckReport:
+def check_submult(f: ArithFn, direction: str, cfg: CheckConfig,
+                  table: SpfTable) -> CheckReport:
     """f(mn) <= f(m) f(n) (direction "sub") or >= ("sup") over the grid."""
     spec = PropertySpec(SUB_MULT if direction == SUB else SUP_MULT)
-    return run_property_check(f, spec, cfg, table, threads=threads)
+    return run_property_check(f, spec, cfg, table)
 
 
-def check_subhom(f: ArithFn, direction: str, cfg: CheckConfig, table: SpfTable, *,
-                 threads: int = 1) -> CheckReport:
+def check_subhom(f: ArithFn, direction: str, cfg: CheckConfig,
+                 table: SpfTable) -> CheckReport:
     """f(mn) <= m f(n) (direction "sub") or >= ("sup") over the grid."""
     spec = PropertySpec(SUB_HOM if direction == SUB else SUP_HOM)
-    return run_property_check(f, spec, cfg, table, threads=threads)
+    return run_property_check(f, spec, cfg, table)
 
 
 def check_k_submult(f: ArithFn, k: int, direction: str, cfg: CheckConfig,
-                    table: SpfTable, *, threads: int = 1) -> CheckReport:
+                    table: SpfTable) -> CheckReport:
     """f(mn)^k <= f(m^k) f(n^k) ("sub") or >= ("sup") over the grid.
 
     Refuses to start unless the sieve covers max_m * max_n; f at m^k and
     n^k comes from the factorizations of m and n."""
     spec = PropertySpec(K_SUB_MULT if direction == SUB else K_SUP_MULT, k)
-    return run_property_check(f, spec, cfg, table, threads=threads)
+    return run_property_check(f, spec, cfg, table)
 
 
 def check_k_subhom(f: ArithFn, k: int, direction: str, cfg: CheckConfig,
-                   table: SpfTable, *, threads: int = 1) -> CheckReport:
+                   table: SpfTable) -> CheckReport:
     """f(mn)^k <= m^k f(n^k) ("sub") or >= ("sup") over the grid."""
     spec = PropertySpec(K_SUB_HOM if direction == SUB else K_SUP_HOM, k)
-    return run_property_check(f, spec, cfg, table, threads=threads)
+    return run_property_check(f, spec, cfg, table)
 
 
 def _as_int(v: Value, fn_name: str, at: int) -> int:
@@ -544,8 +535,7 @@ def power_formula(f: vector.RowValues, g: vector.RowValues):
 
 
 def check_power_submult(f: ArithFn, g: ArithFn, direction: str, cfg: CheckConfig,
-                        table: SpfTable, *, threads: int = 1,
-                        use_filter: bool = True) -> CheckReport:
+                        table: SpfTable, *, use_filter: bool = True) -> CheckReport:
     """Sub/sup-multiplicativity of h(n) = f(n)^(g(n)/n), decided exactly.
 
     h(mn) <= h(m) h(n) is equivalent, after raising both sides to the
@@ -580,8 +570,7 @@ def check_power_submult(f: ArithFn, g: ArithFn, direction: str, cfg: CheckConfig
                  sieve_limit([PropertySpec(SUB_MULT)], cfg), False, decide)
     label = "power-sub-mult" if direction == SUB else "power-sup-mult"
     return sweep_report(f"{f.name}^({g.name}/n)", label,
-                        {"max_m": cfg.max_m, "max_n": cfg.max_n}, prop, cfg,
-                        threads, table)
+                        {"max_m": cfg.max_m, "max_n": cfg.max_n}, prop, cfg, table)
 
 
 def check_identity_bound(f: ArithFn, direction: str, max_n: int,
@@ -599,7 +588,7 @@ def check_identity_bound(f: ArithFn, direction: str, max_n: int,
     prop = line("n", range(1, max_n + 1), compare,
                 SUB if direction == "le" else SUP, max_n)
     return sweep_report(f.name, LE_IDENTITY if direction == "le" else GE_IDENTITY,
-                        {"max_n": max_n}, prop, CheckConfig(), 1, table)
+                        {"max_n": max_n}, prop, CheckConfig(), table)
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +597,9 @@ def check_identity_bound(f: ArithFn, direction: str, max_n: int,
 
 
 def run_property_check(f: ArithFn, spec: PropertySpec, cfg: CheckConfig,
-                       table: SpfTable, *, threads: int = 1) -> CheckReport:
+                       table: SpfTable) -> CheckReport:
     """Sweep one property family over cfg's grid."""
-    return _check(Evaluator(f, table), spec, cfg, threads)
+    return _check(Evaluator(f, table), spec, cfg)
 
 
 def classify_specs(cfg: CheckConfig) -> list[PropertySpec]:
@@ -621,17 +610,17 @@ def classify_specs(cfg: CheckConfig) -> list[PropertySpec]:
     return specs
 
 
-def classify(f: ArithFn, cfg: CheckConfig, table: SpfTable, *,
-             threads: int = 1) -> list[CheckReport]:
+def classify(f: ArithFn, cfg: CheckConfig, table: SpfTable) -> list[CheckReport]:
     """One report per property family, k-families instantiated over
     cfg.k_set, in a fixed order."""
     if f.kind == POWER:
         raise UsageError(f"{f.name}: power combinators cannot be classified "
                          "(no standalone values)")
     ev = Evaluator(f, table)
-    return [_check(ev, spec, cfg, threads) for spec in classify_specs(cfg)]
+    return [_check(ev, spec, cfg) for spec in classify_specs(cfg)]
 
 
+# threads is pinned: perfbench/worker.py passes it (ROADMAP item 1)
 def reports_for_tag(f: ArithFn, tag: PropertyTag, cfg: CheckConfig,
                     table: SpfTable, *, threads: int = 1) -> list[CheckReport]:
     """Sweep reports exercising one tag; a k = None tag is instantiated
@@ -642,11 +631,10 @@ def reports_for_tag(f: ArithFn, tag: PropertyTag, cfg: CheckConfig,
     if tag.family in (SUB_MULT, SUP_MULT) and f.kind == POWER:
         base, expo = f.children
         direction = SUB if tag.family == SUB_MULT else SUP
-        return [check_power_submult(base, expo, direction, cfg, table,
-                                    threads=threads)]
+        return [check_power_submult(base, expo, direction, cfg, table)]
     if tag.family not in K_FAMILIES:
         ks = (None,)
     else:
         ks = cfg.k_set if tag.k is None else (tag.k,)
     ev = Evaluator(f, table)
-    return [_check(ev, PropertySpec(tag.family, k), cfg, threads) for k in ks]
+    return [_check(ev, PropertySpec(tag.family, k), cfg) for k in ks]

@@ -85,6 +85,8 @@ def _print_human(envelope: dict) -> None:
 
 
 def _emit(args, command: str, inputs: dict, reports: list) -> dict:
+    # inputs.threads is pinned until the envelope's schema bump (ROADMAP item 4)
+    inputs["threads"] = args.threads
     envelope = rpt.make_envelope(command, inputs, reports)
     if getattr(args, "csv", None):
         rpt.write_counterexample_csv(args.csv, envelope)
@@ -131,10 +133,10 @@ def _cmd_check(args) -> int:
     limit = sieve_limit([spec], cfg)
     _announce_sieve(limit)
     table = build_spf_table(limit)
-    report = run_property_check(fn, spec, cfg, table, threads=args.threads)
+    report = run_property_check(fn, spec, cfg, table)
     inputs = {"function": args.function, "property": args.property,
               "k": args.k if spec.k is not None else None,
-              "max_m": args.max_m, "max_n": args.max_n, "threads": args.threads}
+              "max_m": args.max_m, "max_n": args.max_n}
     _emit(args, "check", inputs, [report])
     return _exit_code([report])
 
@@ -144,8 +146,7 @@ def _cmd_local(args) -> int:
     fn = registry.get(args.function)
     k = args.k if args.criterion in ("eq18", "eq22") else None
     crit = LocalCriterion(args.criterion, args.direction, k)
-    local = check_local(fn, crit, args.max_prime, args.max_exp,
-                        threads=args.threads)
+    local = check_local(fn, crit, args.max_prime, args.max_exp)
     reports = [local]
     if args.bridge:
         spec = PropertySpec(crit.global_family(), k)
@@ -154,14 +155,13 @@ def _cmd_local(args) -> int:
         limit = sieve_limit([spec], cfg)
         _announce_sieve(limit)
         table = build_spf_table(limit)
-        global_report = run_property_check(fn, spec, cfg, table,
-                                           threads=args.threads)
+        global_report = run_property_check(fn, spec, cfg, table)
         bridge = bridge_consistency(fn, crit, local, global_report)
         reports.extend([global_report, bridge])
     inputs = {"function": args.function, "criterion": args.criterion,
               "direction": args.direction, "k": k,
               "max_prime": args.max_prime, "max_exp": args.max_exp,
-              "bridge": args.bridge, "threads": args.threads}
+              "bridge": args.bridge}
     _emit(args, "local", inputs, reports)
     return _exit_code(reports)
 
@@ -174,29 +174,26 @@ def _cmd_classify(args) -> int:
     limit = sieve_limit(classify_specs(cfg), cfg)
     _announce_sieve(limit)
     table = build_spf_table(limit)
-    reports = classify(fn, cfg, table, threads=args.threads)
+    reports = classify(fn, cfg, table)
     inputs = {"function": args.function, "max_m": args.max_m,
-              "max_n": args.max_n, "k_set": list(k_set),
-              "threads": args.threads}
+              "max_n": args.max_n, "k_set": list(k_set)}
     _emit(args, "classify", inputs, reports)
     return 0  # classification is informative, not pass/fail
 
 
 def _cmd_inequality(args) -> int:
     ineq = args.id
-    threads = args.threads
     if ineq == "eq12":
-        reports = [verify_eq12(args.max_prime, threads=threads)]
+        reports = [verify_eq12(args.max_prime)]
     elif ineq == "eq13":
         _announce_sieve(args.max_n)
-        reports = [verify_eq13(args.max_n, threads=threads)]
+        reports = [verify_eq13(args.max_n)]
     elif ineq == "eq16":
-        reports = [verify_eq16(args.max_prime, args.max_exp, threads=threads)]
+        reports = [verify_eq16(args.max_prime, args.max_exp)]
     elif ineq == "eq20":
-        reports = [verify_eq20(args.max_ab, args.max_k, threads=threads)]
+        reports = [verify_eq20(args.max_ab, args.max_k)]
     elif ineq == "eq23":
-        reports = [verify_eq23(args.max_prime, args.max_exp, args.k,
-                               threads=threads)]
+        reports = [verify_eq23(args.max_prime, args.max_exp, args.k)]
     else:  # corollary1
         registry = builtin_registry()
         f = registry.get(args.f)
@@ -205,14 +202,12 @@ def _cmd_inequality(args) -> int:
         _announce_sieve(limit)
         table = build_spf_table(limit)
         a, b = verify_corollary1(f, g, args.max_prime, args.max_n,
-                                 registry=registry, table=table,
-                                 threads=threads)
+                                 registry=registry, table=table)
         reports = [a, b]
     inputs = {"id": ineq}
     for key in ("max_prime", "max_n", "max_exp", "max_ab", "max_k", "k", "f", "g"):
         if hasattr(args, key):
             inputs[key] = getattr(args, key)
-    inputs["threads"] = threads
     _emit(args, "inequality", inputs, reports)
     return _exit_code(reports)
 
@@ -238,9 +233,10 @@ def _add_common(sp, *, csv: bool = True) -> None:
     if csv:
         sp.add_argument("--csv", metavar="PATH",
                         help="also write counterexamples to a CSV file")
+    # --threads is pinned: the benchmark's workloads pass it (ROADMAP item 1)
     sp.add_argument("--threads", type=int, default=1,
-                    help="accepted for compatibility; sweeps run on one thread "
-                         "and results do not depend on it")
+                    help="accepted for compatibility and ignored; sweeps run "
+                         "on one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:

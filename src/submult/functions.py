@@ -11,7 +11,6 @@ through cross-power comparisons (see checks.check_power_submult).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -114,67 +113,41 @@ def evaluate_fact(f: ArithFn, fact: Factorization) -> Value:
     raise UsageError(f"{f.name}: unknown kind {f.kind!r}")
 
 
-def evaluate(f: ArithFn, n: int, table: SpfTable | None = None) -> Value:
-    """Exact value of f at n; factors via the sieve when it covers n,
-    by trial division otherwise."""
+def evaluate(f: ArithFn, n: int, table: SpfTable | None = None, k: int = 1) -> Value:
+    """Exact value of f at n^k, from n's factorization with every exponent
+    times k; n is factored via the sieve when it covers n, by trial
+    division otherwise."""
     if n <= 0:
         raise DomainError(f"arithmetic functions are defined for n >= 1, got {n}")
     if table is not None and n <= table.limit:
         fact = factorize(n, table)
     else:
         fact = trial_factorize(n)
+    if k > 1:
+        fact = Factorization(tuple((p, a * k) for p, a in fact.pairs))
     return evaluate_fact(f, fact)
 
 
 class Evaluator:
-    """Caching wrapper around evaluate() for sweeps.  One evaluator per
-    function serves every sweep of a command, so a value computed for one
-    property is reused by the next.  The int64 value tables of
-    submult.vector are kept on the spf table instead (SpfTable.tables),
-    so evaluators of the same function on the same sieve share them.
-
-    A sweep that takes f at k-th powers x**k registers k with
-    add_power(k).  An x**k above the sieve limit is then evaluated from
-    x's sieve factorization with every exponent times k, so the sieve
-    need only cover the bases x; it is never trial-divided."""
+    """Caching wrapper around evaluate() for sweeps: ev(n, k) is f at n^k.
+    One evaluator per function serves every sweep of a command, so a value
+    computed for one property is reused by the next.  The int64 value
+    tables of submult.vector are kept on the spf table instead
+    (SpfTable.tables), so evaluators of the same function on the same
+    sieve share them.  Since f at n^k is evaluated from n's factorization,
+    the sieve need only cover n."""
 
     def __init__(self, fn: ArithFn, table: SpfTable | None = None):
         self.fn = fn
         self.table = table
-        self._cache: dict[int, Value] = {}
-        self._powers: set[int] = set()
+        self._cache: dict[int | tuple[int, int], Value] = {}
 
-    def add_power(self, k: int) -> None:
-        """Evaluate k-th powers above the sieve limit from their base."""
-        self._powers.add(k)
-
-    def __call__(self, n: int) -> Value:
-        v = self._cache.get(n)
+    def __call__(self, n: int, k: int = 1) -> Value:
+        key = n if k == 1 else (n, k)
+        v = self._cache.get(key)
         if v is None:
-            root = self._root(n)
-            if root is None:
-                v = evaluate(self.fn, n, self.table)
-            else:
-                x, k = root
-                pairs = factorize(x, self.table).pairs
-                v = evaluate_fact(self.fn, Factorization(
-                    tuple((p, a * k) for p, a in pairs)))
-            self._cache[n] = v
+            v = self._cache[key] = evaluate(self.fn, n, self.table, k)
         return v
-
-    def _root(self, n: int) -> tuple[int, int] | None:
-        """(x, k) with x**k == n, k registered and x within the sieve, when
-        n is above the sieve limit; None otherwise."""
-        table = self.table
-        if table is None or n <= table.limit:
-            return None
-        for k in sorted(self._powers):
-            # x <= limit bounds n's bit length, so exp() cannot overflow
-            if n.bit_length() <= k * table.limit.bit_length():
-                x = round(math.exp(math.log(n) / k))
-                if x <= table.limit and x**k == n:
-                    return x, k
-        return None
 
 
 def make_prime_power_fn(name: str, rule: PrimePowerRule, *,
@@ -258,11 +231,6 @@ class Registry:
 
     def functions(self) -> list[ArithFn]:
         return [self._fns[k] for k in sorted(self._fns)]
-
-    def asserted_tags(self, name: str | None = None) -> list[PropertyTag]:
-        if name is None:
-            return list(self._asserted)
-        return [t for t in self._asserted if t.subject == name]
 
     def closed_tags(self) -> dict[str, tuple[PropertyTag, ...]]:
         """All tags per function after closing the asserted set under the

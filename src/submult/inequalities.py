@@ -53,8 +53,7 @@ from submult.local import prime_power_property, prime_power_values
 INEQUALITY_IDS = ("eq12", "eq13", "eq16", "eq20", "eq23", "corollary1")
 
 
-def verify_eq12(max_prime: int, *, use_filter: bool = True,
-                threads: int = 1) -> CheckReport:
+def verify_eq12(max_prime: int, *, use_filter: bool = True) -> CheckReport:
     """(p+1)^(p-1) < p^p, strict, for every prime p <= max_prime."""
     if max_prime < 2:
         raise UsageError("max_prime must be >= 2")
@@ -71,16 +70,33 @@ def verify_eq12(max_prime: int, *, use_filter: bool = True,
     prop = line("p", primes_upto(max_prime), compare, LT,
                 decide=decide if use_filter else None)
     return sweep_report("eq12", "(p+1)^(p-1) < p^p", {"max_prime": max_prime},
-                        prop, CheckConfig(), threads)
+                        prop, CheckConfig())
 
 
-def _below_self(fe: Evaluator, ge: Evaluator, limit: int):
-    """f(x)^g(x) vs x^x as decide(xs), for xs <= limit: the bulk log2
-    filter on f's and g's value tables over [0, limit].  None when a table
-    is missing, a base is <= 0 or an exponent is not an integer >= 0; the
-    scalar path then raises any error in place."""
-
+def _below_self(name: str, points, fe: Evaluator, ge: Evaluator, limit: int,
+                use_filter: bool) -> Property:
+    """f(x)^g(x) < x^x at each x of points, all <= limit, as a line with
+    points named name; f(x) must be positive and g(x) an integer >= 0.
+    Unless use_filter is False, the bulk log2 filter on f's and g's value
+    tables over [0, limit] decides the points first; it leaves them all to
+    the scalar path when a table is missing, a base is <= 0 or an exponent
+    is not an integer >= 0, and the scalar path then raises any error in
+    place."""
     f, g = vector.RowValues(fe, 1, limit), vector.RowValues(ge, 1, limit)
+
+    def compare(x):
+        fx = fe(x)
+        if fx <= 0:
+            raise DomainError(f"{fe.fn.name}({x}) = {fx} is not positive")
+        gx = ge(x)
+        if gx.denominator != 1 or gx < 0:
+            raise UnsupportedInputError(
+                f"{ge.fn.name}({x}) = {gx}; corollary1 needs a nonnegative "
+                "integer-valued exponent function")
+        lhs = ((fx, int(gx)),)
+        rhs = ((Fraction(x), x),)
+        order, used_exact = cmp_power_products_detail(lhs, rhs, use_filter=use_filter)
+        return order, lhs, rhs, used_exact
 
     def decide(xs):
         x = vector.Arg(xs)
@@ -93,11 +109,11 @@ def _below_self(fe: Evaluator, ge: Evaluator, limit: int):
         exps = np.asarray(gx.num, dtype=np.float64)
         return vector.power_orders([(fx.num, fx.den, exps)], [(xs, 1, xs)])
 
-    return decide
+    return line(name, points, compare, LT, decide=decide if use_filter else None)
 
 
 def verify_eq13(max_n: int, *, table: SpfTable | None = None,
-                use_filter: bool = True, threads: int = 1) -> CheckReport:
+                use_filter: bool = True) -> CheckReport:
     """sigma(n)^phi(n) < n^n, strict, for all 2 <= n <= max_n.
 
     The log filter resolves almost every n; near-ties fall back to the
@@ -110,17 +126,9 @@ def verify_eq13(max_n: int, *, table: SpfTable | None = None,
         table = build_spf_table(max_n)
     sigma = Evaluator(make_prime_power_fn("sigma", sigma_rule), table)
     phi = Evaluator(make_prime_power_fn("phi", phi_rule), table)
-
-    def compare(n):
-        lhs = ((sigma(n), int(phi(n))),)
-        rhs = ((Fraction(n), n),)
-        order, used_exact = cmp_power_products_detail(lhs, rhs, use_filter=use_filter)
-        return order, lhs, rhs, used_exact
-
-    prop = line("n", range(2, max_n + 1), compare, LT,
-                decide=_below_self(sigma, phi, max_n) if use_filter else None)
+    prop = _below_self("n", range(2, max_n + 1), sigma, phi, max_n, use_filter)
     return sweep_report("eq13", "sigma(n)^phi(n) < n^n", {"max_n": max_n}, prop,
-                        CheckConfig(), threads)
+                        CheckConfig())
 
 
 def _sigma_over_d_pp(p: int, e: int) -> Fraction:
@@ -128,7 +136,7 @@ def _sigma_over_d_pp(p: int, e: int) -> Fraction:
     return Fraction(sigma_rule(p, e), d_rule(p, e))
 
 
-def verify_eq16(max_prime: int, max_exp: int, *, threads: int = 1) -> CheckReport:
+def verify_eq16(max_prime: int, max_exp: int) -> CheckReport:
     """Mean-divisor super-multiplicativity on prime powers, non-strict:
 
         sd(p^(a+b)) >= sd(p^a) * sd(p^b),  sd = sigma/d,  a, b >= 1,
@@ -142,10 +150,10 @@ def verify_eq16(max_prime: int, max_exp: int, *, threads: int = 1) -> CheckRepor
                                 range(1, max_exp + 1))
     return sweep_report("eq16", "sd(p^(a+b)) >= sd(p^a) sd(p^b) with sd = sigma/d",
                         {"max_prime": max_prime, "max_exp": max_exp}, prop,
-                        CheckConfig(), threads)
+                        CheckConfig())
 
 
-def verify_eq20(max_ab: int, max_k: int, *, threads: int = 1) -> CheckReport:
+def verify_eq20(max_ab: int, max_k: int) -> CheckReport:
     """(a+b+1)^k >= (ka+1)(kb+1) for 0 <= a, b <= max_ab, 2 <= k <= max_k.
 
     Since d(2^e) = e + 1, this is eq18 sup for d at (m, n) = (2^a, 2^b).
@@ -160,12 +168,10 @@ def verify_eq20(max_ab: int, max_k: int, *, threads: int = 1) -> CheckReport:
                     lambda a: lambda b, k: compares[k](powers[a], powers[b]),
                     FORMULAS[K_SUP_MULT][1])
     return sweep_report("eq20", "(a+b+1)^k >= (ka+1)(kb+1)",
-                        {"max_ab": max_ab, "max_k": max_k}, prop, CheckConfig(),
-                        threads)
+                        {"max_ab": max_ab, "max_k": max_k}, prop, CheckConfig())
 
 
-def verify_eq23(max_prime: int, max_exp: int, k: int, *,
-                threads: int = 1) -> CheckReport:
+def verify_eq23(max_prime: int, max_exp: int, k: int) -> CheckReport:
     """phi(p^(a+b))^k <= p^ka * phi(p^kb) for 0 <= a, b <= max_exp: eq22
     sub for phi."""
     if max_prime < 2 or max_exp < 0 or k < 2:
@@ -175,13 +181,12 @@ def verify_eq23(max_prime: int, max_exp: int, k: int, *,
                                 range(max_exp + 1))
     return sweep_report("eq23", "phi(p^(a+b))^k <= p^ka phi(p^kb)",
                         {"max_prime": max_prime, "max_exp": max_exp, "k": k},
-                        prop, CheckConfig(), threads)
+                        prop, CheckConfig())
 
 
 def verify_corollary1(f: ArithFn, g: ArithFn, max_prime: int, max_n: int, *,
                       registry: Registry, table: SpfTable | None = None,
-                      use_filter: bool = True,
-                      threads: int = 1) -> tuple[CheckReport, CheckReport]:
+                      use_filter: bool = True) -> tuple[CheckReport, CheckReport]:
     """Seed-and-conclusion pair for the power-function scheme.
 
     Requires the hypotheses on record (f sub-multiplicative, g
@@ -199,31 +204,15 @@ def verify_corollary1(f: ArithFn, g: ArithFn, max_prime: int, max_n: int, *,
     if table is None:
         table = build_spf_table(limit)
     fe, ge = Evaluator(f, table), Evaluator(g, table)
-
-    def compare(x):
-        fx = fe(x)
-        if fx <= 0:
-            raise DomainError(f"{f.name}({x}) = {fx} is not positive")
-        gx = ge(x)
-        if gx.denominator != 1 or gx < 0:
-            raise UnsupportedInputError(
-                f"{g.name}({x}) = {gx}; corollary1 needs a nonnegative "
-                "integer-valued exponent function")
-        lhs = ((fx, int(gx)),)
-        rhs = ((Fraction(x), x),)
-        order, used_exact = cmp_power_products_detail(lhs, rhs, use_filter=use_filter)
-        return order, lhs, rhs, used_exact
-
-    decide = _below_self(fe, ge, limit) if use_filter else None
     pair = f"{f.name}^{g.name}"
     report_a = sweep_report(
         "corollary1", f"{pair}: f(p)^g(p) < p^p on primes",
         {"max_prime": max_prime, "f": f.name, "g": g.name},
-        line("p", primes_upto(max_prime), compare, LT, decide=decide),
-        CheckConfig(), threads)
+        _below_self("p", primes_upto(max_prime), fe, ge, limit, use_filter),
+        CheckConfig())
     report_b = sweep_report(
         "corollary1", f"{pair}: f(n)^g(n) < n^n",
         {"max_n": max_n, "f": f.name, "g": g.name},
-        line("n", range(2, max_n + 1), compare, LT, decide=decide),
-        CheckConfig(), threads)
+        _below_self("n", range(2, max_n + 1), fe, ge, limit, use_filter),
+        CheckConfig())
     return report_a, report_b

@@ -107,10 +107,11 @@ def _require_multiplicative(f: ArithFn) -> None:
 
 
 def prime_power_values(f: ArithFn, p: int, top: int):
-    """The powers p^0 .. p^top, and f on them as a lookup by value."""
+    """The powers p^0 .. p^top, and f on them as a lookup f(x, k=1) of f
+    at x^k by the value of x^k."""
     powers = [p**e for e in range(top + 1)]
     values = {x: evaluate_fact(f, prime_power(p, e)) for e, x in enumerate(powers)}
-    return powers, values.__getitem__
+    return powers, lambda x, k=1: values[x**k]
 
 
 def prime_power_property(f: ArithFn, family: str, k: int | None, primes,
@@ -128,8 +129,8 @@ def prime_power_property(f: ArithFn, family: str, k: int | None, primes,
     return Property(("p", "a", "b"), primes, lambda p: cols, at, FORMULAS[family][1])
 
 
-def check_local(f: ArithFn, crit: LocalCriterion, max_prime: int, max_exp: int,
-                *, threads: int = 1) -> LocalReport:
+def check_local(f: ArithFn, crit: LocalCriterion, max_prime: int,
+                max_exp: int) -> LocalReport:
     """The criterion on all primes <= max_prime and exponents
     0 <= a, b <= max_exp."""
     _require_multiplicative(f)
@@ -137,7 +138,7 @@ def check_local(f: ArithFn, crit: LocalCriterion, max_prime: int, max_exp: int,
         raise UsageError("need max_prime >= 2 and max_exp >= 0")
     prop = prime_power_property(f, crit.global_family(), crit.k,
                                 primes_upto(max_prime), range(max_exp + 1))
-    r = sweep_report(f.name, crit.label(), {}, prop, CheckConfig(), threads)
+    r = sweep_report(f.name, crit.label(), {}, prop, CheckConfig())
     return LocalReport(
         function=f.name,
         criterion=crit,
@@ -150,32 +151,28 @@ def check_local(f: ArithFn, crit: LocalCriterion, max_prime: int, max_exp: int,
     )
 
 
-def check_local_submult(f: ArithFn, direction: str, max_prime: int, max_exp: int,
-                        *, threads: int = 1) -> LocalReport:
+def check_local_submult(f: ArithFn, direction: str, max_prime: int,
+                        max_exp: int) -> LocalReport:
     """eq14: f(p^(a+b)) vs f(p^a) f(p^b)."""
-    return check_local(f, LocalCriterion(EQ14, direction), max_prime, max_exp,
-                       threads=threads)
+    return check_local(f, LocalCriterion(EQ14, direction), max_prime, max_exp)
 
 
 def check_local_k_submult(f: ArithFn, k: int, direction: str, max_prime: int,
-                          max_exp: int, *, threads: int = 1) -> LocalReport:
+                          max_exp: int) -> LocalReport:
     """eq18: f(p^(a+b))^k vs f(p^ka) f(p^kb)."""
-    return check_local(f, LocalCriterion(EQ18, direction, k), max_prime, max_exp,
-                       threads=threads)
+    return check_local(f, LocalCriterion(EQ18, direction, k), max_prime, max_exp)
 
 
-def check_local_subhom(f: ArithFn, direction: str, max_prime: int, max_exp: int,
-                       *, threads: int = 1) -> LocalReport:
+def check_local_subhom(f: ArithFn, direction: str, max_prime: int,
+                       max_exp: int) -> LocalReport:
     """eq21: f(p^(a+b)) vs p^a f(p^b)."""
-    return check_local(f, LocalCriterion(EQ21, direction), max_prime, max_exp,
-                       threads=threads)
+    return check_local(f, LocalCriterion(EQ21, direction), max_prime, max_exp)
 
 
 def check_local_k_subhom(f: ArithFn, k: int, direction: str, max_prime: int,
-                         max_exp: int, *, threads: int = 1) -> LocalReport:
+                         max_exp: int) -> LocalReport:
     """eq22: f(p^(a+b))^k vs p^ka f(p^kb)."""
-    return check_local(f, LocalCriterion(EQ22, direction, k), max_prime, max_exp,
-                       threads=threads)
+    return check_local(f, LocalCriterion(EQ22, direction, k), max_prime, max_exp)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ A grid check compares the two sides of one formula shape
 (checks.FORMULAS) at every point (m, n).  On this path the shape runs
 once per block of consecutive rows, on all of its cells at once: m is an
 Arg over a column of the block's rows and n one over the row of its
-columns, so m n, m**k and n**k are 2-D lookups in f's tables; f's values
+columns, so f at m n, m^k and n^k is a 2-D lookup in f's tables; f's values
 are Rows, int64 numerators and denominators over the block's cells, and
 each cell is decided by the sign of lnum * rden - rnum * lden.
 
@@ -398,12 +398,12 @@ def orders(lhs: Row, rhs: Row) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Arg:
-    """An argument of f at the cells of a block of rows: x**power, with x
-    an int64 array of values >= 0 that broadcasts to the block (the rows'
-    m as a column, the columns' n as a row or, on a coprime grid, a block,
-    or their products m n).  The formula shapes multiply and raise Args
-    and multiply Rows by them; x**power is never formed as an index but
-    looked up at x in a power table."""
+    """An argument of f at the cells of a block of rows: an int64 array x
+    of values >= 0 that broadcasts to the block (the rows' m as a column,
+    the columns' n as a row or, on a coprime grid, a block, or their
+    products m n).  The formula shapes multiply Args, take f at them, f(x)
+    or f(x, k) for f at x^k, and multiply Rows by them.  x**power is only
+    the factor m^k of the k-hom shape; f is never taken at it."""
 
     __slots__ = ("x", "power")
 
@@ -436,19 +436,19 @@ class Arg:
 
 class RowValues:
     """f as the formula shapes call it on a block of rows of a max_m x
-    max_n grid: at an Arg, the values at its cells, bounded in each row by
-    the largest of them.  The tables are built on first use: f over
-    [0, max_m max_n], which holds every product m n, and f at x^k over
-    [0, max(max_m, max_n)], for the powers m^k and n^k."""
+    max_n grid: at an Arg x, the values of f at x^k at its cells, bounded
+    in each row by the largest of them.  The tables are built on first use:
+    f over [0, max_m max_n], which holds every product m n, and f at x^k
+    over [0, max(max_m, max_n)], for the powers m^k and n^k."""
 
     def __init__(self, ev: Evaluator, max_m: int, max_n: int):
         self.ev, self.limit, self.count = ev, max_m * max_n, max(max_m, max_n)
 
-    def __call__(self, x: Arg) -> Row:
-        if x.power == 1:
+    def __call__(self, x: Arg, k: int = 1) -> Row:
+        if k == 1:
             table = value_table(self.ev, self.limit)
         else:
-            table = power_table(self.ev, x.power, self.count)
+            table = power_table(self.ev, k, self.count)
         if table is None:
             raise Unproven
         num, den = table

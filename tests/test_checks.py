@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from submult.checks import (
@@ -14,12 +16,13 @@ from submult.checks import (
     check_subhom,
     check_submult,
     classify,
+    reports_for_tag,
     run_property_check,
 )
 from submult.core import build_spf_table
 from submult.errors import ResourceError, UnsupportedInputError, UsageError
 from submult.functions import POWER, combine, evaluate
-from submult.inference import PropertySpec
+from submult.inference import K_SUP_MULT, SUB_MULT, PropertySpec, PropertyTag
 from submult.report import report_to_json
 
 CFG10 = CheckConfig(max_m=10, max_n=10)
@@ -246,22 +249,32 @@ def _scrub(report_dict):
     return report_dict
 
 
-def test_reports_identical_across_thread_counts(registry, table_10k):
-    cfg = CheckConfig(max_m=60, max_n=60)
-    fn = registry.get("d")
-    one = check_submult(fn, SUP, cfg, table_10k, threads=1)
-    many = check_submult(fn, SUP, cfg, table_10k, threads=4)
-    assert _scrub(report_to_json(one)) == _scrub(report_to_json(many))
-
-
 def test_stop_at_first_row_semantics(registry, table_10k):
     cfg = CheckConfig(max_m=10, max_n=10, stop_at_first=True)
-    r1 = check_submult(registry.get("d"), SUP, cfg, table_10k, threads=1)
-    r4 = check_submult(registry.get("d"), SUP, cfg, table_10k, threads=4)
-    assert _scrub(report_to_json(r1)) == _scrub(report_to_json(r4))
+    r = check_submult(registry.get("d"), SUP, cfg, table_10k)
+    full = check_submult(registry.get("d"), SUP,
+                         dataclasses.replace(cfg, stop_at_first=False), table_10k)
     # stops at the end of the first refuting row (m = 2)
-    assert r1.pairs_checked == 20
-    assert all(cex["m"] == 2 for cex in r1.counterexamples)
+    assert r.verdict == REFUTED
+    assert r.pairs_checked == 20
+    assert all(cex["m"] == 2 for cex in r.counterexamples)
+    # with every counterexample of that row the full sweep lists
+    assert r.counterexamples == [c for c in full.counterexamples if c["m"] == 2]
+
+
+def test_reports_for_tag_ignores_threads(registry, table_10k):
+    """The benchmark's worker passes threads= to reports_for_tag, for
+    power combinators and the other tags alike; it changes no report."""
+    cfg = CheckConfig(max_m=12, max_n=12, k_set=(2, 3))
+    power = combine(POWER, (registry.get("sigma"), registry.get("identity")),
+                    name="sigma^identity")
+    for fn, tag in ((power, PropertyTag(power.name, SUB_MULT)),
+                    (registry.get("d"), PropertyTag("d", K_SUP_MULT))):
+        with_threads = reports_for_tag(fn, tag, cfg, table_10k, threads=2)
+        without = reports_for_tag(fn, tag, cfg, table_10k)
+        assert len(with_threads) == (1 if fn is power else 2)
+        assert ([_scrub(report_to_json(r)) for r in with_threads]
+                == [_scrub(report_to_json(r)) for r in without])
 
 
 def test_counterexample_cap(registry, table_10k):

@@ -224,7 +224,7 @@ def test_shared_formulas_agree(registry, case):
         # eq14 sup on the registry's sigma_over_d, at a, b >= 1
         prop = prime_power_property(registry.get("sigma_over_d"), SUP_MULT, None,
                                     primes_upto(30), range(1, 7))
-        eq14 = sweep_report("sigma_over_d", "eq14:sup", {}, prop, CheckConfig(), 1)
+        eq14 = sweep_report("sigma_over_d", "eq14:sup", {}, prop, CheckConfig())
         assert _outcome(ineq, ineq.pairs_checked) == _outcome(eq14, eq14.pairs_checked)
     else:
         name = case.split("-")[1]

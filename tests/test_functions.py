@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from submult.core import factorize
+from submult.core import build_spf_table, factorize
 from submult.errors import DomainError, InvariantViolation, UsageError
 from submult.functions import (
     POWER,
@@ -134,6 +134,22 @@ def test_evaluator_caches(registry, table_10k):
     assert ev(100) == 217
     assert ev(100) == 217
     assert 100 in ev._cache
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_values_at_powers_come_from_the_base(registry, name):
+    """evaluate(f, n, table, k) is f at n^k, from n's factorization on the
+    sieve where it covers n and by trial division beyond it; an Evaluator
+    keeps f(n) and f(n^k) apart in its cache."""
+    f = registry.get(name)
+    table = build_spf_table(50)
+    for n in (1, 2, 12, 49, 50, 51, 97, 360):
+        for k in (1, 2, 3):
+            assert evaluate(f, n, table, k) == evaluate(f, n**k)
+    ev = Evaluator(f, table)
+    assert (ev(12, 2), ev(12), ev(144)) == (evaluate(f, 144), evaluate(f, 12),
+                                            evaluate(f, 144))
+    assert set(ev._cache) == {(12, 2), 12, 144}
 
 
 def test_registry_errors(registry):

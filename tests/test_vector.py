@@ -324,13 +324,13 @@ def test_rows_are_bounded_by_their_own_values(table_1m, fn, k, max_m, max_n, dat
     coprime = vector.Arg(np.where(np.gcd(ms, ns) == 1, ns, 1))
     ev = Evaluator(fn, table_1m)
     f = vector.RowValues(ev, max_m, max_n)
-    looked_up = [(x, vector.value_table(ev, max_m * max_n))
+    looked_up = [(x, 1, vector.value_table(ev, max_m * max_n))
                  for x in (m * n, m * coprime, m, n)]
-    looked_up += [(x**k, vector.power_table(ev, k, max(max_m, max_n))) for x in (m, n)]
-    for x, table in looked_up:
+    looked_up += [(x, k, vector.power_table(ev, k, max(max_m, max_n))) for x in (m, n)]
+    for x, power, table in looked_up:
         if table is None:
             continue
-        row = f(x)
+        row = f(x, power)
         top = np.max(x.x, axis=-1, keepdims=True)
         for values, bits, column in ((row.num, row.nbits, table[0]),
                                      (row.den, row.dbits, table[1])):
