@@ -27,12 +27,13 @@ submult.inequalities, each a line of one row) run a padded log2 filter
 over the block in numpy and leave ties and near-ties undecided; the
 cross-power checks then settle in numpy the cells whose sides normalize
 to the same factors and the exact ties that fit int64 and the digit
-budget (vector.cross_power_ties).  The sweep then visits the block's rows
+budget (vector.cross_power_ties).  The local criteria (submult.local)
+and eq16, eq20 and eq23 run the formula shape on a block of primes, or of
+exponents, on exact Python ints.  The sweep then visits the block's rows
 in order: undecided cells, rows the vector path cannot take and functions
 without an int64 value table go to the scalar path, which is also what
 recomputes a decided row's counterexamples up to the cap, so reports do
-not depend on the path.  The local criteria and the identity bounds are
-scalar.
+not depend on the path.  Only the identity bounds are scalar.
 """
 
 from __future__ import annotations

@@ -16,6 +16,10 @@ range as one row: vector.power_orders decides the points in bulk from
 int64 value tables of the functions, and only the points it leaves
 undecided reach the scalar cmp_power_products_detail.  use_filter=False
 turns off both filters, so every point takes the exact path.
+
+eq16, eq20 and eq23 are local criteria at prime powers, decided as
+submult.local decides them: in blocks, on exact Python ints, from one
+table of f(p^e) per prime.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from submult import vector
+from submult import core, vector
 from submult.checks import (
     FORMULAS,
     LT,
@@ -34,6 +38,7 @@ from submult.checks import (
     formula,
     line,
     sweep_report,
+    vector_formula,
 )
 from submult.core import (
     SpfTable,
@@ -48,7 +53,13 @@ from submult.core import (
 from submult.errors import DomainError, UnsupportedInputError, UsageError
 from submult.functions import ArithFn, Evaluator, Registry, make_prime_power_fn
 from submult.inference import K_SUB_HOM, K_SUP_MULT, SUB_HOM, SUB_MULT, SUP_MULT
-from submult.local import prime_power_property, prime_power_values
+from submult.local import (
+    cell_bytes,
+    power_values,
+    prime_power_lookup,
+    prime_power_property,
+    prime_power_table,
+)
 
 INEQUALITY_IDS = ("eq12", "eq13", "eq16", "eq20", "eq23", "corollary1")
 
@@ -161,12 +172,28 @@ def verify_eq20(max_ab: int, max_k: int) -> CheckReport:
     if max_ab < 0 or max_k < 2:
         raise UsageError("need max_ab >= 0 and max_k >= 2")
     d = make_prime_power_fn("d", d_rule)
-    powers, values = prime_power_values(d, 2, max_k * max_ab)
-    compares = {k: formula(K_SUP_MULT, k, values) for k in range(2, max_k + 1)}
-    cols = [(b, k) for b in range(max_ab + 1) for k in compares]
+    ks = range(2, max_k + 1)
+    values = prime_power_table(d, 2, max_k * max_ab)
+    lookup = prime_power_lookup(2, values)
+    compares = {k: formula(K_SUP_MULT, k, lookup) for k in ks}
+    block_values = power_values([values])
+    decides = [vector_formula(K_SUP_MULT, k, block_values) for k in ks]
+    two = np.array(2, dtype=object)
+    bs = vector.PowerArg(np.arange(max_ab + 1)[None, :], two)
+    row_bytes = (max_ab + 1) * cell_bytes(block_values, max_k, [2])[0]
+
+    def decide(rows):
+        # one k at a time, at the block's cells (a, b), then in (b, k) order
+        if len(rows) * row_bytes > core.memory_budget():
+            return [None] * len(rows)
+        a = vector.PowerArg(np.array(rows)[:, None], two)
+        orders = np.stack([decide_k(a, bs)[0] for decide_k in decides], axis=-1)
+        return list(orders.reshape(len(rows), -1))
+
+    cols = [(b, k) for b in range(max_ab + 1) for k in ks]
     prop = Property(("a", "b", "k"), range(max_ab + 1), lambda a: cols,
-                    lambda a: lambda b, k: compares[k](powers[a], powers[b]),
-                    FORMULAS[K_SUP_MULT][1])
+                    lambda a: lambda b, k: compares[k](2**a, 2**b),
+                    FORMULAS[K_SUP_MULT][1], vector=decide)
     return sweep_report("eq20", "(a+b+1)^k >= (ka+1)(kb+1)",
                         {"max_ab": max_ab, "max_k": max_k}, prop, CheckConfig())
 

@@ -14,12 +14,23 @@ so it is swept from the same formula table as the global check.  For
 eq14 the implication is an equivalence (take m = p^a, n = p^b); for the
 others only the local-to-global direction is established, and the
 bridge checks only that direction.
+
+A sweep reads f from one table per prime, f(p^e) for e in 0..top.  It
+decides a block of primes at once by the formula shape on exact Python
+ints (vector.PowerArg, vector.PowerValues), indexed by exponent: m n is
+a + b and f at m^k is entry k a.  The scalar path reads the same table as
+Fractions, stays the oracle and recomputes the counterexamples' sides.
+eq16, eq20 and eq23 (submult.inequalities) are swept the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
+import numpy as np
+
+from submult import core, vector
 from submult.checks import (
     FORMULAS,
     HOLDS,
@@ -29,8 +40,9 @@ from submult.checks import (
     Property,
     formula,
     sweep_report,
+    vector_formula,
 )
-from submult.core import prime_power, primes_upto, trial_factorize
+from submult.core import Value, prime_power, primes_upto, trial_factorize
 from submult.errors import InconsistencyError, UsageError
 from submult.functions import ArithFn, evaluate_fact
 from submult.inference import (
@@ -106,27 +118,85 @@ def _require_multiplicative(f: ArithFn) -> None:
         )
 
 
-def prime_power_values(f: ArithFn, p: int, top: int):
-    """The powers p^0 .. p^top, and f on them as a lookup f(x, k=1) of f
-    at x^k by the value of x^k."""
-    powers = [p**e for e in range(top + 1)]
-    values = {x: evaluate_fact(f, prime_power(p, e)) for e, x in enumerate(powers)}
-    return powers, lambda x, k=1: values[x**k]
+def prime_power_table(f: ArithFn, p: int, top: int) -> list[Value]:
+    """f(p^e) for e in 0..top, exactly."""
+    return [evaluate_fact(f, prime_power(p, e)) for e in range(top + 1)]
+
+
+def prime_power_lookup(p: int, values: list[Value]) -> Callable[..., Value]:
+    """f as the formula shapes call it, f(x, k=1) at x^k, on the powers
+    x = p^e, from values[e] = f(p^e) (see checks.formula)."""
+    exponent = {p**e: e for e in range(len(values))}
+    return lambda x, k=1: values[k * exponent[x]]
+
+
+def power_values(tables: list[list[Value]]) -> vector.PowerValues:
+    """The prime_power_table of each row of a block, as a
+    vector.PowerValues."""
+    def part(name):
+        return np.array([[getattr(v, name) for v in t] for t in tables], dtype=object)
+
+    return vector.PowerValues(part("numerator"), part("denominator"))
+
+
+_TEMPS = 8  # object arrays over a block's cells alive at once while it is decided
+
+
+def cell_bytes(values: vector.PowerValues, k: int | None, primes: list[int]) -> list[int]:
+    """A bound on the bytes the block path holds per cell of each row of
+    values, f(p^e) for e in 0..top at the row's prime p, while it decides
+    the row at exponent k: _TEMPS Python ints, each with a pointer and a
+    header, of at most (k + 2) B + top log2(p) + 1 bits, where the row's
+    values have at most B bits and the multiplier m^k = p^(k a) of the
+    hom shapes is at most p^top."""
+    tops = np.maximum(np.abs(values.num), values.den).max(axis=1)
+    top = values.num.shape[1] - 1
+    return [_TEMPS * (40 + (((k or 1) + 2) * t.bit_length() + top * p.bit_length() + 1) // 7)
+            for t, p in zip(tops.tolist(), primes)]
 
 
 def prime_power_property(f: ArithFn, family: str, k: int | None, primes,
                          exps: range) -> Property:
     """The family's formula at (m, n) = (p^a, p^b) for p in primes and
-    a, b in exps, with points named (p, a, b)."""
+    a, b in exps, with points named (p, a, b).
+
+    A block of primes is decided at once (Property.vector) by the formula
+    shape on exact Python ints (vector.PowerValues), from f's table on
+    p^0 .. p^top at each prime, up to the first prime whose table cannot
+    be built: its rule raises or a divisor is zero, and the scalar path
+    raises the same error at that prime.  That row and the rows after it
+    are left to the scalar path, and so are the rows from the first whose
+    bytes (cell_bytes), with the rows before it, would exceed the memory
+    budget: the scalar path holds one cell at a time."""
     top = exps[-1] * (2 if k is None else max(2, k))
+    a = np.repeat(np.array(exps), len(exps))[None, :]
+    b = np.tile(np.array(exps), len(exps))[None, :]
+    cols = list(zip(a[0].tolist(), b[0].tolist()))
 
     def at(p):
-        powers, values = prime_power_values(f, p, top)
-        compare = formula(family, k, values)
-        return lambda a, b: compare(powers[a], powers[b])
+        compare = formula(family, k, prime_power_lookup(p, prime_power_table(f, p, top)))
+        return lambda a, b: compare(p**a, p**b)
 
-    cols = [(a, b) for a in exps for b in exps]
-    return Property(("p", "a", "b"), primes, lambda p: cols, at, FORMULAS[family][1])
+    def decide(rows):
+        tables = []
+        for p in rows:
+            try:
+                tables.append(prime_power_table(f, p, top))
+            except Exception:  # the scalar path raises it at p
+                break
+        if not tables:
+            return [None] * len(rows)
+        values = power_values(tables)
+        needs = np.cumsum([len(cols) * size for size in cell_bytes(values, k, rows)])
+        count = int((needs <= core.memory_budget()).sum())
+        ps = np.array(rows[:count], dtype=object)[:, None]
+        block = vector.PowerValues(values.num[:count], values.den[:count])
+        orders, _ = vector_formula(family, k, block)(vector.PowerArg(a, ps),
+                                                     vector.PowerArg(b, ps))
+        return [*orders, *[None] * (len(rows) - count)]
+
+    return Property(("p", "a", "b"), primes, lambda p: cols, at,
+                    FORMULAS[family][1], vector=decide)
 
 
 def check_local(f: ArithFn, crit: LocalCriterion, max_prime: int,

@@ -48,6 +48,13 @@ gcd, exact ties within the digit budget (TIE, which the sweep counts as
 an exact fallback, as the scalar path would).  What is left, near-ties,
 ties beyond int64 or the budget and every UNDECIDED cell of eq12, eq13
 and corollary1, goes to the scalar comparison.
+
+The prime-power sweeps (submult.local, and eq16, eq20 and eq23) run the
+same formula shapes on rows indexed by exponent: a PowerArg holds the
+exponents e of its cells and the rows' primes p, and PowerValues reads f
+at p^(k e) from one table of f(p^e) per prime.  Those tables hold exact
+Python ints in numpy object arrays, which never wrap, so their Rows carry
+bounds of 0 and orders() proves every row.
 """
 
 from __future__ import annotations
@@ -385,7 +392,7 @@ class Row:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> Row:
-        if k > BITS:  # dbits >= 1, so no row's bound holds
+        if k > BITS and np.min(self.dbits) >= 1:  # then no int64 row's bound holds
             raise Unproven
         return Row(self.num**k, self.den**k, k * self.nbits, k * self.dbits)
 
@@ -394,7 +401,7 @@ def orders(lhs: Row, rhs: Row) -> tuple[np.ndarray, np.ndarray]:
     """-1, 0 or 1 at each cell as lhs <, = or > rhs, and at each row
     whether the bounds prove its orders exact."""
     exact = (lhs.nbits + rhs.dbits <= BITS) & (rhs.nbits + lhs.dbits <= BITS)
-    return np.sign(lhs.num * rhs.den - rhs.num * lhs.den), exact
+    return np.sign(lhs.num * rhs.den - rhs.num * lhs.den).astype(np.int8), exact
 
 
 class Arg:
@@ -457,6 +464,52 @@ class RowValues:
             return Row(num, _ONE, _row_bits(num), 1)
         den = den[x.x]
         return Row(num, den, _row_bits(num), _row_bits(den))
+
+
+class PowerArg(Arg):
+    """An argument p^e of f at the cells of a block of rows of prime
+    powers: x is an int64 array of exponents e that broadcasts to the
+    block, and p the rows' primes, an object array of Python ints that
+    broadcasts to it (a column, or one prime for every row).  m n is
+    p^(a+b), and f(x, k) reads f at p^(k e); values(), the multiplier m or
+    m^k of the hom shapes, is p^(power e) in Python ints, so bits() is 0."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, x, p, power: int = 1):
+        super().__init__(x, power)
+        self.p = p
+
+    def __mul__(self, other):
+        if isinstance(other, PowerArg) and self.power == other.power == 1:
+            return PowerArg(self.x + other.x, self.p)
+        return NotImplemented
+
+    def __pow__(self, k: int) -> PowerArg:
+        return PowerArg(self.x, self.p, self.power * k)
+
+    def values(self) -> np.ndarray:
+        return self.p ** (self.power * self.x)
+
+    def bits(self) -> int:
+        return 0
+
+
+class PowerValues:
+    """f as the formula shapes call it on a block of rows of prime powers:
+    at a PowerArg x, f at p^(k e) at its cells, read from the tables num
+    and den, numpy object arrays of the exact numerators and denominators
+    of f(p^e) at [r, e] for the block's r-th prime (or one prime for every
+    row).  Python ints never wrap, so its Rows carry bounds of 0 and
+    orders() proves every row."""
+
+    def __init__(self, num: np.ndarray, den: np.ndarray):
+        self.num, self.den = num, den
+        self.rows = np.arange(len(num))[:, None]
+
+    def __call__(self, x: PowerArg, k: int = 1) -> Row:
+        at = (self.rows, k * x.x)
+        return Row(self.num[at], self.den[at], 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -81,14 +81,33 @@ def test_benchmark_tracer_wraps_and_restores_every_traced_name(capsys):
     # corollary1
     assert totals["checks.sweep"]["calls"] == 5
     assert totals["checks.sweep"]["points"] == 4 * 9 + 36 + 49 + 4 + 9
-    # the global pairs are decided in int64; only their counterexamples'
-    # sides are recomputed with Fractions
-    global_cex = len(bridged[1]["counterexamples"])
-    assert totals["core.cmp_values"]["calls"] == 4 * 9 + global_cex
+    # the local triples are decided on exact Python ints and the global
+    # pairs in int64; only their counterexamples' sides are recomputed
+    # with Fractions
+    local_cex, global_cex = (len(r["counterexamples"]) for r in bridged[:2])
+    assert totals["core.cmp_values"]["calls"] == local_cex + global_cex
     # the vector log2 filter decides every eq13 point; only the cells it
     # leaves undecided, here the corollary1 ties, reach the scalar comparison
     assert totals["core.cmp_power"]["calls"] == 4 + 9
     assert totals["core.factorize"]["calls"] > 0
+
+
+@pytest.mark.parametrize("direction", ["sup", "sub"])
+def test_local_criteria_are_decided_in_bulk(capsys, monkeypatch, direction):
+    # the benchmark's local command, and its refuted converse: only the
+    # sides of the counterexamples the reports list reach cmp_values
+    calls = []
+
+    def counting(x, y, cmp_values=checks.cmp_values):
+        calls.append((x, y))
+        return cmp_values(x, y)
+
+    monkeypatch.setattr(checks, "cmp_values", counting)
+    main(["local", "sigma", "eq21", direction, "--bridge", "--max-prime", "100",
+          "--max-exp", "12", "--max-m", "120", "--max-n", "120", "--json"])
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert reports[0]["triples_checked"] == 25 * 13 * 13
+    assert len(calls) == sum(len(r["counterexamples"]) for r in reports[:2])
 
 
 # --- sieve limit ---------------------------------------------------------------

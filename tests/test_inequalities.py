@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from submult import core, inequalities
 from submult.core import (
     LESS,
     build_spf_table,
@@ -114,6 +115,33 @@ def test_eq20_hand_value_and_sweep():
     r = verify_eq20(50, 6)
     assert r.holds
     assert r.pairs_checked == 51 * 51 * 5
+
+
+def _eq20_property(monkeypatch, max_ab, max_k):
+    props = []
+    monkeypatch.setattr(inequalities, "sweep_report", lambda *args: props.append(args[3]))
+    verify_eq20(max_ab, max_k)
+    return props[0]
+
+
+@pytest.mark.parametrize("rows", [[0], [0, 1, 2], list(range(13))])
+def test_eq20_block_orders_are_the_scalar_orders(monkeypatch, rows):
+    # every k of a block, back in (b, k) column order
+    prop = _eq20_property(monkeypatch, 12, 5)
+    decided = prop.vector(rows)
+    assert len(decided) == len(rows)
+    for row, orders in zip(rows, decided):
+        compare = prop.at(row)
+        assert orders.tolist() == [compare(*col)[0] for col in prop.cols(row)]
+
+
+def test_eq20_blocks_beyond_the_memory_budget_go_to_the_scalar_path(monkeypatch):
+    fast = verify_eq20(12, 5)
+    monkeypatch.setattr(core, "memory_budget", lambda: 0)
+    slow = verify_eq20(12, 5)
+    assert (fast.verdict, fast.pairs_checked) == (slow.verdict, slow.pairs_checked)
+    assert all(orders is None
+               for orders in _eq20_property(monkeypatch, 12, 5).vector([0, 1]))
 
 
 # --- eq23 --------------------------------------------------------------------

@@ -1,19 +1,35 @@
+import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from submult import checks, core
 from submult.checks import REFUTED, SUB, SUP, CheckConfig, CheckReport, check_submult
 from submult.core import build_spf_table, prime_power, primes_upto
-from submult.errors import InconsistencyError, UsageError
-from submult.functions import evaluate_fact
+from submult.errors import DomainError, InconsistencyError, UsageError
+from submult.functions import (
+    QUOTIENT,
+    builtin_registry,
+    combine,
+    evaluate_fact,
+    make_prime_power_fn,
+)
 from submult.local import (
+    CRITERIA,
     LocalCriterion,
     bridge_consistency,
+    cell_bytes,
     check_local,
     check_local_k_subhom,
     check_local_k_submult,
     check_local_subhom,
     check_local_submult,
+    power_values,
+    prime_power_property,
+    prime_power_table,
 )
 
 
@@ -243,3 +259,134 @@ def test_bridge_ignores_uncovered_counterexamples(registry):
         "d", "sub-mult", REFUTED,
         [Counterexample((("m", 7), ("n", 7)), Fraction(3), Fraction(4))])
     assert bridge_consistency(d, crit, local, fake).consistent
+
+
+# --- the block path against the scalar path ---------------------------------
+
+BLOCK_FUNCTIONS = [f for f in builtin_registry().functions() if f.is_multiplicative] + [
+    make_prime_power_fn(
+        "mean-divisor-rule", lambda p, a: Fraction(p ** (a + 1) - 1, (p - 1) * (a + 1))),
+    make_prime_power_fn("negative-at-3",
+                        lambda p, a: (-1 if p == 3 else 1) * (p**a + a) if a else 1,
+                        positive=False),
+]
+
+
+def _raising_at(p0, a0):
+    """p^a + 1, except that its rule raises at p0^a for every a >= a0."""
+    def rule(p, a):
+        if p == p0 and a >= a0:
+            raise DomainError(f"undefined at {p}^{a}")
+        return p**a + 1 if a else 1
+    return make_prime_power_fn(f"raising-at-{p0}^{a0}", rule)
+
+
+def _zero_divisor_at(p0, a0):
+    """sigma over a rule that is 0 at p0^a0: its table has a zero divisor."""
+    zero = make_prime_power_fn(
+        f"zero-at-{p0}^{a0}", lambda p, a: 0 if (p, a) == (p0, a0) else a + 1)
+    return combine(QUOTIENT, (builtin_registry().get("sigma"), zero))
+
+
+def _property(fn, criterion, direction, k, max_prime, max_exp):
+    crit = LocalCriterion(criterion, direction, k if criterion in ("eq18", "eq22") else None)
+    return prime_power_property(fn, crit.global_family(), crit.k,
+                                primes_upto(max_prime), range(max_exp + 1))
+
+
+def _decided(prop, rows):
+    return [orders is not None for orders in prop.vector(rows)]
+
+
+def _outcome_or_error(prop, cfg):
+    """The sweep's outcome, or the type and message of its error and the
+    last row whose compare closure it asked for."""
+    rows = []
+
+    def at(row):
+        rows.append(row)
+        return prop.at(row)
+
+    try:
+        verdict, cex, checked, stats = checks._sweep(dataclasses.replace(prop, at=at), cfg, 1)
+    except Exception as err:
+        return type(err), str(err), rows[-1]
+    return verdict, [(c.point, c.lhs, c.rhs) for c in cex], checked, stats
+
+
+@settings(max_examples=300, deadline=None)
+@given(fn=st.one_of(st.sampled_from(BLOCK_FUNCTIONS),
+                    st.builds(_raising_at, st.sampled_from([2, 3, 5]), st.integers(1, 6)),
+                    st.builds(_zero_divisor_at, st.sampled_from([2, 3, 5]),
+                              st.integers(1, 6))),
+       criterion=st.sampled_from(CRITERIA), direction=st.sampled_from(["sub", "sup"]),
+       k=st.sampled_from([2, 3, 4]), max_prime=st.integers(2, 40),
+       max_exp=st.integers(0, 6), cap=st.integers(1, 10), whole=st.booleans())
+def test_block_path_matches_the_scalar_path(fn, criterion, direction, k, max_prime,
+                                            max_exp, cap, whole):
+    """Blocks of one row and of the whole sweep: the same verdict,
+    counterexamples and counts as the scalar sweep, or the same error at
+    the same row."""
+    prop = _property(fn, criterion, direction, k, max_prime, max_exp)
+    cfg = CheckConfig(counterexample_cap=cap)
+    cells = len(primes_upto(max_prime)) * (max_exp + 1) ** 2 if whole else 1
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(checks, "_CELLS", cells)
+        fast = _outcome_or_error(prop, cfg)
+    assert fast == _outcome_or_error(dataclasses.replace(prop, vector=None), cfg)
+
+
+@pytest.mark.parametrize("fn", [_raising_at(5, 2), _zero_divisor_at(5, 2)],
+                         ids=lambda fn: fn.name)
+def test_a_table_that_cannot_be_built_raises_where_the_scalar_path_does(fn):
+    prop = _property(fn, "eq14", "sub", None, 11, 2)
+    # the rows before 5 are decided; 5 and every row after it are left
+    assert _decided(prop, [2, 3, 5, 7, 11]) == [True, True, False, False, False]
+    fast = _outcome_or_error(prop, CheckConfig())
+    assert fast[:2] == (DomainError, str(pytest.raises(DomainError, evaluate_fact, fn,
+                                                       prime_power(5, 2)).value))
+    assert fast == _outcome_or_error(dataclasses.replace(prop, vector=None), CheckConfig())
+
+
+def test_rows_beyond_the_memory_budget_go_to_the_scalar_path(registry, monkeypatch):
+    sigma = registry.get("sigma")
+    prop = _property(sigma, "eq22", "sup", 3, 7, 4)
+    scalar = _outcome_or_error(dataclasses.replace(prop, vector=None), CheckConfig())
+    # room for the rows of 2 and 3 only
+    tables = [prime_power_table(sigma, p, 12) for p in (2, 3)]
+    need = 25 * sum(cell_bytes(power_values(tables), 3, [2, 3]))
+    monkeypatch.setattr(core, "memory_budget", lambda: need)
+    assert _decided(prop, [2, 3, 5, 7]) == [True, True, False, False]
+    assert _outcome_or_error(prop, CheckConfig()) == scalar
+    monkeypatch.setattr(core, "memory_budget", lambda: 0)
+    assert _decided(prop, [2, 3, 5, 7]) == [False] * 4
+    assert _outcome_or_error(prop, CheckConfig()) == scalar
+
+
+@pytest.mark.parametrize("name", ["d", "sigma", "sigma_over_d", "n_over_phi"])
+@pytest.mark.parametrize("criterion, k, max_exp", [
+    ("eq14", None, 12), ("eq21", None, 12), ("eq18", 4, 12), ("eq22", 3, 30)])
+def test_the_memory_estimate_bounds_the_block(registry, name, criterion, k, max_exp):
+    fn, primes = registry.get(name), primes_upto(50)
+    prop = _property(fn, criterion, "sup", k, 50, max_exp)
+    top = max_exp * (k or 2)
+    values = power_values([prime_power_table(fn, p, top) for p in primes])
+    need = (max_exp + 1) ** 2 * sum(cell_bytes(values, k, primes))
+    tracemalloc.start()
+    try:
+        decided = prop.vector(primes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(orders is not None for orders in decided) and 0 < peak <= need
+
+
+def test_large_k_is_decided_on_the_block_path(registry, monkeypatch):
+    # k > 62 is past every int64 bound, not past Python ints
+    prop = _property(registry.get("sigma"), "eq18", "sup", 70, 7, 2)
+    assert all(_decided(prop, [2, 3, 5, 7]))
+    compared = []
+    monkeypatch.setattr(checks, "cmp_values",
+                        lambda x, y, cmp=checks.cmp_values: compared.append(1) or cmp(x, y))
+    report = check_local(registry.get("sigma"), LocalCriterion("eq18", "sup", 70), 7, 2)
+    assert report.holds and not compared
