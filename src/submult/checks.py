@@ -21,7 +21,8 @@ that decides a block of consecutive rows, of at most _CELLS cells, at
 once.  The global families (check, classify, the global half of local
 --bridge, reports_for_tag) run the same formula shape once per block on
 int64 numerators and denominators of all its cells, and decide each row
-whose bit-length bounds prove every product below 2**62.  The power
+whose bit-length bounds prove every product below 2**62; the identity
+bounds do the same on a line, f(n) against n.  The power
 comparisons (the cross-power checks here, eq12, eq13 and corollary1 in
 submult.inequalities, each a line of one row) run a padded log2 filter
 over the block in numpy and leave ties and near-ties undecided; the
@@ -29,11 +30,13 @@ cross-power checks then settle in numpy the cells whose sides normalize
 to the same factors and the exact ties that fit int64 and the digit
 budget (vector.cross_power_ties).  The local criteria (submult.local)
 and eq16, eq20 and eq23 run the formula shape on a block of primes, or of
-exponents, on exact Python ints.  The sweep then visits the block's rows
-in order: undecided cells, rows the vector path cannot take and functions
-without an int64 value table go to the scalar path, which is also what
-recomputes a decided row's counterexamples up to the cap, so reports do
-not depend on the path.  Only the identity bounds are scalar.
+exponents, on exact Python ints.  The sweep tallies a block's points,
+failures and exact ties in numpy, and visits in Python, in order, only
+the rows that hold an undecided cell or, while fewer than the cap are
+held, a failing one: undecided cells, rows the vector path cannot prove
+and functions without an int64 value table go to the scalar path, which
+is also what recomputes a decided row's counterexamples up to the cap,
+so reports do not depend on the path.
 """
 
 from __future__ import annotations
@@ -92,15 +95,23 @@ EQ = "eq"  # lhs == rhs
 LT = "lt"  # lhs < rhs
 
 _PASSING = {SUB: (LESS, EQUAL), SUP: (EQUAL, GREATER), EQ: (EQUAL,), LT: (LESS,)}
-# relation -> whether order LESS, EQUAL, GREATER, vector.UNDECIDED or
-# vector.TIE fails it, indexed by order + 1 (a TIE fails as EQUAL does);
-# _VISIT marks the orders the sweep calls compare at, the failing ones and
-# vector.UNDECIDED (at index 3)
-_FAILS = {rel: (*(o not in ok for o in (LESS, EQUAL, GREATER)), False, EQUAL not in ok)
+
+GAP = 4  # a cell of Decided.cells that is no point of its row
+_ORDERS = GAP + 2  # the orders a cell can hold, indexed by order + 1
+# relation -> whether order LESS, EQUAL, GREATER, vector.UNDECIDED,
+# vector.TIE or GAP fails it, indexed by order + 1 (a TIE fails as EQUAL
+# does); _VISIT marks the orders the sweep calls compare at, the failing
+# ones and vector.UNDECIDED
+_FAILS = {rel: np.array([o not in ok for o in (LESS, EQUAL, GREATER)]
+                        + [False, EQUAL not in ok, False])
           for rel, ok in _PASSING.items()}
-_UNDECIDED_ONLY = np.array([False, False, False, True, False])
-_ORDERS = len(_UNDECIDED_ONLY)
-_VISIT = {rel: np.array(fails) | _UNDECIDED_ONLY for rel, fails in _FAILS.items()}
+_UNDECIDED_ONLY = np.arange(_ORDERS) == vector.UNDECIDED + 1
+_VISIT = {rel: fails | _UNDECIDED_ONLY for rel, fails in _FAILS.items()}
+# relation -> the points, failures and TIEs among cells, from the number
+# of cells at each order + 1
+_TALLY = {rel: np.array([np.arange(_ORDERS) != GAP + 1, fails,
+                         np.arange(_ORDERS) == vector.TIE + 1], dtype=np.int64)
+          for rel, fails in _FAILS.items()}
 
 
 @dataclass(frozen=True)
@@ -162,12 +173,38 @@ class CheckReport:
 
 # compare(*col) -> (order of lhs against rhs, lhs, rhs, exact fallback ran)
 Compare = Callable[..., tuple[int, object, object, bool]]
-# decide(rows) -> for each of a block of rows, the order at each col of
-# cols(row), vector.UNDECIDED at the cells it leaves to compare, or None to
-# leave it the whole row
-Decide = Callable[[list], "list[np.ndarray | None]"]
 
 _CELLS = 8192  # cells of a block of rows decided at once; bounds the temporaries
+
+
+class Decided:
+    """The orders Property.vector decides over a block of rows.  cells is
+    an int8 array with one row per row of the block: the orders at the
+    row's cols, in order, vector.UNDECIDED at the cells left to compare
+    (every cell of a row the vector path cannot prove), vector.TIE at an
+    EQUAL that compare would reach through its exact fallback, and GAP at
+    the cells that are no point of the row, past its end or at the columns
+    a coprime row leaves out."""
+
+    __slots__ = ("cells",)
+
+    def __init__(self, cells: np.ndarray):
+        self.cells = cells
+
+    @classmethod
+    def undecided(cls, rows: int, width: int) -> Decided:
+        """Every cell of rows rows of width cells left to compare."""
+        return cls(np.full((rows, width), vector.UNDECIDED, dtype=np.int8))
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __iter__(self):
+        """Each row's orders at its cols, or None for a row left wholly to
+        compare."""
+        for row in self.cells:
+            row = row[row != GAP]
+            yield None if (row == vector.UNDECIDED).all() else row
 
 
 @dataclass(frozen=True)
@@ -180,49 +217,47 @@ class Property:
     compare closure, called once per point as compare(*col).  limit is
     the sieve limit that covers every value the sweep evaluates.
 
-    vector, when set, decides a block of consecutive rows at once: for
-    each row of vector(rows), in order, the order of the two sides at
-    every col of cols(row), in that order, with vector.UNDECIDED at the
-    cells it cannot prove, or None when it can prove none of them; at(row)
-    then decides those cells point by point.  vector.TIE marks an EQUAL
-    that compare would have reached through its exact fallback, and
-    counts as one."""
+    vector, when set, decides a block of consecutive rows at once, given
+    as a slice of rows, and returns their orders as a Decided; at(row)
+    decides the cells it leaves UNDECIDED point by point.  width is the
+    most cols a row has, so that a block of rows holds at most _CELLS
+    cells, or is one row."""
 
     names: tuple[str, ...]
-    rows: Iterable[int | None]
+    rows: Sequence[int | None]
     cols: Callable[[int | None], Sequence[tuple]]
     at: Callable[[int | None], Compare]
     relation: str  # SUB, SUP, EQ or LT
     limit: int = 0
-    vector: Decide | None = None
+    vector: Callable[[Sequence], Decided] | None = None
+    width: int = 1
 
 
 def _blocks(prop: Property):
-    """(row, cols(row), the order at each col, the number of cols at each
-    order + 1) for each row of prop, in order.  prop.vector is asked once
-    per block of consecutive rows of at most _CELLS cells in all, or of one
-    row; the cells it leaves to compare are vector.UNDECIDED."""
-    rows, colss, cells = [], [], 0
-    for row in prop.rows:
-        cols = prop.cols(row)
-        if rows and cells + len(cols) > _CELLS:
-            yield from _decided(prop, rows, colss)
-            rows, colss, cells = [], [], 0
-        rows.append(row)
-        colss.append(cols)
-        cells += len(cols)
-    if rows:
-        yield from _decided(prop, rows, colss)
+    """(rows, their Decided cells) for each block of consecutive rows of
+    prop, in order: what prop.vector decides or, without it, one row left
+    wholly to compare."""
+    if prop.vector is None:
+        for row in prop.rows:
+            yield [row], Decided.undecided(1, len(prop.cols(row))).cells
+        return
+    per = max(1, _CELLS // prop.width)
+    for lo in range(0, len(prop.rows), per):
+        rows = prop.rows[lo:lo + per]
+        yield rows, prop.vector(rows).cells
 
 
-def _decided(prop: Property, rows: list, colss: list):
-    sizes = [len(cols) for cols in colss]
-    decided = [None] * len(rows) if prop.vector is None else prop.vector(rows)
-    orders = [np.full(size, vector.UNDECIDED, dtype=np.int8) if row is None else row
-              for row, size in zip(decided, sizes)]
-    at = np.concatenate(orders) + 1 + _ORDERS * np.repeat(np.arange(len(rows)), sizes)
-    counts = np.bincount(at, minlength=_ORDERS * len(rows)).reshape(-1, _ORDERS)
-    return zip(rows, colss, orders, counts.tolist())
+def _visits(undecided: np.ndarray, failing: np.ndarray, full: Callable[[], bool]):
+    """The indices of the rows of a block the sweep visits, in order: every
+    row with an UNDECIDED cell, and every row with a failing cell while
+    full() is false."""
+    for last in np.flatnonzero(undecided | failing).tolist():
+        if full():
+            break
+        yield last
+    else:
+        return
+    yield from (last + np.flatnonzero(undecided[last:])).tolist()
 
 
 # threads is pinned: perfbench/tracer.py reads it as args[2] (ROADMAP item 1)
@@ -231,34 +266,57 @@ def _sweep(prop: Property, cfg: CheckConfig,
     """Check prop at every point: (verdict, the first
     cfg.counterexample_cap counterexamples, points checked, stats).
 
-    compare runs, in column order, at every cell prop.vector leaves
-    UNDECIDED (every cell of a row it returns None for), and at the failing
-    cells it decides, up to the cap, to recompute their sides.  Exact
-    fallbacks are counted at vector.TIE cells and where compare reports
-    one at an UNDECIDED cell.  With cfg.stop_at_first the sweep ends after
-    the first row that has a counterexample.
+    The points, failures and exact fallbacks a block's orders hold are
+    tallied for the whole block at once.  Python then visits, in order,
+    only the rows with an UNDECIDED cell (every row without prop.vector)
+    and, while fewer than the cap are held, the rows with a failing cell.
+    In a visited row compare runs, in column order, at every UNDECIDED
+    cell and at the failing cells, up to the cap, to recompute their
+    sides.  Exact fallbacks are counted at vector.TIE cells and where
+    compare reports one at an UNDECIDED cell.  With cfg.stop_at_first the
+    sweep ends after the first row that has a counterexample, and the
+    block's rows after it are taken back out of its tally.
 
     threads is ignored: sweeps run on the calling thread.  It stays the
     third positional parameter only because the benchmark's tracer reads
     it there; sweep_report passes 1."""
     passing = _PASSING[prop.relation]
-    fails, visit = _FAILS[prop.relation], _VISIT[prop.relation]
+    fails, visit, tally = (table[prop.relation] for table in (_FAILS, _VISIT, _TALLY))
     cap = cfg.counterexample_cap
     cex: list[Counterexample] = []
-    checked = failed = exact = 0
-    for row, cols, orders, counts in _blocks(prop):
-        checked += len(cols)
-        exact += counts[vector.TIE + 1]
-        failed_before = failed
-        failed += sum(c for c, f in zip(counts, fails) if f)
-        if counts[vector.UNDECIDED + 1] or (failed > failed_before and len(cex) < cap):
+    failed = exact = 0  # at UNDECIDED cells
+    bulk = np.zeros(3, dtype=np.int64)  # the points, and failures and TIEs elsewhere
+
+    def counts(cells):
+        return np.bincount(cells.ravel() + 1, minlength=_ORDERS)
+
+    def full():
+        return len(cex) == cap
+
+    def outcome():
+        points, failures, ties = bulk.tolist()
+        stats = {"exact_fallbacks": exact + ties} if exact + ties else {}
+        return (REFUTED if failed + failures else HOLDS), cex, points, stats
+
+    for rows, cells in _blocks(prop):
+        at = counts(cells)
+        bulk += tally @ at
+        if not at[vector.UNDECIDED + 1] and (full() or not at[fails].any()):
+            continue
+        gaps = at[GAP + 1] > 0
+        undecided = (cells == vector.UNDECIDED).any(axis=1)
+        failing = fails[cells + 1].any(axis=1)
+        for r in _visits(undecided, failing, full):
+            row = rows[r]
+            cols = prop.cols(row)
+            orders = cells[r][cells[r] != GAP] if gaps else cells[r]
             compare = prop.at(row)
             lead = () if row is None else (row,)
-            wanted = _UNDECIDED_ONLY if len(cex) == cap else visit
-            todo = np.flatnonzero(wanted[orders + 1])
+            failed_before = failed
+            todo = np.flatnonzero((_UNDECIDED_ONLY if full() else visit)[orders + 1])
             for i, decided in zip(todo.tolist(), orders[todo].tolist()):
                 fallback = decided == vector.UNDECIDED
-                if not fallback and len(cex) == cap:
+                if not fallback and full():
                     continue
                 col = cols[i]
                 order, lhs, rhs, used_exact = compare(*col)
@@ -273,10 +331,10 @@ def _sweep(prop: Property, cfg: CheckConfig,
                 failed += fallback
                 if len(cex) < cap:
                     cex.append(Counterexample(point, lhs, rhs))
-        if cfg.stop_at_first and failed > failed_before:
-            break
-    stats = {"exact_fallbacks": exact} if exact else {}
-    return (REFUTED if failed else HOLDS), cex, checked, stats
+            if cfg.stop_at_first and (failing[r] or failed > failed_before):
+                bulk -= tally @ counts(cells[r + 1:])
+                return outcome()
+    return outcome()
 
 
 def sweep_report(function: str, label: str, params: dict, prop: Property,
@@ -322,11 +380,16 @@ def line(name: str, points: Sequence[int], compare: Compare, relation: str,
          decide: Callable[[np.ndarray], np.ndarray | None] | None = None) -> Property:
     """A property with one coordinate: compare(x) at each point x, all in
     one row.  decide(xs), unless None, decides the points at once, given
-    as an int64 array (see Property.vector)."""
-    vector = None if decide is None else (
-        lambda _: [decide(np.asarray(points, dtype=np.int64))])
+    as an int64 array: their orders, with vector.UNDECIDED at the points
+    it leaves to compare, or None to leave it every point."""
+    def decide_line(_):
+        orders = decide(np.asarray(points, dtype=np.int64))
+        return (Decided.undecided(1, len(points)) if orders is None
+                else Decided(orders[None, :]))
+
     return Property((name,), (None,), lambda _: _Singletons(points),
-                    lambda _: compare, relation, limit, vector)
+                    lambda _: compare, relation, limit,
+                    None if decide is None else decide_line)
 
 
 def _grid(cfg: CheckConfig, compare: Compare, relation: str, limit: int,
@@ -335,31 +398,31 @@ def _grid(cfg: CheckConfig, compare: Compare, relation: str, limit: int,
     when coprime is set.  decide(m, n), unless None, decides a block of
     rows at every column at once, given the rows as a column m and the
     columns as a row n (on a coprime grid, as a block with 1 in each
-    left-out cell), both vector.Args: the orders at its cells and at each
-    row whether they are proven, or None (see Property.vector)."""
+    left-out cell, which is a GAP of the Decided), both vector.Args: the
+    orders at its cells and at each row whether they are proven (a row
+    that is not is left to compare), or None to leave it every row."""
     ns = np.arange(1, cfg.max_n + 1)
     every = [(n,) for n in range(1, cfg.max_n + 1)]
 
-    def pick(m):
+    def cols(m):
         return [(n,) for n in ns[np.gcd(ns, m) == 1].tolist()] if coprime else every
 
     def decide_block(rows):
-        ms = np.array(rows, dtype=np.int64)[:, None]
+        ms = np.asarray(rows, dtype=np.int64)[:, None]
         keep = np.gcd(ms, ns) == 1 if coprime else None
-        # a left-out column is read at n = 1, and its order dropped
         decided = decide(vector.Arg(ms),
                          vector.Arg(ns if keep is None else np.where(keep, ns, 1)))
         if decided is None:
-            return [None] * len(rows)
-        orders, proven = decided
-        if keep is not None:
-            orders = [row[cols] for row, cols in zip(orders, keep)]
-        proven = np.broadcast_to(proven, ms.shape)[:, 0].tolist()
-        return [row if ok else None for row, ok in zip(orders, proven)]
+            cells = Decided.undecided(len(rows), cfg.max_n).cells
+        else:
+            cells, proven = decided
+            if not np.all(proven):
+                cells = np.where(proven, cells, vector.UNDECIDED)
+        return Decided(cells if keep is None else np.where(keep, cells, GAP))
 
-    return Property(("m", "n"), range(1, cfg.max_m + 1), pick,
+    return Property(("m", "n"), range(1, cfg.max_m + 1), cols,
                     lambda m: partial(compare, m), relation, limit,
-                    None if decide is None else decide_block)
+                    None if decide is None else decide_block, cfg.max_n)
 
 
 # ---------------------------------------------------------------------------
@@ -579,15 +642,26 @@ def check_identity_bound(f: ArithFn, direction: str, max_n: int,
     """f(n) <= n ("le") or f(n) >= n ("ge") for all 1 <= n <= max_n.
 
     Verifies the side conditions consumed by the bounded-* inference
-    rules."""
+    rules.  The line is decided in int64 from f's value table over
+    [0, max_n] where its bounds prove it, point by point with Fraction
+    values elsewhere."""
     ev = Evaluator(f, table)
+    values = vector.RowValues(ev, 1, max_n)
 
     def compare(n):
         v = ev(n)
         return cmp_values(v, n), v, Fraction(n), False
 
+    def decide(ns):
+        try:
+            fn = values(vector.Arg(ns))
+        except vector.Unproven:
+            return None
+        orders, proven = vector.orders(fn, vector.Row(ns, 1, max_n.bit_length(), 1))
+        return orders if np.all(proven) else None
+
     prop = line("n", range(1, max_n + 1), compare,
-                SUB if direction == "le" else SUP, max_n)
+                SUB if direction == "le" else SUP, max_n, decide)
     return sweep_report(f.name, LE_IDENTITY if direction == "le" else GE_IDENTITY,
                         {"max_n": max_n}, prop, CheckConfig(), table)
 

@@ -87,8 +87,8 @@ class SpfTable:
     spf: "object" = field(repr=False)  # int32 (int64 from 2**31) array, len limit + 1
     # int64 value tables built on this sieve by submult.vector, each a
     # (numerators, denominators or None) pair or None where it cannot be
-    # built, by (function, limit, k): every Evaluator that shares the sieve
-    # shares them
+    # built, by (function, limit, k, bound on the primes whose rules it
+    # holds): every Evaluator that shares the sieve shares them
     tables: dict = field(default_factory=dict, repr=False)
 
 

@@ -34,6 +34,7 @@ from submult.checks import (
     LT,
     CheckConfig,
     CheckReport,
+    Decided,
     Property,
     formula,
     line,
@@ -185,15 +186,15 @@ def verify_eq20(max_ab: int, max_k: int) -> CheckReport:
     def decide(rows):
         # one k at a time, at the block's cells (a, b), then in (b, k) order
         if len(rows) * row_bytes > core.memory_budget():
-            return [None] * len(rows)
+            return Decided.undecided(len(rows), len(cols))
         a = vector.PowerArg(np.array(rows)[:, None], two)
         orders = np.stack([decide_k(a, bs)[0] for decide_k in decides], axis=-1)
-        return list(orders.reshape(len(rows), -1))
+        return Decided(orders.reshape(len(rows), -1))
 
     cols = [(b, k) for b in range(max_ab + 1) for k in ks]
     prop = Property(("a", "b", "k"), range(max_ab + 1), lambda a: cols,
                     lambda a: lambda b, k: compares[k](2**a, 2**b),
-                    FORMULAS[K_SUP_MULT][1], vector=decide)
+                    FORMULAS[K_SUP_MULT][1], vector=decide, width=len(cols))
     return sweep_report("eq20", "(a+b+1)^k >= (ka+1)(kb+1)",
                         {"max_ab": max_ab, "max_k": max_k}, prop, CheckConfig())
 

@@ -37,6 +37,7 @@ from submult.checks import (
     CheckConfig,
     CheckReport,
     Counterexample,
+    Decided,
     Property,
     formula,
     sweep_report,
@@ -184,19 +185,20 @@ def prime_power_property(f: ArithFn, family: str, k: int | None, primes,
                 tables.append(prime_power_table(f, p, top))
             except Exception:  # the scalar path raises it at p
                 break
+        decided = Decided.undecided(len(rows), len(cols))
         if not tables:
-            return [None] * len(rows)
+            return decided
         values = power_values(tables)
         needs = np.cumsum([len(cols) * size for size in cell_bytes(values, k, rows)])
         count = int((needs <= core.memory_budget()).sum())
         ps = np.array(rows[:count], dtype=object)[:, None]
         block = vector.PowerValues(values.num[:count], values.den[:count])
-        orders, _ = vector_formula(family, k, block)(vector.PowerArg(a, ps),
-                                                     vector.PowerArg(b, ps))
-        return [*orders, *[None] * (len(rows) - count)]
+        decided.cells[:count], _ = vector_formula(family, k, block)(
+            vector.PowerArg(a, ps), vector.PowerArg(b, ps))
+        return decided
 
     return Property(("p", "a", "b"), primes, lambda p: cols, at,
-                    FORMULAS[family][1], vector=decide)
+                    FORMULAS[family][1], vector=decide, width=len(cols))
 
 
 def check_local(f: ArithFn, crit: LocalCriterion, max_prime: int,

@@ -18,9 +18,13 @@ stays in the code as the oracle.  Unproven is raised for a block without
 tables.
 
 f's values come from int64 (num, den) tables over [0, limit], built from
-the spf table.  Each prime-power rule is called once per prime power
-q = p^a <= limit, through the function's own scalar rule, and its value
-is placed at q; every other n is filled by one multiplicative
+the spf table and the primes up to a bound: max(max_m, max_n) for a grid,
+since every prime factor of m n is at most that, and limit itself for a
+line.  Each prime-power rule is called once per prime power q = p^a <=
+limit with p <= bound, through the function's own scalar rule, and its
+value is placed at q; an entry at an n with a prime factor above the
+bound is left undefined, and no sweep reads one.  Every other n is
+filled by one multiplicative
 recurrence, f(n) = f(q(n)) f(n / q(n)) with q(n) the full power of
 spf(n) in n, over slices of at most 4096 entries whose factors all lie
 below the slice.  The rules' tables are then combined, 4096 entries at
@@ -30,8 +34,9 @@ overflow, a zero divisor or a rule that raises leaves the function
 without a table, so every row goes to the scalar path, which raises
 where the scalar sweep raises.  Values at k-th powers n^k come from the
 same recurrence with the rule at p^(k a), so the spf table need not
-reach n^k.  Tables are kept on the spf table, by function, limit and k,
-so each is built once per command.  A build that would not fit in the
+reach n^k.  Tables are kept on the spf table, by function, limit, k and
+bound, so each is built once per command and a line never reads a
+grid's bounded table.  A build that would not fit in the
 memory budget beside the sieve and the tables already kept on it is
 refused with ResourceError before its tables are allocated.
 
@@ -181,13 +186,13 @@ def _slices(limit: int):
         lo = hi
 
 
-def _prime_powers(spf: np.ndarray, limit: int):
-    """Every prime power p^a <= limit, primes first: (q = p^a, p, a) as
-    int64 arrays."""
+def _prime_powers(spf: np.ndarray, limit: int, bound: int):
+    """Every prime power p^a <= limit with p <= bound, primes first:
+    (q = p^a, p, a) as int64 arrays."""
     primes = np.concatenate(
         [np.zeros(0, dtype=np.int64)]
         + [np.flatnonzero(spf[lo:hi] == np.arange(lo, hi)) + lo
-           for lo, hi in _chunks(2, limit + 1)])
+           for lo, hi in _chunks(2, min(bound, limit) + 1)])
     powers = []  # (p^a, p, a) for a >= 2
     for p in primes[primes <= isqrt(limit)].tolist():
         q, a = p * p, 2
@@ -224,7 +229,8 @@ def _rule_values(rule, ps: np.ndarray, exps: np.ndarray, k: int) -> list:
 def _leaves(rules: dict, qs: np.ndarray, spf: np.ndarray, limit: int) -> dict:
     """For each rule's [numerators, denominators or None] at the prime
     powers qs, the same over every n in [0, limit], each entry the
-    unreduced product of n's prime-power values.  Those are placed first;
+    unreduced product of n's prime-power values (1 at a prime power not
+    in qs).  Those are placed first;
     then, slice by slice, f(n) = f(n / r) f(r) with r = rest(n), n over the
     full power of spf(n) in n, so that n / r is n itself or below the slice
     and r is below it.  With m = n / spf(n), rest(n) is rest(m) where
@@ -263,13 +269,15 @@ def _rules(f: ArithFn) -> list[ArithFn]:
 
 
 def _build(fn: ArithFn, spf: np.ndarray, limit: int, k: int = 1,
-           held: int = 0) -> Pair:
-    """fn(n^k) at every n in [0, limit] (the entry at 0 is a placeholder,
-    fn's value at 1).  Each rule's values are built over [0, limit]; then
-    fn is combined from them _CHUNK entries at a time, into their arrays.
-    ResourceError, before any array of limit + 1 entries is allocated,
-    when held bytes and the build's would exceed the memory budget."""
-    qs, ps, exps = _prime_powers(spf, limit)
+           bound: int | None = None, held: int = 0) -> Pair:
+    """fn(n^k) at every n in [0, limit] whose prime factors are at most
+    bound (limit when None); the entries at other n are undefined, and the
+    entry at 0 is a placeholder, fn's value at 1.  Each rule's values are
+    built over [0, limit]; then fn is combined from them _CHUNK entries at
+    a time, into their arrays.  ResourceError, before any array of
+    limit + 1 entries is allocated, when held bytes and the build's would
+    exceed the memory budget."""
+    qs, ps, exps = _prime_powers(spf, limit, limit if bound is None else bound)
     rules = {f: _rule_values(f.rule, ps, exps, k) for f in dict.fromkeys(_rules(fn))}
     what = f"the value table of {fn.name}" + (f" at n^{k}" if k > 1 else "")
     core.require_memory(held + _build_bytes(fn, spf, limit, qs, rules),
@@ -330,35 +338,38 @@ def _build_bytes(fn: ArithFn, spf: np.ndarray, limit: int, qs: np.ndarray,
             + 256 * _CHUNK * (1 + nodes(fn)))
 
 
-def _table(ev: Evaluator, limit: int, k: int) -> Pair | None:
-    """ev's function at n^k for n in [0, limit], built once per spf table
-    and kept on it; None when the spf table does not reach limit, an entry
-    does not fit, a divisor is zero or a rule raises.  ResourceError, before
-    the table's arrays are allocated, when the sieve, the tables already
-    kept on it and the build would exceed the memory budget."""
+def _table(ev: Evaluator, limit: int, k: int, bound: int) -> Pair | None:
+    """ev's function at n^k for n in [0, limit] with no prime factor above
+    bound (see _build), built once per spf table and kept on it by
+    (function, limit, k, bound); None when the spf table does not reach
+    limit, an entry does not fit, a divisor is zero or a rule raises.
+    ResourceError, before the table's arrays are allocated, when the sieve,
+    the tables already kept on it and the build would exceed the memory
+    budget."""
     sieve = ev.table
     if sieve is None or sieve.limit < limit:
         return None
-    key = (ev.fn, limit, k)
+    key = (ev.fn, limit, k, bound)
     if key not in sieve.tables:
         held = sieve.spf.nbytes + sum(a.nbytes for t in sieve.tables.values()
                                       if t is not None for a in t if a is not None)
         try:
-            sieve.tables[key] = _build(ev.fn, sieve.spf, limit, k, held)
+            sieve.tables[key] = _build(ev.fn, sieve.spf, limit, k, bound, held)
         except Unproven:
             sieve.tables[key] = None
     return sieve.tables[key]
 
 
-def value_table(ev: Evaluator, limit: int) -> Pair | None:
-    """ev's function on [0, limit] (see _table)."""
-    return _table(ev, limit, 1)
+def value_table(ev: Evaluator, limit: int, bound: int | None = None) -> Pair | None:
+    """ev's function on [0, limit], from the rules at the primes up to
+    bound, every prime when None (see _table)."""
+    return _table(ev, limit, 1, limit if bound is None else bound)
 
 
 def power_table(ev: Evaluator, k: int, count: int) -> Pair | None:
     """ev's function at n^k for n in [0, count], from the rule values at
     p^(k a) (see _table), so the spf table need only reach count."""
-    return _table(ev, count, k)
+    return _table(ev, count, k, count)
 
 
 # ---------------------------------------------------------------------------
@@ -445,15 +456,17 @@ class RowValues:
     """f as the formula shapes call it on a block of rows of a max_m x
     max_n grid: at an Arg x, the values of f at x^k at its cells, bounded
     in each row by the largest of them.  The tables are built on first use:
-    f over [0, max_m max_n], which holds every product m n, and f at x^k
-    over [0, max(max_m, max_n)], for the powers m^k and n^k."""
+    f over [0, max_m max_n], which holds every product m n, from the rules
+    at the primes up to max(max_m, max_n), the largest prime factor of any
+    m n; and f at x^k over [0, max(max_m, max_n)], for the powers m^k and
+    n^k.  A line (max_m = 1) reads a table from every prime."""
 
     def __init__(self, ev: Evaluator, max_m: int, max_n: int):
         self.ev, self.limit, self.count = ev, max_m * max_n, max(max_m, max_n)
 
     def __call__(self, x: Arg, k: int = 1) -> Row:
         if k == 1:
-            table = value_table(self.ev, self.limit)
+            table = value_table(self.ev, self.limit, self.count)
         else:
             table = power_table(self.ev, k, self.count)
         if table is None:

@@ -127,9 +127,9 @@ def factored(monkeypatch):
         seen.append(n)
         return factorize(n, table)
 
-    def recording_table(ev, limit, table=vector.value_table):
+    def recording_table(ev, limit, bound=None, table=vector.value_table):
         seen.append(limit)
-        return table(ev, limit)
+        return table(ev, limit, bound)
 
     monkeypatch.setattr(functions, "factorize", recording_factorize)
     monkeypatch.setattr(vector, "value_table", recording_table)

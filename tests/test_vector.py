@@ -33,6 +33,7 @@ from submult.functions import (
 )
 from submult.inference import (
     FAMILIES,
+    GE_IDENTITY,
     K_FAMILIES,
     K_SUB_HOM,
     K_SUB_MULT,
@@ -153,6 +154,11 @@ SIGMA_CUBED = make_prime_power_fn("sigma^3",
                                   lambda p, a: ((p ** (a + 1) - 1) // (p - 1)) ** 3)
 
 
+# n^8, with 7^(8a) + 1 at 7^a: f(mn)^2 <= f(m^2) f(n^2) fails at m = 7 and
+# n <= 6 first, where the bounds leave every row from m = 3 to the scalar path
+N8_BUT_7 = make_prime_power_fn("n^8-but-7", lambda p, a: p ** (8 * a) + (p == 7 and a > 0))
+
+
 @settings(max_examples=300, deadline=None)
 @given(fn=st.one_of(st.sampled_from(FUNCTIONS), st.just(SIGMA_CUBED),
                     st.builds(_undefined_at, st.sampled_from([2, 3, 5]),
@@ -162,6 +168,17 @@ SIGMA_CUBED = make_prime_power_fn("sigma^3",
        cap=st.integers(1, 10), block=st.sampled_from(list(_BLOCKS)))
 @example(fn=SIGMA_CUBED, family=K_SUP_MULT, k=3, max_m=16, max_n=16, stop=False,
          cap=4, block="three rows")
+# the first failure at a cell left to the scalar path, after decided rows of
+# its block, and rows after it in the block that the sweep must not count
+@example(fn=N8_BUT_7, family=K_SUB_MULT, k=2, max_m=10, max_n=6, stop=True, cap=3,
+         block="the whole grid")
+# the cap reached in the decided rows 1 and 2, then rows 3 to 16 on the
+# scalar path
+@example(fn=SIGMA_CUBED, family=K_SUB_MULT, k=3, max_m=16, max_n=16, stop=False,
+         cap=4, block="the whole grid")
+# coprime rows of different lengths in each block, with counterexamples
+@example(fn=REGISTRY.get("n_plus_d"), family=MULTIPLICATIVE, k=2, max_m=12,
+         max_n=4, stop=False, cap=10, block="three rows")
 def test_int64_rows_match_the_scalar_path(table_1m, fn, family, k, max_m, max_n,
                                           stop, cap, block):
     """Every formula shape and the coprime grid, with the rows decided in
@@ -370,9 +387,9 @@ def builds(monkeypatch):
     calls = []
     original = vector._build
 
-    def counting(fn, spf, limit, k=1, held=0):
-        calls.append((fn.name, limit, k))
-        return original(fn, spf, limit, k, held)
+    def counting(fn, spf, limit, k=1, bound=None, held=0):
+        calls.append((fn.name, limit, k, bound))
+        return original(fn, spf, limit, k, bound, held)
 
     monkeypatch.setattr(vector, "_build", counting)
     return calls
@@ -386,13 +403,100 @@ def test_each_table_is_built_once_per_command(capsys, builds):
     table = build_spf_table(cfg.max_m * cfg.max_n)
     for tag in (PropertyTag(fn.name, SUB_MULT), PropertyTag(fn.name, SUP_MULT)):
         checks.reports_for_tag(fn, tag, cfg, table)
-    assert builds == [("identity", 2500, 1)]
+    assert builds == [("identity", 2500, 1, 50)]
     builds.clear()
     for name in ("sigma_over_d", "n_plus_d"):
         main(["classify", name, "--max-m", "20", "--max-n", "30", "--k-set", "2,3"])
     capsys.readouterr()
     assert builds == [(name, *key) for name in ("sigma_over_d", "n_plus_d")
-                      for key in ((600, 1), (30, 2), (30, 3))]
+                      for key in ((600, 1, 30), (30, 2, 30), (30, 3, 30))]
+
+
+def test_grid_tables_call_rules_only_at_primes_the_grid_reaches():
+    """Every prime factor of m n is at most max(max_m, max_n): the table
+    over [0, max_m max_n] takes each rule value at such a prime once."""
+    calls = []
+
+    def rule(p, a):
+        calls.append((p, a))
+        return core.sigma_rule(p, a)
+
+    sigma = make_prime_power_fn("counted-sigma", rule)
+    calls.clear()
+    report = checks.check_submult(sigma, SUB, CheckConfig(max_m=200, max_n=200),
+                                  build_spf_table(40_000))
+    assert report.holds
+    assert sorted(calls) == [(p, a) for p in core.primes_upto(200)
+                             for a in range(1, 16) if p**a <= 40_000]
+    assert len(calls) == 128
+
+
+def _largest_prime_factors(spf: np.ndarray) -> np.ndarray:
+    top = np.ones(len(spf), dtype=np.int64)
+    for n in range(2, len(spf)):
+        top[n] = max(spf[n], top[n // spf[n]])
+    return top
+
+
+@pytest.mark.parametrize("run", [
+    lambda cfg, sieve: checks.check_submult(REGISTRY.get("sigma_over_d"), SUP, cfg, sieve),
+    lambda cfg, sieve: checks.check_multiplicative(REGISTRY.get("n_plus_d"), cfg, sieve),
+    lambda cfg, sieve: checks.check_k_subhom(REGISTRY.get("phi"), 2, SUB, cfg, sieve),
+    lambda cfg, sieve: checks.check_power_submult(REGISTRY.get("sigma"),
+                                                  REGISTRY.get("d"), SUB, cfg, sieve),
+], ids=["sup-mult", "multiplicative", "k-sub-hom", "cross-power"])
+def test_no_grid_sweep_reads_an_entry_beyond_its_primes(run):
+    """The entries of a grid's tables at an n with a prime factor above
+    max(max_m, max_n) are overwritten with small garbage, which the bounds
+    would prove and the orders would show: the sweep again on the same
+    sieve gives the same report."""
+    cfg = CheckConfig(max_m=30, max_n=20, counterexample_cap=5)
+    sieve = build_spf_table(600)
+    before = run(cfg, sieve)
+    beyond = np.flatnonzero(_largest_prime_factors(sieve.spf) > 30)
+    rng = np.random.default_rng(0)
+    poisoned = 0
+    for num, den in sieve.tables.values():
+        if len(num) < len(sieve.spf):
+            continue  # f at n^k for n <= 30
+        num[beyond] = rng.integers(-9, 10, len(beyond))
+        if den is not None:
+            den[beyond] = rng.integers(1, 10, len(beyond))
+        poisoned += 1
+    assert poisoned
+    after = run(cfg, sieve)
+    assert dataclasses.replace(after, elapsed_seconds=0) == dataclasses.replace(
+        before, elapsed_seconds=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fn=st.one_of(st.sampled_from(FUNCTIONS), st.just(SIGMA_CUBED),
+                    st.builds(_undefined_at, st.sampled_from([2, 3, 5]),
+                              st.integers(1, 4))),
+       direction=st.sampled_from(["le", "ge"]), max_n=st.integers(1, 3000))
+def test_identity_bounds_in_int64_match_the_scalar_path(table_1m, fn, direction, max_n):
+    """f(n) <= n or >= n on the line's int64 table, and on the scalar path:
+    the same report, or the same error at the same point."""
+    fast, scalar = _vector_and_scalar(
+        lambda: checks.check_identity_bound(fn, direction, max_n, table_1m))
+    assert fast == scalar
+
+
+def test_an_identity_bound_after_a_grid_reads_a_table_of_every_prime():
+    """On one sieve, a grid sweep keeps sigma's table from the primes up to
+    20 only, where sigma(23) would read 1; the identity bound over the same
+    limit builds and reads a table from every prime."""
+    sigma = REGISTRY.get("sigma")
+    cfg = CheckConfig(max_m=20, max_n=20)
+    sieve = build_spf_table(400)
+    [grid] = checks.reports_for_tag(sigma, PropertyTag("sigma", SUB_MULT), cfg, sieve)
+    [bound] = checks.reports_for_tag(sigma, PropertyTag("sigma", GE_IDENTITY), cfg, sieve)
+    assert grid.holds and bound.holds and bound.pairs_checked == 400
+    assert sieve.tables[sigma, 400, 1, 20][0][23] != 24
+    assert sieve.tables[sigma, 400, 1, 400][0][23] == 24
+    alone = checks.check_identity_bound(sigma, "ge", 400, build_spf_table(400))
+    assert (bound.verdict, bound.counterexamples, bound.stats) == (
+        alone.verdict, alone.counterexamples, alone.stats)
 
 
 def test_tables_beyond_the_memory_budget_are_refused(capsys, monkeypatch):
@@ -439,7 +543,7 @@ def test_tables_kept_on_a_sieve_count_against_the_budget(monkeypatch, needs):
     with pytest.raises(ResourceError, match="the value table of phi up to 2500"):
         checks.check_submult(REGISTRY.get("phi"), SUB, cfg, sieve)
     assert needs[-1] == sigma_need + sum(
-        a.nbytes for a in sieve.tables[REGISTRY.get("sigma"), 2500, 1] if a is not None)
+        a.nbytes for a in sieve.tables[REGISTRY.get("sigma"), 2500, 1, 50] if a is not None)
 
 
 @pytest.mark.parametrize("fn", [
