@@ -18,25 +18,32 @@ counterexample_cap of them.
 
 Checks also carry a vector path (Property.vector, built on submult.vector)
 that decides a block of consecutive rows, of at most _CELLS cells, at
-once.  The global families (check, classify, the global half of local
---bridge, reports_for_tag) run the same formula shape once per block on
-int64 numerators and denominators of all its cells, and decide each row
-whose bit-length bounds prove every product below 2**62; the identity
-bounds do the same on a line, f(n) against n.  The power
-comparisons (the cross-power checks here, eq12, eq13 and corollary1 in
+once, and returns one int8 array of orders over the block.  The global
+families (check, classify, the global half of local --bridge,
+reports_for_tag) run the same formula shape once per block on int64
+numerators and denominators of all its cells, and decide each row whose
+bit-length bounds prove every product below 2**62; the identity bounds
+do the same on a line, f(n) against n.  The power comparisons (the
+cross-power checks here, eq12, eq13 and corollary1 in
 submult.inequalities, each a line of one row) run a padded log2 filter
 over the block in numpy and leave ties and near-ties undecided; the
 cross-power checks then settle in numpy the cells whose sides normalize
 to the same factors and the exact ties that fit int64 and the digit
 budget (vector.cross_power_ties).  The local criteria (submult.local)
 and eq16, eq20 and eq23 run the formula shape on a block of primes, or of
-exponents, on exact Python ints.  The sweep tallies a block's points,
+exponents, on exact Python ints.
+
+The vector path leaves a cell to the scalar path in one of two ways: it
+marks it vector.UNDECIDED (a near-tie, or every cell of a row the
+bounds cannot prove), or it raises vector.Unproven for the whole block
+(a function without an int64 value table, a block beyond the memory
+budget), which _blocks alone catches, handing the sweep each of the
+block's rows wholly UNDECIDED.  The sweep tallies a block's points,
 failures and exact ties in numpy, and visits in Python, in order, only
-the rows that hold an undecided cell or, while fewer than the cap are
-held, a failing one: undecided cells, rows the vector path cannot prove
-and functions without an int64 value table go to the scalar path, which
-is also what recomputes a decided row's counterexamples up to the cap,
-so reports do not depend on the path.
+the rows that hold an UNDECIDED cell or, while fewer than the cap are
+held, a failing one.  The scalar path decides the UNDECIDED cells and
+recomputes a decided row's counterexamples up to the cap, so reports do
+not depend on the path.
 """
 
 from __future__ import annotations
@@ -96,7 +103,7 @@ LT = "lt"  # lhs < rhs
 
 _PASSING = {SUB: (LESS, EQUAL), SUP: (EQUAL, GREATER), EQ: (EQUAL,), LT: (LESS,)}
 
-GAP = 4  # a cell of Decided.cells that is no point of its row
+GAP = 4  # a cell of a Property.vector block that is no point of its row
 _ORDERS = GAP + 2  # the orders a cell can hold, indexed by order + 1
 # relation -> whether order LESS, EQUAL, GREATER, vector.UNDECIDED,
 # vector.TIE or GAP fails it, indexed by order + 1 (a TIE fails as EQUAL
@@ -177,36 +184,6 @@ Compare = Callable[..., tuple[int, object, object, bool]]
 _CELLS = 8192  # cells of a block of rows decided at once; bounds the temporaries
 
 
-class Decided:
-    """The orders Property.vector decides over a block of rows.  cells is
-    an int8 array with one row per row of the block: the orders at the
-    row's cols, in order, vector.UNDECIDED at the cells left to compare
-    (every cell of a row the vector path cannot prove), vector.TIE at an
-    EQUAL that compare would reach through its exact fallback, and GAP at
-    the cells that are no point of the row, past its end or at the columns
-    a coprime row leaves out."""
-
-    __slots__ = ("cells",)
-
-    def __init__(self, cells: np.ndarray):
-        self.cells = cells
-
-    @classmethod
-    def undecided(cls, rows: int, width: int) -> Decided:
-        """Every cell of rows rows of width cells left to compare."""
-        return cls(np.full((rows, width), vector.UNDECIDED, dtype=np.int8))
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __iter__(self):
-        """Each row's orders at its cols, or None for a row left wholly to
-        compare."""
-        for row in self.cells:
-            row = row[row != GAP]
-            yield None if (row == vector.UNDECIDED).all() else row
-
-
 @dataclass(frozen=True)
 class Property:
     """A relation between two sides, to be checked at every point.
@@ -218,10 +195,16 @@ class Property:
     the sieve limit that covers every value the sweep evaluates.
 
     vector, when set, decides a block of consecutive rows at once, given
-    as a slice of rows, and returns their orders as a Decided; at(row)
-    decides the cells it leaves UNDECIDED point by point.  width is the
-    most cols a row has, so that a block of rows holds at most _CELLS
-    cells, or is one row."""
+    as a slice of rows.  It returns an int8 array with one row per row of
+    the block: the orders at the row's cols, in order, as LESS, EQUAL or
+    GREATER; vector.UNDECIDED at a cell left to compare (every cell of a
+    row the vector path cannot prove); vector.TIE at an EQUAL that
+    compare would reach through its exact fallback; and GAP at the cells
+    that are no point of the row, past its end or at the columns a
+    coprime row leaves out.  It raises vector.Unproven to leave the whole
+    block to compare.  at(row) decides the UNDECIDED cells point by
+    point.  width is the most cols a row has, so that a block of rows
+    holds at most _CELLS cells, or is one row."""
 
     names: tuple[str, ...]
     rows: Sequence[int | None]
@@ -229,22 +212,32 @@ class Property:
     at: Callable[[int | None], Compare]
     relation: str  # SUB, SUP, EQ or LT
     limit: int = 0
-    vector: Callable[[Sequence], Decided] | None = None
+    vector: Callable[[Sequence], np.ndarray] | None = None
     width: int = 1
 
 
+def _undecided(prop: Property, rows: Iterable):
+    """Each of rows alone, with every cell of it left to compare."""
+    for row in rows:
+        yield [row], np.full((1, len(prop.cols(row))), vector.UNDECIDED, dtype=np.int8)
+
+
 def _blocks(prop: Property):
-    """(rows, their Decided cells) for each block of consecutive rows of
-    prop, in order: what prop.vector decides or, without it, one row left
-    wholly to compare."""
+    """(rows, their cells) for each block of consecutive rows of prop, in
+    order: what prop.vector decides or, without it or where it raises
+    vector.Unproven, each row alone, left wholly to compare."""
     if prop.vector is None:
-        for row in prop.rows:
-            yield [row], Decided.undecided(1, len(prop.cols(row))).cells
+        yield from _undecided(prop, prop.rows)
         return
     per = max(1, _CELLS // prop.width)
     for lo in range(0, len(prop.rows), per):
         rows = prop.rows[lo:lo + per]
-        yield rows, prop.vector(rows).cells
+        try:
+            cells = prop.vector(rows)
+        except vector.Unproven:
+            yield from _undecided(prop, rows)
+        else:
+            yield rows, cells
 
 
 def _visits(undecided: np.ndarray, failing: np.ndarray, full: Callable[[], bool]):
@@ -377,15 +370,13 @@ class _Singletons:
 
 def line(name: str, points: Sequence[int], compare: Compare, relation: str,
          limit: int = 0,
-         decide: Callable[[np.ndarray], np.ndarray | None] | None = None) -> Property:
+         decide: Callable[[np.ndarray], np.ndarray] | None = None) -> Property:
     """A property with one coordinate: compare(x) at each point x, all in
     one row.  decide(xs), unless None, decides the points at once, given
     as an int64 array: their orders, with vector.UNDECIDED at the points
-    it leaves to compare, or None to leave it every point."""
+    it leaves to compare (see Property.vector)."""
     def decide_line(_):
-        orders = decide(np.asarray(points, dtype=np.int64))
-        return (Decided.undecided(1, len(points)) if orders is None
-                else Decided(orders[None, :]))
+        return decide(np.asarray(points, dtype=np.int64))[None, :]
 
     return Property((name,), (None,), lambda _: _Singletons(points),
                     lambda _: compare, relation, limit,
@@ -398,9 +389,8 @@ def _grid(cfg: CheckConfig, compare: Compare, relation: str, limit: int,
     when coprime is set.  decide(m, n), unless None, decides a block of
     rows at every column at once, given the rows as a column m and the
     columns as a row n (on a coprime grid, as a block with 1 in each
-    left-out cell, which is a GAP of the Decided), both vector.Args: the
-    orders at its cells and at each row whether they are proven (a row
-    that is not is left to compare), or None to leave it every row."""
+    left-out cell, which becomes a GAP), both vector.Args: the orders at
+    its cells (see Property.vector)."""
     ns = np.arange(1, cfg.max_n + 1)
     every = [(n,) for n in range(1, cfg.max_n + 1)]
 
@@ -410,15 +400,9 @@ def _grid(cfg: CheckConfig, compare: Compare, relation: str, limit: int,
     def decide_block(rows):
         ms = np.asarray(rows, dtype=np.int64)[:, None]
         keep = np.gcd(ms, ns) == 1 if coprime else None
-        decided = decide(vector.Arg(ms),
-                         vector.Arg(ns if keep is None else np.where(keep, ns, 1)))
-        if decided is None:
-            cells = Decided.undecided(len(rows), cfg.max_n).cells
-        else:
-            cells, proven = decided
-            if not np.all(proven):
-                cells = np.where(proven, cells, vector.UNDECIDED)
-        return Decided(cells if keep is None else np.where(keep, cells, GAP))
+        cells = decide(vector.Arg(ms),
+                       vector.Arg(ns if keep is None else np.where(keep, ns, 1)))
+        return cells if keep is None else np.where(keep, cells, GAP)
 
     return Property(("m", "n"), range(1, cfg.max_m + 1), cols,
                     lambda m: partial(compare, m), relation, limit,
@@ -475,17 +459,11 @@ def formula(family: str, k: int | None, f: Callable[..., Value]) -> Compare:
 def vector_formula(family: str, k: int | None, f: vector.RowValues):
     """The family's formula as decide(m, n) over a block of rows (see
     _grid): the order of its sides at each cell, evaluated by the same
-    shape as formula() on int64 values of f, and at each row whether the
-    bounds prove it exact; None for a block without tables."""
+    shape as formula() on int64 values of f, UNDECIDED in each row the
+    bounds do not prove exact; vector.Unproven for a block without
+    tables."""
     shape = FORMULAS[family][0]
-
-    def decide(m, n):
-        try:
-            return vector.orders(*shape(f, k, m, n))
-        except vector.Unproven:
-            return None
-
-    return decide
+    return lambda m, n: vector.orders(*shape(f, k, m, n))
 
 
 def sieve_limit(specs: Iterable[PropertySpec], cfg: CheckConfig) -> int:
@@ -577,23 +555,22 @@ def power_formula(f: vector.RowValues, g: vector.RowValues):
     as decide(m, n) over a block of rows (see _grid): the log2 filter of
     vector.power_orders over int64 values of f and g, then
     vector.cross_power_ties on what it leaves.  A row with a base <= 0 or
-    an exponent that is not an integer >= 0 is not proven, and the scalar
-    path raises its error in place; None for a block without tables."""
+    an exponent that is not an integer >= 0 is left UNDECIDED, and the
+    scalar path raises its error in place; vector.Unproven for a block
+    without tables."""
 
     def decide(m, n):
         args = (m * n, m, n)
-        try:
-            fs, fok = zip(*(vector.positive(f(x)) for x in args))
-            gs, gok = zip(*(vector.exponents(g(x)) for x in args))
-        except vector.Unproven:
-            return None
+        fs, fok = zip(*(vector.positive(f(x)) for x in args))
+        gs, gok = zip(*(vector.exponents(g(x)) for x in args))
         fmn, fm, fn = fs
         gmn, gm, gn = (np.asarray(x.num, dtype=np.float64) for x in gs)
         orders = vector.power_orders(
             [(fmn.num, fmn.den, gmn)],
             [(fm.num, fm.den, gm * n.x), (fn.num, fn.den, gn * m.x)])
-        return (vector.cross_power_ties(orders, m.x, n.x, fs, gs),
-                reduce(operator.and_, fok + gok))
+        orders = vector.cross_power_ties(orders, m.x, n.x, fs, gs)
+        proven = reduce(operator.and_, fok + gok)
+        return orders if np.all(proven) else np.where(proven, orders, vector.UNDECIDED)
 
     return decide
 
@@ -653,12 +630,8 @@ def check_identity_bound(f: ArithFn, direction: str, max_n: int,
         return cmp_values(v, n), v, Fraction(n), False
 
     def decide(ns):
-        try:
-            fn = values(vector.Arg(ns))
-        except vector.Unproven:
-            return None
-        orders, proven = vector.orders(fn, vector.Row(ns, 1, max_n.bit_length(), 1))
-        return orders if np.all(proven) else None
+        return vector.orders(values(vector.Arg(ns)),
+                             vector.Row(ns, 1, max_n.bit_length(), 1))
 
     prop = line("n", range(1, max_n + 1), compare,
                 SUB if direction == "le" else SUP, max_n, decide)

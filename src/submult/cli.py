@@ -129,7 +129,7 @@ def _cmd_check(args) -> int:
     registry = builtin_registry()
     fn = registry.get(args.function)
     spec = _property_spec(args)
-    cfg = CheckConfig(max_m=args.max_m, max_n=args.max_n, k_set=(args.k,))
+    cfg = CheckConfig(max_m=args.max_m, max_n=args.max_n)
     limit = sieve_limit([spec], cfg)
     _announce_sieve(limit)
     table = build_spf_table(limit)
@@ -150,8 +150,7 @@ def _cmd_local(args) -> int:
     reports = [local]
     if args.bridge:
         spec = PropertySpec(crit.global_family(), k)
-        cfg = CheckConfig(max_m=args.max_m, max_n=args.max_n,
-                          k_set=(k,) if k else (DEFAULT_K,))
+        cfg = CheckConfig(max_m=args.max_m, max_n=args.max_n)
         limit = sieve_limit([spec], cfg)
         _announce_sieve(limit)
         table = build_spf_table(limit)

@@ -14,8 +14,11 @@ Ids are stable CLI vocabulary:
 eq12, eq13 and corollary1 compare products of powers.  Each sweeps its
 range as one row: vector.power_orders decides the points in bulk from
 int64 value tables of the functions, and only the points it leaves
-undecided reach the scalar cmp_power_products_detail.  use_filter=False
-turns off both filters, so every point takes the exact path.
+UNDECIDED reach the scalar cmp_power_products_detail.  A line without
+tables, or with a base <= 0 or an exponent that is not an integer >= 0,
+raises vector.Unproven and goes whole to the scalar path, as does an
+eq20 block beyond the memory budget.  use_filter=False turns off both
+filters, so every point takes the exact path.
 
 eq16, eq20 and eq23 are local criteria at prime powers, decided as
 submult.local decides them: in blocks, on exact Python ints, from one
@@ -34,7 +37,6 @@ from submult.checks import (
     LT,
     CheckConfig,
     CheckReport,
-    Decided,
     Property,
     formula,
     line,
@@ -90,10 +92,10 @@ def _below_self(name: str, points, fe: Evaluator, ge: Evaluator, limit: int,
     """f(x)^g(x) < x^x at each x of points, all <= limit, as a line with
     points named name; f(x) must be positive and g(x) an integer >= 0.
     Unless use_filter is False, the bulk log2 filter on f's and g's value
-    tables over [0, limit] decides the points first; it leaves them all to
-    the scalar path when a table is missing, a base is <= 0 or an exponent
-    is not an integer >= 0, and the scalar path then raises any error in
-    place."""
+    tables over [0, limit] decides the points first; it raises
+    vector.Unproven, leaving them all to the scalar path, when a table is
+    missing, a base is <= 0 or an exponent is not an integer >= 0, and the
+    scalar path then raises any error in place."""
     f, g = vector.RowValues(fe, 1, limit), vector.RowValues(ge, 1, limit)
 
     def compare(x):
@@ -112,12 +114,9 @@ def _below_self(name: str, points, fe: Evaluator, ge: Evaluator, limit: int,
 
     def decide(xs):
         x = vector.Arg(xs)
-        try:
-            (fx, fok), (gx, gok) = vector.positive(f(x)), vector.exponents(g(x))
-        except vector.Unproven:
-            return None
+        (fx, fok), (gx, gok) = vector.positive(f(x)), vector.exponents(g(x))
         if not np.all(fok & gok):
-            return None
+            raise vector.Unproven
         exps = np.asarray(gx.num, dtype=np.float64)
         return vector.power_orders([(fx.num, fx.den, exps)], [(xs, 1, xs)])
 
@@ -186,10 +185,10 @@ def verify_eq20(max_ab: int, max_k: int) -> CheckReport:
     def decide(rows):
         # one k at a time, at the block's cells (a, b), then in (b, k) order
         if len(rows) * row_bytes > core.memory_budget():
-            return Decided.undecided(len(rows), len(cols))
+            raise vector.Unproven
         a = vector.PowerArg(np.array(rows)[:, None], two)
-        orders = np.stack([decide_k(a, bs)[0] for decide_k in decides], axis=-1)
-        return Decided(orders.reshape(len(rows), -1))
+        orders = np.stack([decide_k(a, bs) for decide_k in decides], axis=-1)
+        return orders.reshape(len(rows), -1)
 
     cols = [(b, k) for b in range(max_ab + 1) for k in ks]
     prop = Property(("a", "b", "k"), range(max_ab + 1), lambda a: cols,

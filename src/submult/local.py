@@ -37,7 +37,6 @@ from submult.checks import (
     CheckConfig,
     CheckReport,
     Counterexample,
-    Decided,
     Property,
     formula,
     sweep_report,
@@ -166,9 +165,10 @@ def prime_power_property(f: ArithFn, family: str, k: int | None, primes,
     p^0 .. p^top at each prime, up to the first prime whose table cannot
     be built: its rule raises or a divisor is zero, and the scalar path
     raises the same error at that prime.  That row and the rows after it
-    are left to the scalar path, and so are the rows from the first whose
-    bytes (cell_bytes), with the rows before it, would exceed the memory
-    budget: the scalar path holds one cell at a time."""
+    are left UNDECIDED, and so are the rows from the first whose bytes
+    (cell_bytes), with the rows before it, would exceed the memory
+    budget: the scalar path holds one cell at a time.  A block whose
+    first prime's table cannot be built raises vector.Unproven."""
     top = exps[-1] * (2 if k is None else max(2, k))
     a = np.repeat(np.array(exps), len(exps))[None, :]
     b = np.tile(np.array(exps), len(exps))[None, :]
@@ -185,17 +185,17 @@ def prime_power_property(f: ArithFn, family: str, k: int | None, primes,
                 tables.append(prime_power_table(f, p, top))
             except Exception:  # the scalar path raises it at p
                 break
-        decided = Decided.undecided(len(rows), len(cols))
         if not tables:
-            return decided
+            raise vector.Unproven
         values = power_values(tables)
         needs = np.cumsum([len(cols) * size for size in cell_bytes(values, k, rows)])
         count = int((needs <= core.memory_budget()).sum())
         ps = np.array(rows[:count], dtype=object)[:, None]
         block = vector.PowerValues(values.num[:count], values.den[:count])
-        decided.cells[:count], _ = vector_formula(family, k, block)(
+        cells = np.full((len(rows), len(cols)), vector.UNDECIDED, dtype=np.int8)
+        cells[:count] = vector_formula(family, k, block)(
             vector.PowerArg(a, ps), vector.PowerArg(b, ps))
-        return decided
+        return cells
 
     return Property(("p", "a", "b"), primes, lambda p: cols, at,
                     FORMULAS[family][1], vector=decide, width=len(cols))

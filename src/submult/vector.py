@@ -13,9 +13,10 @@ Exactness rests on bit-length bounds.  A Row carries bounds
 |num| < 2**nbits and den < 2**dbits in each row: f's values take them
 from the largest value the row looks up, and products add them.
 orders() decides only the rows whose bounds prove every product below
-2**62; the sweep decides the others with the scalar Fraction path, which
-stays in the code as the oracle.  Unproven is raised for a block without
-tables.
+2**62 and marks every cell of the others UNDECIDED; the sweep decides
+those with the scalar Fraction path, which stays in the code as the
+oracle.  Unproven is raised for a block without tables, and the sweep
+then leaves each of its rows wholly to the scalar path.
 
 f's values come from int64 (num, den) tables over [0, limit], built from
 the spf table and the primes up to a bound: max(max_m, max_n) for a grid,
@@ -77,6 +78,8 @@ from submult.functions import PRODUCT, QUOTIENT, RECIPROCAL, SUM, ArithFn, Evalu
 BITS = 62  # every int64 product formed here is below 2**BITS
 _CHUNK = 4096  # table entries filled at once; bounds the temporaries
 _ONE = np.int64(1)
+UNDECIDED = 2  # an order left to the exact scalar comparison
+TIE = 3  # EQUAL, proved by cross_power_ties where the scalar exact branch runs
 
 # An exact rational per entry: (numerators, denominators > 0), both int64;
 # denominators None when every one is 1.
@@ -84,7 +87,10 @@ Pair = tuple[np.ndarray, "np.ndarray | None"]
 
 
 class Unproven(Exception):
-    """The bounds do not prove that an int64 result is exact."""
+    """This block goes to the scalar path: the vector path cannot decide
+    any of it, as when a function has no int64 value table or a result's
+    bounds do not prove it exact.  Raised out of a Property.vector and
+    caught by the sweep (checks._blocks)."""
 
 
 def _absmax(a) -> int:
@@ -384,7 +390,7 @@ class Row:
     the block's rows).  A Row of f's values takes its bounds from the
     largest of them in each row (RowValues); products are formed in every
     row and their bounds added, and a row whose bounds exceed BITS may
-    have wrapped in int64, so orders() leaves it out."""
+    have wrapped in int64, so orders() marks it UNDECIDED."""
 
     __slots__ = ("num", "den", "nbits", "dbits")
 
@@ -408,11 +414,13 @@ class Row:
         return Row(self.num**k, self.den**k, k * self.nbits, k * self.dbits)
 
 
-def orders(lhs: Row, rhs: Row) -> tuple[np.ndarray, np.ndarray]:
-    """-1, 0 or 1 at each cell as lhs <, = or > rhs, and at each row
-    whether the bounds prove its orders exact."""
+def orders(lhs: Row, rhs: Row) -> np.ndarray:
+    """LESS, EQUAL or GREATER at each cell as lhs <, = or > rhs, as int8,
+    and UNDECIDED at every cell of a row whose bounds do not prove its
+    orders exact."""
+    signs = np.sign(lhs.num * rhs.den - rhs.num * lhs.den).astype(np.int8)
     exact = (lhs.nbits + rhs.dbits <= BITS) & (rhs.nbits + lhs.dbits <= BITS)
-    return np.sign(lhs.num * rhs.den - rhs.num * lhs.den).astype(np.int8), exact
+    return signs if np.all(exact) else np.where(exact, signs, UNDECIDED)
 
 
 class Arg:
@@ -528,9 +536,6 @@ class PowerValues:
 # ---------------------------------------------------------------------------
 # Products of powers
 # ---------------------------------------------------------------------------
-
-UNDECIDED = 2  # an order left to the exact scalar comparison
-TIE = 3  # EQUAL, proved by cross_power_ties where the scalar exact branch runs
 
 # Twice the scalar filter's pads (core._PAD_ABS, core._PAD_REL).  Each
 # interval here then contains the scalar filter's interval for the same

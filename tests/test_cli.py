@@ -120,6 +120,21 @@ def test_check_bad_property_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "phi", "sub-mult", "--max-m", "12", "--max-n", "12"),
+    ("local", "phi", "eq14", "sub", "--bridge", "--max-prime", "7",
+     "--max-exp", "2", "--max-m", "12", "--max-n", "12"),
+], ids=["check", "local-bridge"])
+def test_k_is_ignored_where_the_property_takes_none(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 1
+    code_k, out_k, err_k = run_cli(capsys, *argv, "--k", "1", "--json")
+    assert (code_k, err_k) == (code, err)
+    assert scrub(json.loads(out_k)) == scrub(json.loads(out))
+    code, _, err = run_cli(capsys, "check", "phi", "k-sub-mult", "--k", "1")
+    assert code == 2 and "k >= 2" in err
+
+
 # --- local -------------------------------------------------------------------
 
 

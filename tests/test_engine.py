@@ -6,12 +6,14 @@ import importlib
 import importlib.util
 import json
 import re
+import sys
 from functools import cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from submult import checks, functions, vector
+from submult import checks, functions, inequalities, vector
 from submult.checks import (
     HOLDS,
     REFUTED,
@@ -21,11 +23,14 @@ from submult.checks import (
     sweep_report,
 )
 from submult.cli import main
-from submult.core import build_spf_table, primes_upto
+from submult.core import EQUAL, GREATER, LESS, build_spf_table, primes_upto
 from submult.inequalities import verify_eq16, verify_eq23
 from submult.inference import (
     FAMILIES,
     K_FAMILIES,
+    K_SUB_MULT,
+    K_SUP_MULT,
+    MULTIPLICATIVE,
     SUP_MULT,
     PropertySpec,
 )
@@ -33,7 +38,8 @@ from submult.local import LocalCriterion, check_local, check_local_k_subhom, pri
 
 from oracles import d_oracle, phi_oracle, sigma_oracle, spf_oracle
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
 
 
 # --- benchmark contract --------------------------------------------------------
@@ -90,6 +96,21 @@ def test_benchmark_tracer_wraps_and_restores_every_traced_name(capsys):
     # leaves undecided, here the corollary1 ties, reach the scalar comparison
     assert totals["core.cmp_power"]["calls"] == 4 + 9
     assert totals["core.factorize"]["calls"] > 0
+
+
+def test_benchmark_commands_match_the_reference(monkeypatch):
+    # every command the benchmark can run, at its tiny scale, run as the
+    # benchmark runs it: the exit code, the reports' projection and the
+    # inferred tags its reference records
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = importlib.import_module("workloads")
+    worker = importlib.import_module("worker")
+    reference = json.loads((PERFBENCH / "reference.json").read_text())["tiny"]
+    cmds = workloads.all_commands("tiny")
+    assert sorted(cmd.key for cmd in cmds) == sorted(reference)
+    for cmd in cmds:
+        assert worker.outcome(*worker.run_command(cmd)) == reference[cmd.key], cmd.key
 
 
 @pytest.mark.parametrize("direction", ["sup", "sub"])
@@ -253,3 +274,66 @@ def test_shared_formulas_agree(registry, case):
                 report = check_local(registry.get(name), crit, 5, 3)
                 assert (_outcome(report, report.triples_checked)
                         == _brute_force_local(ORACLES[name], crit, 5, 3)), crit.label()
+
+
+# --- the contract of Property.vector ----------------------------------------------
+
+
+def _swept(monkeypatch, module, run):
+    """The Property that run() hands to module's sweep_report."""
+    props = []
+    monkeypatch.setattr(module, "sweep_report", lambda *args: props.append(args[3]))
+    run()
+    return props[0]
+
+
+REGISTRY = functions.builtin_registry()
+
+
+def _grid(fn, spec, size):
+    cfg = CheckConfig(max_m=size, max_n=size)
+    return lambda mp, table: checks.grid_property(functions.Evaluator(fn, table), spec, cfg)
+
+
+VECTOR_BUILDERS = {
+    "grid": _grid(REGISTRY.get("sigma"), PropertySpec(SUP_MULT), 30),
+    "coprime-grid": _grid(REGISTRY.get("n_plus_d"), PropertySpec(MULTIPLICATIVE), 30),
+    # f(mn)^2 = (mn)^8 fits in 62 bits in the first rows only
+    "unproven-rows": _grid(functions.make_prime_power_fn("n^4", lambda p, a: p ** (4 * a)),
+                           PropertySpec(K_SUB_MULT, 2), 40),
+    "identity-bound": lambda mp, table: _swept(
+        mp, checks, lambda: checks.check_identity_bound(REGISTRY.get("sigma"), "ge", 500,
+                                                        table)),
+    "eq13": lambda mp, table: _swept(
+        mp, inequalities, lambda: inequalities.verify_eq13(300, table=table)),
+    "cross-power": lambda mp, table: _swept(
+        mp, checks, lambda: checks.check_power_submult(
+            REGISTRY.get("sigma"), REGISTRY.get("identity"), checks.SUB,
+            CheckConfig(max_m=12, max_n=12), table)),
+    "prime-powers": lambda mp, table: prime_power_property(
+        REGISTRY.get("sigma"), K_SUP_MULT, 3, primes_upto(30), range(5)),
+    "eq20": lambda mp, table: _swept(
+        mp, inequalities, lambda: inequalities.verify_eq20(12, 5)),
+}
+ORDERS = {LESS, EQUAL, GREATER, vector.UNDECIDED, vector.TIE, checks.GAP}
+
+
+@pytest.mark.parametrize("builder", VECTOR_BUILDERS)
+def test_vector_returns_one_int8_row_per_row_over_its_cols(monkeypatch, table_10k,
+                                                           builder):
+    prop = VECTOR_BUILDERS[builder](monkeypatch, table_10k)
+    rows = list(prop.rows)
+    per = max(1, checks._CELLS // prop.width)
+    seen = set()
+    for block in (rows[:per], rows[-1:], rows[len(rows) // 2:][:3]):
+        cells = prop.vector(block)
+        assert isinstance(cells, np.ndarray) and cells.dtype == np.int8
+        assert cells.ndim == 2 and len(cells) == len(block)
+        for row, orders in zip(block, cells):
+            assert np.count_nonzero(orders != checks.GAP) == len(prop.cols(row))
+        seen |= set(np.unique(cells).tolist())
+    assert seen <= ORDERS
+    if builder == "coprime-grid":
+        assert checks.GAP in seen
+    if builder == "unproven-rows":
+        assert vector.UNDECIDED in seen

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from submult import core, inequalities
+from submult import core, inequalities, vector
 from submult.core import (
     LESS,
     build_spf_table,
@@ -19,6 +19,7 @@ from submult.inequalities import (
     verify_eq23,
 )
 
+from blocks import row_orders
 from oracles import phi_oracle, sigma_oracle
 
 
@@ -128,7 +129,7 @@ def _eq20_property(monkeypatch, max_ab, max_k):
 def test_eq20_block_orders_are_the_scalar_orders(monkeypatch, rows):
     # every k of a block, back in (b, k) column order
     prop = _eq20_property(monkeypatch, 12, 5)
-    decided = prop.vector(rows)
+    decided = list(row_orders(prop.vector(rows)))
     assert len(decided) == len(rows)
     for row, orders in zip(rows, decided):
         compare = prop.at(row)
@@ -140,8 +141,8 @@ def test_eq20_blocks_beyond_the_memory_budget_go_to_the_scalar_path(monkeypatch)
     monkeypatch.setattr(core, "memory_budget", lambda: 0)
     slow = verify_eq20(12, 5)
     assert (fast.verdict, fast.pairs_checked) == (slow.verdict, slow.pairs_checked)
-    assert all(orders is None
-               for orders in _eq20_property(monkeypatch, 12, 5).vector([0, 1]))
+    with pytest.raises(vector.Unproven):
+        _eq20_property(monkeypatch, 12, 5).vector([0, 1])
 
 
 # --- eq23 --------------------------------------------------------------------

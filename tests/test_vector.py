@@ -48,6 +48,7 @@ from submult.inference import (
     PropertyTag,
 )
 
+from blocks import row_orders
 from oracles import d_oracle, phi_oracle, sigma_oracle
 
 # Every registry function, plus prime-power rules with Fraction values and
@@ -213,13 +214,26 @@ def test_rows_the_bound_cannot_prove_go_to_the_scalar_path(table_1m):
     cfg = CheckConfig(max_m=40, max_n=40)
     prop = grid_property(Evaluator(fn, table_1m), spec, cfg)
     rows = list(prop.rows)
-    decided = [orders is not None for orders in prop.vector(rows)]
+    decided = [orders is not None for orders in row_orders(prop.vector(rows))]
     assert len(decided) == len(rows)
     # one block of rows: the first are decided in it, the rest are not
     assert any(decided) and not all(decided)
     assert decided == sorted(decided, reverse=True)
     fast, scalar = _both_paths(fn, spec, cfg, table_1m)
     assert fast == scalar
+
+
+def test_orders_leave_exactly_the_unproven_rows_undecided():
+    # three rows of signs -1, 0, 1; the middle row's bounds exceed BITS
+    lhs = vector.Row(np.array([[1, 2, 3]] * 3), np.int64(1),
+                     np.array([[2], [vector.BITS], [2]]), 1)
+    rhs = vector.Row(np.array([[2, 2, 2]]), np.int64(1), 2, 1)
+    signs = [[-1, 0, 1]] * 3
+    orders = vector.orders(lhs, rhs)
+    assert orders.dtype == np.int8
+    assert orders.tolist() == [signs[0], [vector.UNDECIDED] * 3, signs[2]]
+    proven = vector.orders(lhs, vector.Row(rhs.num, rhs.den, 2, 0))
+    assert proven.tolist() == signs
 
 
 def test_zero_divisor_raises_the_scalar_error(table_1m):
