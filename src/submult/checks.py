@@ -126,7 +126,6 @@ class CheckConfig:
     max_m: int = 100
     max_n: int = 100
     k_set: tuple[int, ...] = (2,)
-    stop_at_first: bool = False
     counterexample_cap: int = 10
 
     def __post_init__(self):
@@ -266,9 +265,7 @@ def _sweep(prop: Property, cfg: CheckConfig,
     In a visited row compare runs, in column order, at every UNDECIDED
     cell and at the failing cells, up to the cap, to recompute their
     sides.  Exact fallbacks are counted at vector.TIE cells and where
-    compare reports one at an UNDECIDED cell.  With cfg.stop_at_first the
-    sweep ends after the first row that has a counterexample, and the
-    block's rows after it are taken back out of its tally.
+    compare reports one at an UNDECIDED cell.
 
     threads is ignored: sweeps run on the calling thread.  It stays the
     third positional parameter only because the benchmark's tracer reads
@@ -280,19 +277,11 @@ def _sweep(prop: Property, cfg: CheckConfig,
     failed = exact = 0  # at UNDECIDED cells
     bulk = np.zeros(3, dtype=np.int64)  # the points, and failures and TIEs elsewhere
 
-    def counts(cells):
-        return np.bincount(cells.ravel() + 1, minlength=_ORDERS)
-
     def full():
         return len(cex) == cap
 
-    def outcome():
-        points, failures, ties = bulk.tolist()
-        stats = {"exact_fallbacks": exact + ties} if exact + ties else {}
-        return (REFUTED if failed + failures else HOLDS), cex, points, stats
-
     for rows, cells in _blocks(prop):
-        at = counts(cells)
+        at = np.bincount(cells.ravel() + 1, minlength=_ORDERS)
         bulk += tally @ at
         if not at[vector.UNDECIDED + 1] and (full() or not at[fails].any()):
             continue
@@ -305,7 +294,6 @@ def _sweep(prop: Property, cfg: CheckConfig,
             orders = cells[r][cells[r] != GAP] if gaps else cells[r]
             compare = prop.at(row)
             lead = () if row is None else (row,)
-            failed_before = failed
             todo = np.flatnonzero((_UNDECIDED_ONLY if full() else visit)[orders + 1])
             for i, decided in zip(todo.tolist(), orders[todo].tolist()):
                 fallback = decided == vector.UNDECIDED
@@ -324,10 +312,9 @@ def _sweep(prop: Property, cfg: CheckConfig,
                 failed += fallback
                 if len(cex) < cap:
                     cex.append(Counterexample(point, lhs, rhs))
-            if cfg.stop_at_first and (failing[r] or failed > failed_before):
-                bulk -= tally @ counts(cells[r + 1:])
-                return outcome()
-    return outcome()
+    points, failures, ties = bulk.tolist()
+    stats = {"exact_fallbacks": exact + ties} if exact + ties else {}
+    return (REFUTED if failed + failures else HOLDS), cex, points, stats
 
 
 def sweep_report(function: str, label: str, params: dict, prop: Property,
@@ -369,28 +356,26 @@ class _Singletons:
 
 
 def line(name: str, points: Sequence[int], compare: Compare, relation: str,
-         limit: int = 0,
-         decide: Callable[[np.ndarray], np.ndarray] | None = None) -> Property:
+         decide: Callable[[np.ndarray], np.ndarray], limit: int = 0) -> Property:
     """A property with one coordinate: compare(x) at each point x, all in
-    one row.  decide(xs), unless None, decides the points at once, given
-    as an int64 array: their orders, with vector.UNDECIDED at the points
-    it leaves to compare (see Property.vector)."""
+    one row.  decide(xs) decides the points at once, given as an int64
+    array: their orders, with vector.UNDECIDED at the points it leaves to
+    compare (see Property.vector)."""
     def decide_line(_):
         return decide(np.asarray(points, dtype=np.int64))[None, :]
 
     return Property((name,), (None,), lambda _: _Singletons(points),
-                    lambda _: compare, relation, limit,
-                    None if decide is None else decide_line)
+                    lambda _: compare, relation, limit, decide_line)
 
 
 def _grid(cfg: CheckConfig, compare: Compare, relation: str, limit: int,
           coprime: bool, decide) -> Property:
     """compare(m, n) over the (m, n) grid of cfg, only at coprime pairs
-    when coprime is set.  decide(m, n), unless None, decides a block of
-    rows at every column at once, given the rows as a column m and the
-    columns as a row n (on a coprime grid, as a block with 1 in each
-    left-out cell, which becomes a GAP), both vector.Args: the orders at
-    its cells (see Property.vector)."""
+    when coprime is set.  decide(m, n) decides a block of rows at every
+    column at once, given the rows as a column m and the columns as a row
+    n (on a coprime grid, as a block with 1 in each left-out cell, which
+    becomes a GAP), both vector.Args: the orders at its cells (see
+    Property.vector)."""
     ns = np.arange(1, cfg.max_n + 1)
     every = [(n,) for n in range(1, cfg.max_n + 1)]
 
@@ -405,8 +390,8 @@ def _grid(cfg: CheckConfig, compare: Compare, relation: str, limit: int,
         return cells if keep is None else np.where(keep, cells, GAP)
 
     return Property(("m", "n"), range(1, cfg.max_m + 1), cols,
-                    lambda m: partial(compare, m), relation, limit,
-                    None if decide is None else decide_block, cfg.max_n)
+                    lambda m: partial(compare, m), relation, limit, decide_block,
+                    cfg.max_n)
 
 
 # ---------------------------------------------------------------------------
@@ -576,16 +561,15 @@ def power_formula(f: vector.RowValues, g: vector.RowValues):
 
 
 def check_power_submult(f: ArithFn, g: ArithFn, direction: str, cfg: CheckConfig,
-                        table: SpfTable, *, use_filter: bool = True) -> CheckReport:
+                        table: SpfTable) -> CheckReport:
     """Sub/sup-multiplicativity of h(n) = f(n)^(g(n)/n), decided exactly.
 
     h(mn) <= h(m) h(n) is equivalent, after raising both sides to the
     mn-th power, to f(mn)^g(mn) <= f(m)^(g(m) n) * f(n)^(g(n) m); both
     sides are products of integer powers of positive rationals, which
     cmp_power_products orders exactly.  g must be integer-valued.  Rows
-    are decided in bulk by power_formula; the cells it leaves undecided,
-    and every cell when use_filter is False, go to
-    cmp_power_products_detail.
+    are decided in bulk by power_formula; the cells it leaves undecided go
+    to cmp_power_products_detail.
     """
     fe = Evaluator(f, table)
     ge = Evaluator(g, table)
@@ -599,13 +583,11 @@ def check_power_submult(f: ArithFn, g: ArithFn, direction: str, cfg: CheckConfig
                 f"{g.name} takes a negative value on the grid")
         lhs = ((fe(m * n), gmn),)
         rhs = ((fe(m), gm * n), (fe(n), gn * m))
-        order, used_exact = cmp_power_products_detail(lhs, rhs, use_filter=use_filter)
+        order, used_exact = cmp_power_products_detail(lhs, rhs)
         return order, lhs, rhs, used_exact
 
-    decide = None
-    if use_filter:
-        decide = power_formula(vector.RowValues(fe, cfg.max_m, cfg.max_n),
-                               vector.RowValues(ge, cfg.max_m, cfg.max_n))
+    decide = power_formula(vector.RowValues(fe, cfg.max_m, cfg.max_n),
+                           vector.RowValues(ge, cfg.max_m, cfg.max_n))
     # h's sub-multiplicativity evaluates f and g where sub-mult evaluates f
     prop = _grid(cfg, compare, direction,
                  sieve_limit([PropertySpec(SUB_MULT)], cfg), False, decide)
@@ -634,7 +616,7 @@ def check_identity_bound(f: ArithFn, direction: str, max_n: int,
                              vector.Row(ns, 1, max_n.bit_length(), 1))
 
     prop = line("n", range(1, max_n + 1), compare,
-                SUB if direction == "le" else SUP, max_n, decide)
+                SUB if direction == "le" else SUP, decide, max_n)
     return sweep_report(f.name, LE_IDENTITY if direction == "le" else GE_IDENTITY,
                         {"max_n": max_n}, prop, CheckConfig(), table)
 

@@ -23,8 +23,8 @@ from submult.errors import DomainError, ResourceError, UnsupportedInputError, Us
 # Exact rational value; the codomain of every registered function.
 Value = Fraction
 
-#: Default cap on the estimated decimal digits of any intermediate
-#: integer in an exact power comparison.  Exceeding it raises
+#: Cap on the estimated decimal digits of any intermediate integer in an
+#: exact power comparison, scalar or bulk.  Exceeding it raises
 #: ResourceError rather than returning a possibly-wrong answer.
 DEFAULT_DIGIT_BUDGET = 10**6
 
@@ -344,23 +344,19 @@ def _estimated_digits(factors: list[tuple[Fraction, int]]) -> float:
     return max(num_bits, den_bits) * DIGITS_PER_BIT
 
 
-def cmp_power_products(lhs, rhs, *, digit_budget: int = DEFAULT_DIGIT_BUDGET,
-                       use_filter: bool = True) -> int:
+def cmp_power_products(lhs, rhs, *, use_filter: bool = True) -> int:
     """Exact ordering of two products of powers of positive rationals.
 
     Each side is an iterable of (base, exponent) with base > 0 rational
     and integer exponent >= 0.  A log2 interval filter decides well
-    separated sides; otherwise the exact big-integer comparison runs,
-    guarded by digit_budget.
+    separated sides unless use_filter is False; otherwise the exact
+    big-integer comparison runs, guarded by DEFAULT_DIGIT_BUDGET.
     """
-    order, _ = cmp_power_products_detail(
-        lhs, rhs, digit_budget=digit_budget, use_filter=use_filter
-    )
+    order, _ = cmp_power_products_detail(lhs, rhs, use_filter=use_filter)
     return order
 
 
-def cmp_power_products_detail(lhs, rhs, *, digit_budget: int = DEFAULT_DIGIT_BUDGET,
-                              use_filter: bool = True) -> tuple[int, bool]:
+def cmp_power_products_detail(lhs, rhs, *, use_filter: bool = True) -> tuple[int, bool]:
     """As cmp_power_products, also reporting whether the exact fallback ran."""
     left = _normalize_side(lhs)
     right = _normalize_side(rhs)
@@ -383,10 +379,10 @@ def cmp_power_products_detail(lhs, rhs, *, digit_budget: int = DEFAULT_DIGIT_BUD
             return GREATER, False
 
     est = _estimated_digits(left) + _estimated_digits(right)
-    if est > digit_budget:
+    if est > DEFAULT_DIGIT_BUDGET:
         raise ResourceError(
             f"exact power comparison needs ~{est:.0f} decimal digits, "
-            f"budget is {digit_budget}"
+            f"budget is {DEFAULT_DIGIT_BUDGET}"
         )
     # x -> x**G is strictly increasing for x > 0, so dividing every
     # exponent by their gcd G keeps the order; ties of exponent-scaled
@@ -412,7 +408,6 @@ def cmp_power_products_detail(lhs, rhs, *, digit_budget: int = DEFAULT_DIGIT_BUD
 
 
 def cmp_powers(a: Value, e1: int, b: Value, e2: int, *,
-               digit_budget: int = DEFAULT_DIGIT_BUDGET,
                use_filter: bool = True) -> int:
     """Exact ordering of a**e1 vs b**e2 for positive rational a, b.
 
@@ -424,6 +419,4 @@ def cmp_powers(a: Value, e1: int, b: Value, e2: int, *,
     b = Fraction(b)
     if a <= 0 or b <= 0:
         raise DomainError(f"cmp_powers requires positive bases, got {a}, {b}")
-    return cmp_power_products(
-        [(a, e1)], [(b, e2)], digit_budget=digit_budget, use_filter=use_filter
-    )
+    return cmp_power_products([(a, e1)], [(b, e2)], use_filter=use_filter)

@@ -17,8 +17,7 @@ int64 value tables of the functions, and only the points it leaves
 UNDECIDED reach the scalar cmp_power_products_detail.  A line without
 tables, or with a base <= 0 or an exponent that is not an integer >= 0,
 raises vector.Unproven and goes whole to the scalar path, as does an
-eq20 block beyond the memory budget.  use_filter=False turns off both
-filters, so every point takes the exact path.
+eq20 block beyond the memory budget.
 
 eq16, eq20 and eq23 are local criteria at prime powers, decided as
 submult.local decides them: in blocks, on exact Python ints, from one
@@ -67,7 +66,7 @@ from submult.local import (
 INEQUALITY_IDS = ("eq12", "eq13", "eq16", "eq20", "eq23", "corollary1")
 
 
-def verify_eq12(max_prime: int, *, use_filter: bool = True) -> CheckReport:
+def verify_eq12(max_prime: int) -> CheckReport:
     """(p+1)^(p-1) < p^p, strict, for every prime p <= max_prime."""
     if max_prime < 2:
         raise UsageError("max_prime must be >= 2")
@@ -75,27 +74,25 @@ def verify_eq12(max_prime: int, *, use_filter: bool = True) -> CheckReport:
     def compare(p):
         lhs = ((Fraction(p + 1), p - 1),)
         rhs = ((Fraction(p), p),)
-        order, used_exact = cmp_power_products_detail(lhs, rhs, use_filter=use_filter)
+        order, used_exact = cmp_power_products_detail(lhs, rhs)
         return order, lhs, rhs, used_exact
 
     def decide(ps):
         return vector.power_orders([(ps + 1, 1, ps - 1)], [(ps, 1, ps)])
 
-    prop = line("p", primes_upto(max_prime), compare, LT,
-                decide=decide if use_filter else None)
+    prop = line("p", primes_upto(max_prime), compare, LT, decide)
     return sweep_report("eq12", "(p+1)^(p-1) < p^p", {"max_prime": max_prime},
                         prop, CheckConfig())
 
 
-def _below_self(name: str, points, fe: Evaluator, ge: Evaluator, limit: int,
-                use_filter: bool) -> Property:
+def _below_self(name: str, points, fe: Evaluator, ge: Evaluator, limit: int) -> Property:
     """f(x)^g(x) < x^x at each x of points, all <= limit, as a line with
     points named name; f(x) must be positive and g(x) an integer >= 0.
-    Unless use_filter is False, the bulk log2 filter on f's and g's value
-    tables over [0, limit] decides the points first; it raises
-    vector.Unproven, leaving them all to the scalar path, when a table is
-    missing, a base is <= 0 or an exponent is not an integer >= 0, and the
-    scalar path then raises any error in place."""
+    The bulk log2 filter on f's and g's value tables over [0, limit]
+    decides the points first; it raises vector.Unproven, leaving them all
+    to the scalar path, when a table is missing, a base is <= 0 or an
+    exponent is not an integer >= 0, and the scalar path then raises any
+    error in place."""
     f, g = vector.RowValues(fe, 1, limit), vector.RowValues(ge, 1, limit)
 
     def compare(x):
@@ -109,7 +106,7 @@ def _below_self(name: str, points, fe: Evaluator, ge: Evaluator, limit: int,
                 "integer-valued exponent function")
         lhs = ((fx, int(gx)),)
         rhs = ((Fraction(x), x),)
-        order, used_exact = cmp_power_products_detail(lhs, rhs, use_filter=use_filter)
+        order, used_exact = cmp_power_products_detail(lhs, rhs)
         return order, lhs, rhs, used_exact
 
     def decide(xs):
@@ -120,16 +117,14 @@ def _below_self(name: str, points, fe: Evaluator, ge: Evaluator, limit: int,
         exps = np.asarray(gx.num, dtype=np.float64)
         return vector.power_orders([(fx.num, fx.den, exps)], [(xs, 1, xs)])
 
-    return line(name, points, compare, LT, decide=decide if use_filter else None)
+    return line(name, points, compare, LT, decide)
 
 
-def verify_eq13(max_n: int, *, table: SpfTable | None = None,
-                use_filter: bool = True) -> CheckReport:
+def verify_eq13(max_n: int, *, table: SpfTable | None = None) -> CheckReport:
     """sigma(n)^phi(n) < n^n, strict, for all 2 <= n <= max_n.
 
     The log filter resolves almost every n; near-ties fall back to the
-    exact big-integer comparison (whose cost the default digit budget
-    caps).  Pass use_filter=False to force the exact path throughout.
+    exact big-integer comparison (whose cost the digit budget caps).
     """
     if max_n < 2:
         raise UsageError("max_n must be >= 2")
@@ -137,7 +132,7 @@ def verify_eq13(max_n: int, *, table: SpfTable | None = None,
         table = build_spf_table(max_n)
     sigma = Evaluator(make_prime_power_fn("sigma", sigma_rule), table)
     phi = Evaluator(make_prime_power_fn("phi", phi_rule), table)
-    prop = _below_self("n", range(2, max_n + 1), sigma, phi, max_n, use_filter)
+    prop = _below_self("n", range(2, max_n + 1), sigma, phi, max_n)
     return sweep_report("eq13", "sigma(n)^phi(n) < n^n", {"max_n": max_n}, prop,
                         CheckConfig())
 
@@ -173,7 +168,7 @@ def verify_eq20(max_ab: int, max_k: int) -> CheckReport:
         raise UsageError("need max_ab >= 0 and max_k >= 2")
     d = make_prime_power_fn("d", d_rule)
     ks = range(2, max_k + 1)
-    values = prime_power_table(d, 2, max_k * max_ab)
+    values = prime_power_table(d, 2, range(max_k * max_ab + 1))
     lookup = prime_power_lookup(2, values)
     compares = {k: formula(K_SUP_MULT, k, lookup) for k in ks}
     block_values = power_values([values])
@@ -212,8 +207,8 @@ def verify_eq23(max_prime: int, max_exp: int, k: int) -> CheckReport:
 
 
 def verify_corollary1(f: ArithFn, g: ArithFn, max_prime: int, max_n: int, *,
-                      registry: Registry, table: SpfTable | None = None,
-                      use_filter: bool = True) -> tuple[CheckReport, CheckReport]:
+                      registry: Registry,
+                      table: SpfTable | None = None) -> tuple[CheckReport, CheckReport]:
     """Seed-and-conclusion pair for the power-function scheme.
 
     Requires the hypotheses on record (f sub-multiplicative, g
@@ -235,11 +230,11 @@ def verify_corollary1(f: ArithFn, g: ArithFn, max_prime: int, max_n: int, *,
     report_a = sweep_report(
         "corollary1", f"{pair}: f(p)^g(p) < p^p on primes",
         {"max_prime": max_prime, "f": f.name, "g": g.name},
-        _below_self("p", primes_upto(max_prime), fe, ge, limit, use_filter),
+        _below_self("p", primes_upto(max_prime), fe, ge, limit),
         CheckConfig())
     report_b = sweep_report(
         "corollary1", f"{pair}: f(n)^g(n) < n^n",
         {"max_n": max_n, "f": f.name, "g": g.name},
-        _below_self("n", range(2, max_n + 1), fe, ge, limit, use_filter),
+        _below_self("n", range(2, max_n + 1), fe, ge, limit),
         CheckConfig())
     return report_a, report_b

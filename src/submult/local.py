@@ -15,7 +15,7 @@ eq14 the implication is an equivalence (take m = p^a, n = p^b); for the
 others only the local-to-global direction is established, and the
 bridge checks only that direction.
 
-A sweep reads f from one table per prime, f(p^e) for e in 0..top.  It
+A sweep reads f from one table per prime, f(p^e) at the e it reads.  It
 decides a block of primes at once by the formula shape on exact Python
 ints (vector.PowerArg, vector.PowerValues), indexed by exponent: m n is
 a + b and f at m^k is entry k a.  The scalar path reads the same table as
@@ -26,7 +26,7 @@ eq16, eq20 and eq23 (submult.inequalities) are swept the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -118,23 +118,41 @@ def _require_multiplicative(f: ArithFn) -> None:
         )
 
 
-def prime_power_table(f: ArithFn, p: int, top: int) -> list[Value]:
-    """f(p^e) for e in 0..top, exactly."""
-    return [evaluate_fact(f, prime_power(p, e)) for e in range(top + 1)]
+def exponents_read(family: str, k: int | None, exps: range) -> list[int]:
+    """The exponents e, ascending, of the powers p^e at which the family's
+    formula over (m, n) = (p^a, p^b), a, b in exps, takes or reads f (f(x, k)
+    reads f(x^k)): run on a recording f, as checks.sieve_limit is."""
+    read = set()
+
+    def record(x, k=1):
+        read.update(x.x.ravel().tolist(), (k * x.x).ravel().tolist())
+        return vector.Row(1, 1, 0, 0)
+
+    es = np.array(exps)[:, None]
+    FORMULAS[family][0](record, k, vector.PowerArg(es, 1), vector.PowerArg(es.T, 1))
+    return sorted(read)
 
 
-def prime_power_lookup(p: int, values: list[Value]) -> Callable[..., Value]:
+def prime_power_table(f: ArithFn, p: int, exps: Iterable[int]) -> list[Value | None]:
+    """f(p^e) exactly at index e for each e in exps, and None, which no
+    arithmetic accepts, at every other index up to the largest."""
+    exps = set(exps)
+    return [evaluate_fact(f, prime_power(p, e)) if e in exps else None
+            for e in range(max(exps) + 1)]
+
+
+def prime_power_lookup(p: int, values: list[Value | None]) -> Callable[..., Value]:
     """f as the formula shapes call it, f(x, k=1) at x^k, on the powers
-    x = p^e, from values[e] = f(p^e) (see checks.formula)."""
-    exponent = {p**e: e for e in range(len(values))}
+    x = p^e whose values[e] = f(p^e) is held (see checks.formula)."""
+    exponent = {p**e: e for e, v in enumerate(values) if v is not None}
     return lambda x, k=1: values[k * exponent[x]]
 
 
-def power_values(tables: list[list[Value]]) -> vector.PowerValues:
+def power_values(tables: list[list[Value | None]]) -> vector.PowerValues:
     """The prime_power_table of each row of a block, as a
-    vector.PowerValues."""
+    vector.PowerValues, with None where a table holds None."""
     def part(name):
-        return np.array([[getattr(v, name) for v in t] for t in tables], dtype=object)
+        return np.array([[getattr(v, name, None) for v in t] for t in tables], dtype=object)
 
     return vector.PowerValues(part("numerator"), part("denominator"))
 
@@ -144,15 +162,16 @@ _TEMPS = 8  # object arrays over a block's cells alive at once while it is decid
 
 def cell_bytes(values: vector.PowerValues, k: int | None, primes: list[int]) -> list[int]:
     """A bound on the bytes the block path holds per cell of each row of
-    values, f(p^e) for e in 0..top at the row's prime p, while it decides
+    values, f(p^e) at the row's prime p for e up to top, while it decides
     the row at exponent k: _TEMPS Python ints, each with a pointer and a
     header, of at most (k + 2) B + top log2(p) + 1 bits, where the row's
-    values have at most B bits and the multiplier m^k = p^(k a) of the
-    hom shapes is at most p^top."""
-    tops = np.maximum(np.abs(values.num), values.den).max(axis=1)
+    values held have at most B bits and the multiplier m^k = p^(k a) of
+    the hom shapes is at most p^top."""
+    tops = [max(max(abs(n), d) for n, d in zip(num, den) if d is not None)
+            for num, den in zip(values.num.tolist(), values.den.tolist())]
     top = values.num.shape[1] - 1
     return [_TEMPS * (40 + (((k or 1) + 2) * t.bit_length() + top * p.bit_length() + 1) // 7)
-            for t, p in zip(tops.tolist(), primes)]
+            for t, p in zip(tops, primes)]
 
 
 def prime_power_property(f: ArithFn, family: str, k: int | None, primes,
@@ -161,33 +180,35 @@ def prime_power_property(f: ArithFn, family: str, k: int | None, primes,
     a, b in exps, with points named (p, a, b).
 
     A block of primes is decided at once (Property.vector) by the formula
-    shape on exact Python ints (vector.PowerValues), from f's table on
-    p^0 .. p^top at each prime, up to the first prime whose table cannot
-    be built: its rule raises or a divisor is zero, and the scalar path
-    raises the same error at that prime.  That row and the rows after it
-    are left UNDECIDED, and so are the rows from the first whose bytes
-    (cell_bytes), with the rows before it, would exceed the memory
-    budget: the scalar path holds one cell at a time.  A block whose
-    first prime's table cannot be built raises vector.Unproven."""
-    top = exps[-1] * (2 if k is None else max(2, k))
+    shape on exact Python ints (vector.PowerValues), from f's table at
+    each prime at the exponents_read, up to the first prime whose table
+    cannot be built: its rule raises or a divisor is zero, and the scalar
+    path raises the same error at that prime.  That row and the rows after
+    it are left UNDECIDED, and so are the rows from the first whose bytes
+    (cell_bytes), with the rows before it, would exceed the memory budget:
+    the scalar path holds one cell at a time.  A block whose first prime's
+    table cannot be built raises vector.Unproven."""
+    read = exponents_read(family, k, exps)
     a = np.repeat(np.array(exps), len(exps))[None, :]
     b = np.tile(np.array(exps), len(exps))[None, :]
     cols = list(zip(a[0].tolist(), b[0].tolist()))
+    built = {}  # prime -> its table, in the block last decided, for at()
 
     def at(p):
-        compare = formula(family, k, prime_power_lookup(p, prime_power_table(f, p, top)))
+        values = built.get(p) or prime_power_table(f, p, read)
+        compare = formula(family, k, prime_power_lookup(p, values))
         return lambda a, b: compare(p**a, p**b)
 
     def decide(rows):
-        tables = []
+        built.clear()
         for p in rows:
             try:
-                tables.append(prime_power_table(f, p, top))
+                built[p] = prime_power_table(f, p, read)
             except Exception:  # the scalar path raises it at p
                 break
-        if not tables:
+        if not built:
             raise vector.Unproven
-        values = power_values(tables)
+        values = power_values(list(built.values()))
         needs = np.cumsum([len(cols) * size for size in cell_bytes(values, k, rows)])
         count = int((needs <= core.memory_budget()).sum())
         ps = np.array(rows[:count], dtype=object)[:, None]

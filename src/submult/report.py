@@ -10,18 +10,24 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 from importlib import resources
 
 from submult.checks import CheckReport
+from submult.errors import ResourceError
 from submult.local import BridgeReport, LocalReport
 
 SCHEMA_VERSION = "1"
 
 
 def render_value(v: Fraction) -> str:
-    return str(v)
+    try:
+        return str(v)
+    except ValueError:  # more digits than Python converts to text
+        raise ResourceError(f"a value to report has more than "
+                            f"{sys.get_int_max_str_digits()} decimal digits") from None
 
 
 def side_to_json(side) -> dict:

@@ -48,6 +48,7 @@ from submult.local import (
     check_local_submult,
 )
 
+from blocks import scalar_oracle
 from oracles import d_oracle, phi_oracle, sigma_oracle
 
 REGISTRY = builtin_registry()
@@ -295,7 +296,8 @@ def test_criterion_7_named_inequalities():
         r = verify_eq13(2000, table=table)
         assert r.holds and r.pairs_checked == 1999
         # force the exact fallback and re-verify a prefix of the range
-        forced = verify_eq13(500, table=table, use_filter=False)
+        with scalar_oracle():
+            forced = verify_eq13(500, table=table)
         assert forced.holds
         assert forced.stats["exact_fallbacks"] == 499 > 0
 

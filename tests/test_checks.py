@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from submult.checks import (
@@ -247,19 +245,6 @@ def test_classify_rejects_power_combinator(registry, table_10k):
 def _scrub(report_dict):
     report_dict.pop("elapsed_seconds", None)
     return report_dict
-
-
-def test_stop_at_first_row_semantics(registry, table_10k):
-    cfg = CheckConfig(max_m=10, max_n=10, stop_at_first=True)
-    r = check_submult(registry.get("d"), SUP, cfg, table_10k)
-    full = check_submult(registry.get("d"), SUP,
-                         dataclasses.replace(cfg, stop_at_first=False), table_10k)
-    # stops at the end of the first refuting row (m = 2)
-    assert r.verdict == REFUTED
-    assert r.pairs_checked == 20
-    assert all(cex["m"] == 2 for cex in r.counterexamples)
-    # with every counterexample of that row the full sweep lists
-    assert r.counterexamples == [c for c in full.counterexamples if c["m"] == 2]
 
 
 def test_reports_for_tag_ignores_threads(registry, table_10k):

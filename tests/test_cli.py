@@ -231,6 +231,20 @@ def test_csv_export(capsys, tmp_path):
     assert rows[1] == ["d", "sup-mult", "m=2;n=2", "3", "4"]
 
 
+@pytest.mark.parametrize("output", [[], ["--json"], ["--csv"]],
+                         ids=["human", "json", "csv"])
+def test_values_too_long_for_text_exit_2(capsys, tmp_path, output):
+    # the first counterexample's lhs, sigma(4)^100000 = 7^100000, has
+    # 84,510 digits, beyond the 4,300 Python converts to text by default
+    path = tmp_path / "cex.csv"
+    argv = [*output, str(path)] if output == ["--csv"] else output
+    code, out, err = run_cli(capsys, "check", "sigma", "k-sub-mult", "--k", "100000",
+                             "--max-m", "3", "--max-n", "3", *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith("error: a value to report has more than")
+    assert not path.exists()
+
+
 def test_no_color_in_captured_output(capsys):
     _, out, _ = run_cli(capsys, "check", "phi", "sup-mult",
                         "--max-m", "10", "--max-n", "10")

@@ -230,11 +230,13 @@ def test_cmp_powers_domain_errors():
 
 def test_cmp_powers_budget():
     # 2^(10^7) vs 1024^(10^6): exactly equal, so the filter cannot
-    # separate them and the exact path is needed, which the budget blocks
+    # separate them and the exact path is needed, whose ~9 * 10^6
+    # estimated digits the budget blocks
     with pytest.raises(ResourceError):
-        cmp_powers(2, 10**7, 1024, 10**6, digit_budget=1000)
-    # a wide gap is decided by the filter without touching the budget
-    assert cmp_powers(3, 10**8, 4, 10**8, digit_budget=1000) == LESS
+        cmp_powers(2, 10**7, 1024, 10**6)
+    # a wide gap is decided by the filter without touching the budget,
+    # though the exact path would need ~1.5 * 10^8 digits
+    assert cmp_powers(3, 10**8, 4, 10**8) == LESS
 
 
 def test_cmp_powers_spot_grid_vs_direct_pow():

@@ -98,16 +98,17 @@ def test_benchmark_tracer_wraps_and_restores_every_traced_name(capsys):
     assert totals["core.factorize"]["calls"] > 0
 
 
-def test_benchmark_commands_match_the_reference(monkeypatch):
-    # every command the benchmark can run, at its tiny scale, run as the
+@pytest.mark.parametrize("scale", ["tiny", "full"])
+def test_benchmark_commands_match_the_reference(monkeypatch, scale):
+    # every command the benchmark can run, at each scale, run as the
     # benchmark runs it: the exit code, the reports' projection and the
     # inferred tags its reference records
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     workloads = importlib.import_module("workloads")
     worker = importlib.import_module("worker")
-    reference = json.loads((PERFBENCH / "reference.json").read_text())["tiny"]
-    cmds = workloads.all_commands("tiny")
+    reference = json.loads((PERFBENCH / "reference.json").read_text())[scale]
+    cmds = workloads.all_commands(scale)
     assert sorted(cmd.key for cmd in cmds) == sorted(reference)
     for cmd in cmds:
         assert worker.outcome(*worker.run_command(cmd)) == reference[cmd.key], cmd.key

@@ -19,7 +19,7 @@ from submult.inequalities import (
     verify_eq23,
 )
 
-from blocks import row_orders
+from blocks import row_orders, scalar_oracle
 from oracles import phi_oracle, sigma_oracle
 
 
@@ -66,7 +66,8 @@ def test_eq13_agrees_with_direct_bigint_oracle(table_10k):
 
 def test_eq13_exact_mode_forces_fallback(table_10k):
     filtered = verify_eq13(300, table=table_10k)
-    exact = verify_eq13(300, table=table_10k, use_filter=False)
+    with scalar_oracle():
+        exact = verify_eq13(300, table=table_10k)
     assert filtered.holds and exact.holds
     assert exact.stats["exact_fallbacks"] == 299
     assert filtered.stats.get("exact_fallbacks", 0) < 299

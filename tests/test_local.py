@@ -2,11 +2,12 @@ import dataclasses
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submult import checks, core
+from submult import checks, core, vector
 from submult.checks import REFUTED, SUB, SUP, CheckConfig, CheckReport, check_submult
 from submult.core import build_spf_table, prime_power, primes_upto
 from submult.errors import DomainError, InconsistencyError, UsageError
@@ -16,6 +17,14 @@ from submult.functions import (
     combine,
     evaluate_fact,
     make_prime_power_fn,
+)
+from submult.inference import (
+    K_SUB_HOM,
+    K_SUB_MULT,
+    K_SUP_HOM,
+    K_SUP_MULT,
+    SUB_HOM,
+    SUB_MULT,
 )
 from submult.local import (
     CRITERIA,
@@ -27,12 +36,15 @@ from submult.local import (
     check_local_k_submult,
     check_local_subhom,
     check_local_submult,
+    exponents_read,
     power_values,
+    prime_power_lookup,
     prime_power_property,
     prime_power_table,
 )
 
 from blocks import row_orders
+from oracles import d_oracle, phi_oracle, sigma_oracle
 
 
 # --- the four criteria on the stock functions -------------------------------
@@ -355,7 +367,8 @@ def test_rows_beyond_the_memory_budget_go_to_the_scalar_path(registry, monkeypat
     prop = _property(sigma, "eq22", "sup", 3, 7, 4)
     scalar = _outcome_or_error(dataclasses.replace(prop, vector=None), CheckConfig())
     # room for the rows of 2 and 3 only
-    tables = [prime_power_table(sigma, p, 12) for p in (2, 3)]
+    read = exponents_read(K_SUP_HOM, 3, range(5))
+    tables = [prime_power_table(sigma, p, read) for p in (2, 3)]
     need = 25 * sum(cell_bytes(power_values(tables), 3, [2, 3]))
     monkeypatch.setattr(core, "memory_budget", lambda: need)
     assert _decided(prop, [2, 3, 5, 7]) == [True, True, False, False]
@@ -371,8 +384,9 @@ def test_rows_beyond_the_memory_budget_go_to_the_scalar_path(registry, monkeypat
 def test_the_memory_estimate_bounds_the_block(registry, name, criterion, k, max_exp):
     fn, primes = registry.get(name), primes_upto(50)
     prop = _property(fn, criterion, "sup", k, 50, max_exp)
-    top = max_exp * (k or 2)
-    values = power_values([prime_power_table(fn, p, top) for p in primes])
+    read = exponents_read(LocalCriterion(criterion, "sup", k).global_family(), k,
+                          range(max_exp + 1))
+    values = power_values([prime_power_table(fn, p, read) for p in primes])
     need = (max_exp + 1) ** 2 * sum(cell_bytes(values, k, primes))
     tracemalloc.start()
     try:
@@ -392,3 +406,79 @@ def test_large_k_is_decided_on_the_block_path(registry, monkeypatch):
                         lambda x, y, cmp=checks.cmp_values: compared.append(1) or cmp(x, y))
     report = check_local(registry.get("sigma"), LocalCriterion("eq18", "sup", 70), 7, 2)
     assert report.holds and not compared
+
+
+# --- the exponents a criterion reads -----------------------------------------
+
+
+def test_eq14_and_eq21_read_every_exponent():
+    for family in (SUB_MULT, SUB_HOM):
+        assert exponents_read(family, None, range(6)) == list(range(11))
+        assert exponents_read(family, None, range(1, 6)) == list(range(1, 11))
+
+
+def test_k_criteria_read_only_the_exponents_their_formula_reads():
+    # f(p^(a+b)) at a + b <= 4, f(p^(3a)) and f(p^(3b)); eq22's p^(3a) is a
+    # multiplier, not a value of f
+    assert exponents_read(K_SUB_MULT, 3, range(3)) == [0, 1, 2, 3, 4, 6]
+    assert exponents_read(K_SUB_HOM, 3, range(3)) == [0, 1, 2, 3, 4, 6]
+    assert exponents_read(K_SUP_MULT, 100, range(4)) == [0, 1, 2, 3, 4, 5, 6, 100, 200, 300]
+
+
+@pytest.mark.parametrize("criterion, direction", [("eq18", "sub"), ("eq22", "sup")])
+def test_each_exponent_read_is_evaluated_once(criterion, direction):
+    """Only at the exponents read, and once for the block path and the
+    scalar path together: sigma is refuted by eq18 sub, so the scalar path
+    recomputes counterexamples from the rows the block path decided."""
+    calls = []
+
+    def rule(p, a):
+        calls.append((p, a))
+        return (p ** (a + 1) - 1) // (p - 1)
+
+    counting = make_prime_power_fn("counting-sigma", rule)
+    calls.clear()  # the registration's check of rule(p, 0)
+    crit = LocalCriterion(criterion, direction, 50)
+    report = check_local(counting, crit, 3, 4)
+    assert report.verdict == (REFUTED if direction == "sub" else "holds-on-range")
+    read = exponents_read(crit.global_family(), 50, range(5))
+    assert read == [*range(9), 50, 100, 150, 200]
+    assert calls == [(p, e) for p in (2, 3) for e in read if e]
+
+
+def test_an_unread_exponent_fails_loudly(registry):
+    values = prime_power_table(registry.get("sigma"), 2, [0, 1, 2, 4])
+    assert values[3] is None
+    compare = checks.formula(K_SUB_MULT, 3, prime_power_lookup(2, values))
+    block = checks.vector_formula(K_SUB_MULT, 3, power_values([values]))
+    one = np.ones((1, 1), dtype=np.int64)
+    two = np.array(2, dtype=object)
+    # f(p^(3 a)) at a = 1
+    with pytest.raises(TypeError):
+        compare(2, 2)
+    with pytest.raises(TypeError):
+        block(vector.PowerArg(one, two), vector.PowerArg(one, two))
+
+
+@pytest.mark.parametrize("name", ["d", "phi", "sigma"])
+@pytest.mark.parametrize("criterion, k", [("eq18", 3), ("eq18", 4), ("eq22", 4)])
+def test_k_criteria_match_the_divisor_oracles(registry, name, criterion, k):
+    """With k > 2, exponents from 2 max_exp to k max_exp go unread: the
+    report is the criterion written out on the divisor oracles."""
+    oracle = {"d": d_oracle, "phi": phi_oracle, "sigma": sigma_oracle}[name]
+    for direction in ("sub", "sup"):
+        crit = LocalCriterion(criterion, direction, k)
+        report = check_local(registry.get(name), crit, 5, 2)
+        cex, points = [], 0
+        for p in (2, 3, 5):
+            for a in range(3):
+                for b in range(3):
+                    lhs = oracle(p ** (a + b)) ** k
+                    rhs = (p ** (k * a) if criterion == "eq22" else oracle(p ** (k * a)))
+                    rhs *= oracle(p ** (k * b))
+                    points += 1
+                    if (lhs > rhs) if direction == "sub" else (lhs < rhs):
+                        cex.append(((("p", p), ("a", a), ("b", b)), lhs, rhs))
+        assert report.triples_checked == points
+        assert [(c.point, c.lhs, c.rhs) for c in report.counterexamples] == cex[:10]
+        assert report.holds == (not cex)

@@ -5,6 +5,7 @@ the cross-power checks)."""
 
 import dataclasses
 import tracemalloc
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import cache
 
@@ -48,7 +49,7 @@ from submult.inference import (
     PropertyTag,
 )
 
-from blocks import row_orders
+from blocks import row_orders, scalar_oracle
 from oracles import d_oracle, phi_oracle, sigma_oracle
 
 # Every registry function, plus prime-power rules with Fraction values and
@@ -94,7 +95,6 @@ def _brute_force(name, spec, cfg):
     sub = spec.family in (SUB_MULT, SUB_HOM, K_SUB_MULT, K_SUB_HOM)
     cex, checked, failed = [], 0, 0
     for m in range(1, cfg.max_m + 1):
-        failed_before = failed
         for n in range(1, cfg.max_n + 1):
             if spec.family == MULTIPLICATIVE:
                 if np.gcd(m, n) != 1:
@@ -109,8 +109,6 @@ def _brute_force(name, spec, cfg):
                 failed += 1
                 if len(cex) < cfg.counterexample_cap:
                     cex.append(((("m", m), ("n", n)), lhs, rhs))
-        if cfg.stop_at_first and failed > failed_before:
-            break
     return (REFUTED if failed else HOLDS), cex, checked, {}
 
 
@@ -165,29 +163,28 @@ N8_BUT_7 = make_prime_power_fn("n^8-but-7", lambda p, a: p ** (8 * a) + (p == 7 
                     st.builds(_undefined_at, st.sampled_from([2, 3, 5]),
                               st.integers(1, 4))),
        family=st.sampled_from(FAMILIES), k=st.sampled_from([2, 3]),
-       max_m=st.integers(2, 40), max_n=st.integers(2, 40), stop=st.booleans(),
+       max_m=st.integers(2, 40), max_n=st.integers(2, 40),
        cap=st.integers(1, 10), block=st.sampled_from(list(_BLOCKS)))
-@example(fn=SIGMA_CUBED, family=K_SUP_MULT, k=3, max_m=16, max_n=16, stop=False,
-         cap=4, block="three rows")
+@example(fn=SIGMA_CUBED, family=K_SUP_MULT, k=3, max_m=16, max_n=16, cap=4,
+         block="three rows")
 # the first failure at a cell left to the scalar path, after decided rows of
-# its block, and rows after it in the block that the sweep must not count
-@example(fn=N8_BUT_7, family=K_SUB_MULT, k=2, max_m=10, max_n=6, stop=True, cap=3,
+# its block
+@example(fn=N8_BUT_7, family=K_SUB_MULT, k=2, max_m=10, max_n=6, cap=3,
          block="the whole grid")
 # the cap reached in the decided rows 1 and 2, then rows 3 to 16 on the
 # scalar path
-@example(fn=SIGMA_CUBED, family=K_SUB_MULT, k=3, max_m=16, max_n=16, stop=False,
-         cap=4, block="the whole grid")
+@example(fn=SIGMA_CUBED, family=K_SUB_MULT, k=3, max_m=16, max_n=16, cap=4,
+         block="the whole grid")
 # coprime rows of different lengths in each block, with counterexamples
 @example(fn=REGISTRY.get("n_plus_d"), family=MULTIPLICATIVE, k=2, max_m=12,
-         max_n=4, stop=False, cap=10, block="three rows")
+         max_n=4, cap=10, block="three rows")
 def test_int64_rows_match_the_scalar_path(table_1m, fn, family, k, max_m, max_n,
-                                          stop, cap, block):
+                                          cap, block):
     """Every formula shape and the coprime grid, with the rows decided in
     blocks of one row, of a few rows and of the whole grid: the same
     outcome as the scalar sweep, or the same error at the same point."""
     spec = _spec(family, k)
-    cfg = CheckConfig(max_m=max_m, max_n=max_n, stop_at_first=stop,
-                      counterexample_cap=cap)
+    cfg = CheckConfig(max_m=max_m, max_n=max_n, counterexample_cap=cap)
     prop = grid_property(Evaluator(fn, table_1m), spec, cfg)
     scalar = grid_property(Evaluator(fn, table_1m), spec, cfg)
     with pytest.MonkeyPatch.context() as m:
@@ -257,15 +254,13 @@ def test_zero_divisor_raises_the_scalar_error(table_1m):
                     st.builds(_undefined_at, st.sampled_from([2, 3, 5]),
                               st.integers(2, 6))),
        family=st.sampled_from(K_FAMILIES), k=st.sampled_from([2, 3, 4]),
-       max_m=st.integers(2, 12), max_n=st.integers(2, 12), stop=st.booleans(),
-       cap=st.integers(1, 10))
-def test_k_powers_factored_from_their_base(fn, family, k, max_m, max_n, stop, cap):
+       max_m=st.integers(2, 12), max_n=st.integers(2, 12), cap=st.integers(1, 10))
+def test_k_powers_factored_from_their_base(fn, family, k, max_m, max_n, cap):
     """A k-family on a sieve up to max_m * max_n, where m^k and n^k are
     factored from m and n, against the same sweep on a sieve that covers
     m^k and n^k."""
     spec = PropertySpec(family, k)
-    cfg = CheckConfig(max_m=max_m, max_n=max_n, stop_at_first=stop,
-                      counterexample_cap=cap)
+    cfg = CheckConfig(max_m=max_m, max_n=max_n, counterexample_cap=cap)
     small = build_spf_table(checks.sieve_limit([spec], cfg))
     large = build_spf_table(max(max_m, max_n) ** k)
     assert small.limit == max_m * max_n
@@ -704,14 +699,14 @@ _NEGATIVE_AT_13 = make_prime_power_fn(
                             + [_BY_EXPONENT, _ZERO_AT_13, *_SHIFTED]),
        expo=st.sampled_from(REGISTRY.functions() + [_ZERO_AT_EVEN, _NEGATIVE_AT_13]),
        direction=st.sampled_from([SUB, SUP]), max_m=st.integers(2, 16),
-       max_n=st.integers(2, 12), stop=st.booleans(), cap=st.integers(1, 10),
+       max_n=st.integers(2, 12), cap=st.integers(1, 10),
        block=st.sampled_from(list(_BLOCKS)))
 @example(base=_ZERO_AT_13, expo=REGISTRY.get("identity"), direction=SUP, max_m=16,
-         max_n=12, stop=False, cap=4, block="three rows")
+         max_n=12, cap=4, block="three rows")
 @example(base=REGISTRY.get("sigma"), expo=_NEGATIVE_AT_13, direction=SUB, max_m=16,
-         max_n=12, stop=False, cap=4, block="the whole grid")
+         max_n=12, cap=4, block="the whole grid")
 def test_cross_power_filter_matches_the_scalar_path(table_10k, base, expo,
-                                                    direction, max_m, max_n, stop,
+                                                    direction, max_m, max_n,
                                                     cap, block):
     """Every registry function as the exponent: the integer-valued ones are
     decided, the others raise the same error at the same point.  Bases
@@ -719,8 +714,7 @@ def test_cross_power_filter_matches_the_scalar_path(table_10k, base, expo,
     f(m) = f(n) merged) or not (f(1) != 1), and an exponent 0.  Rows
     decided in blocks of any size, rows with a base <= 0 or an exponent
     < 0 among them."""
-    cfg = CheckConfig(max_m=max_m, max_n=max_n, stop_at_first=stop,
-                      counterexample_cap=cap)
+    cfg = CheckConfig(max_m=max_m, max_n=max_n, counterexample_cap=cap)
 
     def run():
         return checks.check_power_submult(base, expo, direction, cfg, table_10k)
@@ -789,12 +783,11 @@ _SCALED_IDENTITY = combine(PRODUCT, (_TWO,) * 15 + (REGISTRY.get("identity"),),
 def test_over_budget_ties_raise_where_the_scalar_path_raises(table_10k,
                                                            power_comparisons):
     outcomes = []
-    for use_filter in (True, False):
+    for oracle in (nullcontext, scalar_oracle):
         power_comparisons.clear()
-        with pytest.raises(ResourceError) as err:
+        with oracle(), pytest.raises(ResourceError) as err:
             checks.check_power_submult(_ODD_PART, _SCALED_IDENTITY, SUB,
-                                       CheckConfig(max_m=3, max_n=40), table_10k,
-                                       use_filter=use_filter)
+                                       CheckConfig(max_m=3, max_n=40), table_10k)
         outcomes.append((str(err.value), power_comparisons[-1]))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][1] == (((15, 15 * 2**15),), ((3, 15 * 2**15), (5, 15 * 2**15)))
@@ -805,11 +798,12 @@ def test_identical_sides_over_the_budget_pass(table_10k, power_comparisons):
     cfg = CheckConfig(max_m=2, max_n=40)
     fmn, gmn = Fraction(5), 80 * 2**15  # at (m, n) = (2, 40)
     assert core._estimated_digits([(fmn, gmn)]) > core.DEFAULT_DIGIT_BUDGET
-    for use_filter in (True, False):
-        report = checks.check_power_submult(_ODD_PART, _SCALED_IDENTITY, SUB, cfg,
-                                            table_10k, use_filter=use_filter)
+    for oracle in (nullcontext, scalar_oracle):
+        with oracle():
+            report = checks.check_power_submult(_ODD_PART, _SCALED_IDENTITY, SUB, cfg,
+                                                table_10k)
         assert report.holds and report.stats == {}
-    assert len(power_comparisons) == 80  # only the run without the filter
+    assert len(power_comparisons) == 80  # only the run on the scalar path
 
 
 @pytest.fixture
@@ -828,7 +822,8 @@ def power_comparisons(monkeypatch):
 
 
 def test_without_the_filter_every_point_is_exact(power_comparisons):
-    report = inequalities.verify_eq13(500, use_filter=False)
+    with scalar_oracle():
+        report = inequalities.verify_eq13(500)
     assert report.holds and report.stats == {"exact_fallbacks": 499}
     assert len(power_comparisons) == 499
 
