@@ -20,10 +20,11 @@ Checks also carry a vector path (Property.vector, built on submult.vector)
 that decides a block of consecutive rows, of at most _CELLS cells, at
 once, and returns one int8 array of orders over the block.  The global
 families (check, classify, the global half of local --bridge,
-reports_for_tag) run the same formula shape once per block on int64
-numerators and denominators of all its cells, and decide each row whose
-bit-length bounds prove every product below 2**62; the identity bounds
-do the same on a line, f(n) against n.  The power comparisons (the
+reports_for_tag) run the same formula shape once per block on the
+numerators and denominators of all its cells, in int64 where bit-length
+bounds prove every product below 2**62 and on Python ints elsewhere, and
+decide every cell; the identity bounds do the same on a line, f(n)
+against n.  The power comparisons (the
 cross-power checks here, eq12, eq13 and corollary1 in
 submult.inequalities, each a line of one row) run a padded log2 filter
 over the block in numpy and leave ties and near-ties undecided; the
@@ -31,19 +32,19 @@ cross-power checks then settle in numpy the cells whose sides normalize
 to the same factors and the exact ties that fit int64 and the digit
 budget (vector.cross_power_ties).  The local criteria (submult.local)
 and eq16, eq20 and eq23 run the formula shape on a block of primes, or of
-exponents, on exact Python ints.
+exponents, on Python ints.
 
 The vector path leaves a cell to the scalar path in one of two ways: it
-marks it vector.UNDECIDED (a near-tie, or every cell of a row the
-bounds cannot prove), or it raises vector.Unproven for the whole block
-(a function without an int64 value table, a block beyond the memory
-budget), which _blocks alone catches, handing the sweep each of the
-block's rows wholly UNDECIDED.  The sweep tallies a block's points,
-failures and exact ties in numpy, and visits in Python, in order, only
-the rows that hold an UNDECIDED cell or, while fewer than the cap are
-held, a failing one.  The scalar path decides the UNDECIDED cells and
-recomputes a decided row's counterexamples up to the cap, so reports do
-not depend on the path.
+marks it vector.UNDECIDED (a near-tie of the power comparisons, or every
+cell of a prime's row whose table cannot be built), or it raises
+vector.Unproven for the whole block (a function without an int64 value
+table, Python ints beyond the memory budget), which _blocks alone
+catches, handing the sweep each of the block's rows wholly UNDECIDED.
+The sweep tallies a block's points, failures and exact ties in numpy,
+and visits in Python, in order, only the rows that hold an UNDECIDED
+cell or, while fewer than the cap are held, a failing one.  The scalar
+path decides the UNDECIDED cells and recomputes a decided row's
+counterexamples up to the cap, so reports do not depend on the path.
 """
 
 from __future__ import annotations
@@ -196,13 +197,13 @@ class Property:
     vector, when set, decides a block of consecutive rows at once, given
     as a slice of rows.  It returns an int8 array with one row per row of
     the block: the orders at the row's cols, in order, as LESS, EQUAL or
-    GREATER; vector.UNDECIDED at a cell left to compare (every cell of a
-    row the vector path cannot prove); vector.TIE at an EQUAL that
-    compare would reach through its exact fallback; and GAP at the cells
-    that are no point of the row, past its end or at the columns a
-    coprime row leaves out.  It raises vector.Unproven to leave the whole
-    block to compare.  at(row) decides the UNDECIDED cells point by
-    point.  width is the most cols a row has, so that a block of rows
+    GREATER; vector.UNDECIDED at a cell left to compare (a near-tie of a
+    power comparison, or every cell of a row without values); vector.TIE
+    at an EQUAL that compare would reach through its exact fallback; and
+    GAP at the cells that are no point of the row, past its end or at the
+    columns a coprime row leaves out.  It raises vector.Unproven to leave
+    the whole block to compare.  at(row) decides the UNDECIDED cells point
+    by point.  width is the most cols a row has, so that a block of rows
     holds at most _CELLS cells, or is one row."""
 
     names: tuple[str, ...]
@@ -444,9 +445,9 @@ def formula(family: str, k: int | None, f: Callable[..., Value]) -> Compare:
 def vector_formula(family: str, k: int | None, f: vector.RowValues):
     """The family's formula as decide(m, n) over a block of rows (see
     _grid): the order of its sides at each cell, evaluated by the same
-    shape as formula() on int64 values of f, UNDECIDED in each row the
-    bounds do not prove exact; vector.Unproven for a block without
-    tables."""
+    shape as formula() on exact values of f (vector.orders);
+    vector.Unproven for a block without tables or beyond the memory
+    budget."""
     shape = FORMULAS[family][0]
     return lambda m, n: vector.orders(*shape(f, k, m, n))
 
@@ -474,8 +475,8 @@ def sieve_limit(specs: Iterable[PropertySpec], cfg: CheckConfig) -> int:
 
 def grid_property(ev: Evaluator, spec: PropertySpec, cfg: CheckConfig) -> Property:
     """The spec's formula over cfg's grid, decided a block of rows at a
-    time in int64 where ev's values have a table (see submult.vector),
-    point by point with Fraction values elsewhere."""
+    time on exact rows where ev's values have a table (see
+    submult.vector), point by point with Fraction values elsewhere."""
     rows = vector.RowValues(ev, cfg.max_m, cfg.max_n)
     return _grid(cfg, formula(spec.family, spec.k, ev), FORMULAS[spec.family][1],
                  sieve_limit([spec], cfg), spec.family == MULTIPLICATIVE,
@@ -601,9 +602,8 @@ def check_identity_bound(f: ArithFn, direction: str, max_n: int,
     """f(n) <= n ("le") or f(n) >= n ("ge") for all 1 <= n <= max_n.
 
     Verifies the side conditions consumed by the bounded-* inference
-    rules.  The line is decided in int64 from f's value table over
-    [0, max_n] where its bounds prove it, point by point with Fraction
-    values elsewhere."""
+    rules.  The line is decided from f's value table over [0, max_n],
+    point by point with Fraction values where f has none."""
     ev = Evaluator(f, table)
     values = vector.RowValues(ev, 1, max_n)
 

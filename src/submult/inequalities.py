@@ -16,12 +16,12 @@ range as one row: vector.power_orders decides the points in bulk from
 int64 value tables of the functions, and only the points it leaves
 UNDECIDED reach the scalar cmp_power_products_detail.  A line without
 tables, or with a base <= 0 or an exponent that is not an integer >= 0,
-raises vector.Unproven and goes whole to the scalar path, as does an
-eq20 block beyond the memory budget.
+raises vector.Unproven and goes whole to the scalar path.
 
 eq16, eq20 and eq23 are local criteria at prime powers, decided as
-submult.local decides them: in blocks, on exact Python ints, from one
-table of f(p^e) per prime.
+submult.local decides them: in blocks, on Python ints, from one table of
+f(p^e) per prime; a block whose ints would exceed the memory budget goes
+to the scalar path.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from submult import core, vector
+from submult import vector
 from submult.checks import (
     FORMULAS,
     LT,
@@ -56,7 +56,6 @@ from submult.errors import DomainError, UnsupportedInputError, UsageError
 from submult.functions import ArithFn, Evaluator, Registry, make_prime_power_fn
 from submult.inference import K_SUB_HOM, K_SUP_MULT, SUB_HOM, SUB_MULT, SUP_MULT
 from submult.local import (
-    cell_bytes,
     power_values,
     prime_power_lookup,
     prime_power_property,
@@ -175,12 +174,9 @@ def verify_eq20(max_ab: int, max_k: int) -> CheckReport:
     decides = [vector_formula(K_SUP_MULT, k, block_values) for k in ks]
     two = np.array(2, dtype=object)
     bs = vector.PowerArg(np.arange(max_ab + 1)[None, :], two)
-    row_bytes = (max_ab + 1) * cell_bytes(block_values, max_k, [2])[0]
 
     def decide(rows):
         # one k at a time, at the block's cells (a, b), then in (b, k) order
-        if len(rows) * row_bytes > core.memory_budget():
-            raise vector.Unproven
         a = vector.PowerArg(np.array(rows)[:, None], two)
         orders = np.stack([decide_k(a, bs) for decide_k in decides], axis=-1)
         return orders.reshape(len(rows), -1)

@@ -16,8 +16,8 @@ others only the local-to-global direction is established, and the
 bridge checks only that direction.
 
 A sweep reads f from one table per prime, f(p^e) at the e it reads.  It
-decides a block of primes at once by the formula shape on exact Python
-ints (vector.PowerArg, vector.PowerValues), indexed by exponent: m n is
+decides a block of primes at once by the formula shape on Python ints
+(vector.PowerArg, vector.PowerValues), indexed by exponent: m n is
 a + b and f at m^k is entry k a.  The scalar path reads the same table as
 Fractions, stays the oracle and recomputes the counterexamples' sides.
 eq16, eq20 and eq23 (submult.inequalities) are swept the same way.
@@ -30,7 +30,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from submult import core, vector
+from submult import vector
 from submult.checks import (
     FORMULAS,
     HOLDS,
@@ -121,7 +121,8 @@ def _require_multiplicative(f: ArithFn) -> None:
 def exponents_read(family: str, k: int | None, exps: range) -> list[int]:
     """The exponents e, ascending, of the powers p^e at which the family's
     formula over (m, n) = (p^a, p^b), a, b in exps, takes or reads f (f(x, k)
-    reads f(x^k)): run on a recording f, as checks.sieve_limit is."""
+    reads f(x^k)): run on a recording f, as checks.sieve_limit is, at p = 0,
+    so that the multiplier p^(k a) of the hom shapes stays small."""
     read = set()
 
     def record(x, k=1):
@@ -129,7 +130,7 @@ def exponents_read(family: str, k: int | None, exps: range) -> list[int]:
         return vector.Row(1, 1, 0, 0)
 
     es = np.array(exps)[:, None]
-    FORMULAS[family][0](record, k, vector.PowerArg(es, 1), vector.PowerArg(es.T, 1))
+    FORMULAS[family][0](record, k, vector.PowerArg(es, 0), vector.PowerArg(es.T, 0))
     return sorted(read)
 
 
@@ -157,23 +158,6 @@ def power_values(tables: list[list[Value | None]]) -> vector.PowerValues:
     return vector.PowerValues(part("numerator"), part("denominator"))
 
 
-_TEMPS = 8  # object arrays over a block's cells alive at once while it is decided
-
-
-def cell_bytes(values: vector.PowerValues, k: int | None, primes: list[int]) -> list[int]:
-    """A bound on the bytes the block path holds per cell of each row of
-    values, f(p^e) at the row's prime p for e up to top, while it decides
-    the row at exponent k: _TEMPS Python ints, each with a pointer and a
-    header, of at most (k + 2) B + top log2(p) + 1 bits, where the row's
-    values held have at most B bits and the multiplier m^k = p^(k a) of
-    the hom shapes is at most p^top."""
-    tops = [max(max(abs(n), d) for n, d in zip(num, den) if d is not None)
-            for num, den in zip(values.num.tolist(), values.den.tolist())]
-    top = values.num.shape[1] - 1
-    return [_TEMPS * (40 + (((k or 1) + 2) * t.bit_length() + top * p.bit_length() + 1) // 7)
-            for t, p in zip(tops, primes)]
-
-
 def prime_power_property(f: ArithFn, family: str, k: int | None, primes,
                          exps: range) -> Property:
     """The family's formula at (m, n) = (p^a, p^b) for p in primes and
@@ -184,10 +168,9 @@ def prime_power_property(f: ArithFn, family: str, k: int | None, primes,
     each prime at the exponents_read, up to the first prime whose table
     cannot be built: its rule raises or a divisor is zero, and the scalar
     path raises the same error at that prime.  That row and the rows after
-    it are left UNDECIDED, and so are the rows from the first whose bytes
-    (cell_bytes), with the rows before it, would exceed the memory budget:
-    the scalar path holds one cell at a time.  A block whose first prime's
-    table cannot be built raises vector.Unproven."""
+    it are left UNDECIDED.  vector.Unproven, for the scalar path, which
+    holds one cell at a time, when the first prime's table cannot be built
+    or the block's Python ints would exceed the memory budget."""
     read = exponents_read(family, k, exps)
     a = np.repeat(np.array(exps), len(exps))[None, :]
     b = np.tile(np.array(exps), len(exps))[None, :]
@@ -208,13 +191,9 @@ def prime_power_property(f: ArithFn, family: str, k: int | None, primes,
                 break
         if not built:
             raise vector.Unproven
-        values = power_values(list(built.values()))
-        needs = np.cumsum([len(cols) * size for size in cell_bytes(values, k, rows)])
-        count = int((needs <= core.memory_budget()).sum())
-        ps = np.array(rows[:count], dtype=object)[:, None]
-        block = vector.PowerValues(values.num[:count], values.den[:count])
+        ps = np.array(rows[:len(built)], dtype=object)[:, None]
         cells = np.full((len(rows), len(cols)), vector.UNDECIDED, dtype=np.int8)
-        cells[:count] = vector_formula(family, k, block)(
+        cells[:len(built)] = vector_formula(family, k, power_values(list(built.values())))(
             vector.PowerArg(a, ps), vector.PowerArg(b, ps))
         return cells
 

@@ -1,22 +1,24 @@
-"""Vector decisions for the sweeps: exact int64 rows for the grid
-property families, and a padded log2 filter for products of powers.
+"""Vector decisions for the sweeps: exact rows for the property
+families, and a padded log2 filter for products of powers.
 
 A grid check compares the two sides of one formula shape
 (checks.FORMULAS) at every point (m, n).  On this path the shape runs
 once per block of consecutive rows, on all of its cells at once: m is an
 Arg over a column of the block's rows and n one over the row of its
 columns, so f at m n, m^k and n^k is a 2-D lookup in f's tables; f's values
-are Rows, int64 numerators and denominators over the block's cells, and
-each cell is decided by the sign of lnum * rden - rnum * lden.
+are Rows, numerators and denominators over the block's cells, and each
+cell is decided by the sign of lnum * rden - rnum * lden.
 
 Exactness rests on bit-length bounds.  A Row carries bounds
 |num| < 2**nbits and den < 2**dbits in each row: f's values take them
-from the largest value the row looks up, and products add them.
-orders() decides only the rows whose bounds prove every product below
-2**62 and marks every cell of the others UNDECIDED; the sweep decides
-those with the scalar Fraction path, which stays in the code as the
-oracle.  Unproven is raised for a block without tables, and the sweep
-then leaves each of its rows wholly to the scalar path.
+from the largest value the row looks up, and products add them.  Each
+product, the cross products of orders() among them, is formed in int64
+where the bounds prove it below 2**62, and on numpy object arrays of
+Python ints elsewhere (_exact), so orders() decides every cell.  Those
+ints are sized from the same bounds before they are made: a block whose
+ints would exceed the memory budget raises Unproven, as a block without
+tables does, and the sweep leaves each of its rows wholly to the scalar
+Fraction path, which stays the oracle.
 
 f's values come from int64 (num, den) tables over [0, limit], built from
 the spf table and the primes up to a bound: max(max_m, max_n) for a grid,
@@ -58,9 +60,9 @@ and corollary1, goes to the scalar comparison.
 The prime-power sweeps (submult.local, and eq16, eq20 and eq23) run the
 same formula shapes on rows indexed by exponent: a PowerArg holds the
 exponents e of its cells and the rows' primes p, and PowerValues reads f
-at p^(k e) from one table of f(p^e) per prime.  Those tables hold exact
-Python ints in numpy object arrays, which never wrap, so their Rows carry
-bounds of 0 and orders() proves every row.
+at p^(k e) from one table of f(p^e) per prime.  Those tables hold Python
+ints in numpy object arrays, and their Rows carry the same bounds as a
+grid's, which size them by the same rule.
 """
 
 from __future__ import annotations
@@ -77,6 +79,7 @@ from submult.functions import PRODUCT, QUOTIENT, RECIPROCAL, SUM, ArithFn, Evalu
 
 BITS = 62  # every int64 product formed here is below 2**BITS
 _CHUNK = 4096  # table entries filled at once; bounds the temporaries
+_TEMPS = 8  # arrays of Python ints over a block alive at once while it is decided
 _ONE = np.int64(1)
 UNDECIDED = 2  # an order left to the exact scalar comparison
 TIE = 3  # EQUAL, proved by cross_power_ties where the scalar exact branch runs
@@ -88,8 +91,8 @@ Pair = tuple[np.ndarray, "np.ndarray | None"]
 
 class Unproven(Exception):
     """This block goes to the scalar path: the vector path cannot decide
-    any of it, as when a function has no int64 value table or a result's
-    bounds do not prove it exact.  Raised out of a Property.vector and
+    any of it, as when a function has no int64 value table or its Python
+    ints would exceed the memory budget.  Raised out of a Property.vector and
     caught by the sweep (checks._blocks)."""
 
 
@@ -387,10 +390,9 @@ class Row:
     """Exact rationals num / den, den > 0, at the cells of a block of
     rows: arrays that broadcast to the block, with |num| < 2**nbits and
     den < 2**dbits in each row (nbits and dbits broadcast to a column of
-    the block's rows).  A Row of f's values takes its bounds from the
-    largest of them in each row (RowValues); products are formed in every
-    row and their bounds added, and a row whose bounds exceed BITS may
-    have wrapped in int64, so orders() marks it UNDECIDED."""
+    the block's rows).  f's values take their bounds from the largest of
+    them in each row; products add them, and each is formed in int64 or
+    on Python ints as they decide (_exact)."""
 
     __slots__ = ("num", "den", "nbits", "dbits")
 
@@ -399,28 +401,46 @@ class Row:
 
     def __mul__(self, other):
         if isinstance(other, Row):
-            return Row(self.num * other.num, self.den * other.den,
-                       self.nbits + other.nbits, self.dbits + other.dbits)
+            nbits, dbits = self.nbits + other.nbits, self.dbits + other.dbits
+            a, c = _exact(nbits, self.num, other.num)
+            b, d = _exact(dbits, self.den, other.den)
+            return Row(a * c, b * d, nbits, dbits)
         if isinstance(other, Arg):  # m or m**k as a factor
-            return Row(self.num * other.values(), self.den,
-                       self.nbits + other.bits(), self.dbits)
+            nbits = self.nbits + other.bits()
+            a, x = _exact(nbits, self.num, other.values())
+            return Row(a * x, self.den, nbits, self.dbits)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> Row:
-        if k > BITS and np.min(self.dbits) >= 1:  # then no int64 row's bound holds
-            raise Unproven
-        return Row(self.num**k, self.den**k, k * self.nbits, k * self.dbits)
+        nbits, dbits = k * self.nbits, k * self.dbits
+        (num,), (den,) = _exact(nbits, self.num), _exact(dbits, self.den)
+        return Row(num**k, den**k, nbits, dbits)
+
+
+def _exact(bits, *xs) -> tuple:
+    """xs, the operands of a result below 2**bits in each row (a column):
+    unchanged where bits prove it below 2**BITS, so that int64 arithmetic
+    is exact, and else (or where one is) as object arrays of Python ints.
+    Unproven, before that, when _TEMPS such results, each cell a pointer
+    and an int of its row's bits, would exceed the memory budget."""
+    if (np.maximum.reduce(bits, axis=None) <= BITS
+            and not any(np.asarray(x).dtype == object for x in xs)):
+        return xs
+    cells = np.broadcast_to(bits, np.broadcast_shapes(np.shape(bits), *map(np.shape, xs)))
+    if _TEMPS * (40 * cells.size + float(np.sum(cells)) / 7) > core.memory_budget():
+        raise Unproven
+    return tuple(np.asarray(x).astype(object, copy=False) for x in xs)
 
 
 def orders(lhs: Row, rhs: Row) -> np.ndarray:
-    """LESS, EQUAL or GREATER at each cell as lhs <, = or > rhs, as int8,
-    and UNDECIDED at every cell of a row whose bounds do not prove its
-    orders exact."""
-    signs = np.sign(lhs.num * rhs.den - rhs.num * lhs.den).astype(np.int8)
-    exact = (lhs.nbits + rhs.dbits <= BITS) & (rhs.nbits + lhs.dbits <= BITS)
-    return signs if np.all(exact) else np.where(exact, signs, UNDECIDED)
+    """LESS, EQUAL or GREATER at each cell as lhs <, = or > rhs, as int8:
+    the sign of lhs.num * rhs.den - rhs.num * lhs.den, with both products
+    below 2**BITS in int64, where the difference cannot wrap, or on ints."""
+    bits = np.maximum(lhs.nbits + rhs.dbits, rhs.nbits + lhs.dbits)
+    a, d, c, b = _exact(bits, lhs.num, rhs.den, rhs.num, lhs.den)
+    return np.sign(a * d - c * b).astype(np.int8)
 
 
 class Arg:
@@ -444,20 +464,19 @@ class Arg:
     def __pow__(self, k: int) -> Arg:
         return Arg(self.x, self.power * k)
 
-    # Past BITS, the power of an x >= 2 is beyond every bound as it would
-    # be at its own exponent, and 1 stays 1.
-
     def values(self) -> np.ndarray:
-        """x**power at each cell, exact in each row whose bits() <= BITS."""
-        return self.x ** min(self.power, BITS + 1)
+        """x**power at each cell, on Python ints past power bits(x) > BITS."""
+        x, = _exact(self.power * _row_bits(self.x), self.x)
+        return x**self.power
 
     def bits(self) -> np.ndarray:
-        """The bit length of the largest x**power in each row, as a column
-        of the rows: a bound on values()."""
+        """A bound b with x**power < 2**b in each row, as a column: exact up
+        to power 2 BITS and scaled from x**(2 BITS) beyond, so that no large
+        power is formed before _exact's memory check."""
         tops = np.max(self.x, axis=-1, keepdims=True)
-        power = min(self.power, BITS + 1)
-        return np.array([(t**power).bit_length() for t in tops.ravel().tolist()],
-                        dtype=np.int64).reshape(tops.shape)
+        c = min(self.power, 2 * BITS)
+        return np.array([(t**c).bit_length() for t in tops.ravel().tolist()],
+                        dtype=np.float64).reshape(tops.shape) * (self.power / c)
 
 
 class RowValues:
@@ -493,7 +512,7 @@ class PowerArg(Arg):
     block, and p the rows' primes, an object array of Python ints that
     broadcasts to it (a column, or one prime for every row).  m n is
     p^(a+b), and f(x, k) reads f at p^(k e); values(), the multiplier m or
-    m^k of the hom shapes, is p^(power e) in Python ints, so bits() is 0."""
+    m^k of the hom shapes, is p^(power e) in Python ints."""
 
     __slots__ = ("p",)
 
@@ -510,10 +529,13 @@ class PowerArg(Arg):
         return PowerArg(self.x, self.p, self.power * k)
 
     def values(self) -> np.ndarray:
-        return self.p ** (self.power * self.x)
+        p, e = _exact(self.bits(), self.p, self.power * self.x)
+        return p**e
 
-    def bits(self) -> int:
-        return 0
+    def bits(self) -> np.ndarray:
+        """power e bits(p) at the largest e of each row, and at least 1 (p^0)."""
+        top = np.max(self.x, axis=-1, keepdims=True)
+        return np.maximum(self.power * top * _bit_lengths(self.p), 1)
 
 
 class PowerValues:
@@ -521,16 +543,19 @@ class PowerValues:
     at a PowerArg x, f at p^(k e) at its cells, read from the tables num
     and den, numpy object arrays of the exact numerators and denominators
     of f(p^e) at [r, e] for the block's r-th prime (or one prime for every
-    row).  Python ints never wrap, so its Rows carry bounds of 0 and
-    orders() proves every row."""
+    row), bounded in each row by the bit lengths of the entries it reads (0
+    at an unread one, which holds None)."""
 
     def __init__(self, num: np.ndarray, den: np.ndarray):
         self.num, self.den = num, den
         self.rows = np.arange(len(num))[:, None]
+        bits = np.frompyfunc(lambda v: 0 if v is None else abs(v).bit_length(), 1, 1)
+        self.bits = [bits(t).astype(np.float64) for t in (num, den)]
 
     def __call__(self, x: PowerArg, k: int = 1) -> Row:
         at = (self.rows, k * x.x)
-        return Row(self.num[at], self.den[at], 0, 0)
+        nbits, dbits = (b[at].max(axis=-1, keepdims=True) for b in self.bits)
+        return Row(self.num[at], self.den[at], nbits, dbits)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Reading a block that Property.vector decides back row by row, for the
-tests that inspect what the vector path leaves to the scalar path; and
-running every sweep on the scalar path, the oracle."""
+tests that inspect what the vector path leaves to the scalar path; the
+memory a block's Python ints are sized at; and running every sweep on the
+scalar path, the oracle."""
 
 import dataclasses
 from contextlib import contextmanager
@@ -8,7 +9,7 @@ from functools import partial
 
 import pytest
 
-from submult import checks, inequalities, vector
+from submult import checks, core, inequalities, vector
 
 
 def row_orders(cells):
@@ -17,6 +18,27 @@ def row_orders(cells):
     for row in cells:
         row = row[row != checks.GAP]
         yield None if (row == vector.UNDECIDED).all() else row
+
+
+class _Needs(list):
+    """A memory budget that admits every need compared with it, and keeps
+    each."""
+
+    def __lt__(self, need):  # need > budget
+        self.append(need)
+        return False
+
+
+def block_need(decide, *args) -> float:
+    """The memory vector's rule sizes the Python ints of decide(*args) at:
+    the largest need it compares with the budget while deciding the
+    block, so that a budget below it raises vector.Unproven and one at it
+    does not; 0 when the block holds none."""
+    needs = _Needs()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(core, "memory_budget", lambda: needs)
+        decide(*args)
+    return max(needs, default=0)
 
 
 @contextmanager

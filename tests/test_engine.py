@@ -36,6 +36,7 @@ from submult.inference import (
 )
 from submult.local import LocalCriterion, check_local, check_local_k_subhom, prime_power_property
 
+from mutants import MUTANTS, ROOT
 from oracles import d_oracle, phi_oracle, sigma_oracle, spf_oracle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -299,8 +300,9 @@ def _grid(fn, spec, size):
 VECTOR_BUILDERS = {
     "grid": _grid(REGISTRY.get("sigma"), PropertySpec(SUP_MULT), 30),
     "coprime-grid": _grid(REGISTRY.get("n_plus_d"), PropertySpec(MULTIPLICATIVE), 30),
-    # f(mn)^2 = (mn)^8 fits in 62 bits in the first rows only
-    "unproven-rows": _grid(functions.make_prime_power_fn("n^4", lambda p, a: p ** (4 * a)),
+    # f(mn)^2 = (mn)^8 fits in 62 bits in the first rows only, and the
+    # others are decided on Python ints
+    "python-int-rows": _grid(functions.make_prime_power_fn("n^4", lambda p, a: p ** (4 * a)),
                            PropertySpec(K_SUB_MULT, 2), 40),
     "identity-bound": lambda mp, table: _swept(
         mp, checks, lambda: checks.check_identity_bound(REGISTRY.get("sigma"), "ge", 500,
@@ -336,5 +338,15 @@ def test_vector_returns_one_int8_row_per_row_over_its_cols(monkeypatch, table_10
     assert seen <= ORDERS
     if builder == "coprime-grid":
         assert checks.GAP in seen
-    if builder == "unproven-rows":
-        assert vector.UNDECIDED in seen
+    if builder == "python-int-rows":
+        assert vector.UNDECIDED not in seen
+
+
+# --- the mutation gate ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, file, old, new", MUTANTS, ids=[m[0] for m in MUTANTS])
+def test_each_mutant_changes_one_place(name, file, old, new):
+    """tests/mutants.py, the gate run by hand, can only apply each mutant
+    while its old text occurs exactly once in its file."""
+    assert (ROOT / file).read_text().count(old) == 1 and new != old

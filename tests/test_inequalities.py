@@ -19,7 +19,7 @@ from submult.inequalities import (
     verify_eq23,
 )
 
-from blocks import row_orders, scalar_oracle
+from blocks import block_need, row_orders, scalar_oracle
 from oracles import phi_oracle, sigma_oracle
 
 
@@ -137,13 +137,25 @@ def test_eq20_block_orders_are_the_scalar_orders(monkeypatch, rows):
         assert orders.tolist() == [compare(*col)[0] for col in prop.cols(row)]
 
 
+def _outcome(r):
+    return r.verdict, r.counterexamples, r.pairs_checked, r.stats
+
+
 def test_eq20_blocks_beyond_the_memory_budget_go_to_the_scalar_path(monkeypatch):
     fast = verify_eq20(12, 5)
-    monkeypatch.setattr(core, "memory_budget", lambda: 0)
-    slow = verify_eq20(12, 5)
-    assert (fast.verdict, fast.pairs_checked) == (slow.verdict, slow.pairs_checked)
+    prop = _eq20_property(monkeypatch, 12, 5)
+    monkeypatch.undo()
+    need = block_need(prop.vector, [0, 1])
+    assert need > 0
+    monkeypatch.setattr(core, "memory_budget", lambda: need)
+    assert all(orders is not None for orders in row_orders(prop.vector([0, 1])))
+    # below the need of its Python ints a block goes whole to the scalar path
+    monkeypatch.setattr(core, "memory_budget", lambda: need - 1)
     with pytest.raises(vector.Unproven):
-        _eq20_property(monkeypatch, 12, 5).vector([0, 1])
+        prop.vector([0, 1])
+    assert _outcome(verify_eq20(12, 5)) == _outcome(fast)
+    with scalar_oracle():
+        assert _outcome(verify_eq20(12, 5)) == _outcome(fast)
 
 
 # --- eq23 --------------------------------------------------------------------

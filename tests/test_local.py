@@ -21,7 +21,6 @@ from submult.functions import (
 from submult.inference import (
     K_SUB_HOM,
     K_SUB_MULT,
-    K_SUP_HOM,
     K_SUP_MULT,
     SUB_HOM,
     SUB_MULT,
@@ -30,7 +29,6 @@ from submult.local import (
     CRITERIA,
     LocalCriterion,
     bridge_consistency,
-    cell_bytes,
     check_local,
     check_local_k_subhom,
     check_local_k_submult,
@@ -43,7 +41,7 @@ from submult.local import (
     prime_power_table,
 )
 
-from blocks import row_orders
+from blocks import block_need, row_orders
 from oracles import d_oracle, phi_oracle, sigma_oracle
 
 
@@ -366,15 +364,16 @@ def test_rows_beyond_the_memory_budget_go_to_the_scalar_path(registry, monkeypat
     sigma = registry.get("sigma")
     prop = _property(sigma, "eq22", "sup", 3, 7, 4)
     scalar = _outcome_or_error(dataclasses.replace(prop, vector=None), CheckConfig())
-    # room for the rows of 2 and 3 only
-    read = exponents_read(K_SUP_HOM, 3, range(5))
-    tables = [prime_power_table(sigma, p, read) for p in (2, 3)]
-    need = 25 * sum(cell_bytes(power_values(tables), 3, [2, 3]))
+    need = block_need(prop.vector, [2, 3, 5, 7])
+    assert need > 0
     monkeypatch.setattr(core, "memory_budget", lambda: need)
-    assert _decided(prop, [2, 3, 5, 7]) == [True, True, False, False]
+    assert _decided(prop, [2, 3, 5, 7]) == [True] * 4
+    # below the need of its Python ints the block goes whole to the scalar path
+    monkeypatch.setattr(core, "memory_budget", lambda: need - 1)
+    with pytest.raises(vector.Unproven):
+        prop.vector([2, 3, 5, 7])
     assert _outcome_or_error(prop, CheckConfig()) == scalar
     monkeypatch.setattr(core, "memory_budget", lambda: 0)
-    assert _decided(prop, [2, 3, 5, 7]) == [False] * 4
     assert _outcome_or_error(prop, CheckConfig()) == scalar
 
 
@@ -384,10 +383,7 @@ def test_rows_beyond_the_memory_budget_go_to_the_scalar_path(registry, monkeypat
 def test_the_memory_estimate_bounds_the_block(registry, name, criterion, k, max_exp):
     fn, primes = registry.get(name), primes_upto(50)
     prop = _property(fn, criterion, "sup", k, 50, max_exp)
-    read = exponents_read(LocalCriterion(criterion, "sup", k).global_family(), k,
-                          range(max_exp + 1))
-    values = power_values([prime_power_table(fn, p, read) for p in primes])
-    need = (max_exp + 1) ** 2 * sum(cell_bytes(values, k, primes))
+    need = block_need(prop.vector, primes)
     tracemalloc.start()
     try:
         decided = prop.vector(primes)

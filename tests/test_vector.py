@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from submult import checks, core, inequalities, vector
 from submult.checks import HOLDS, REFUTED, SUB, SUP, CheckConfig, grid_property
 from submult.cli import main
-from submult.core import EQUAL, GREATER, build_spf_table, cmp_power_products_detail
+from submult.core import EQUAL, GREATER, LESS, build_spf_table, cmp_power_products_detail
 from submult.errors import DomainError, ResourceError, SubmultError
 from submult.functions import (
     POWER,
@@ -204,33 +204,87 @@ def test_values_beyond_int64_leave_the_table_out(table_1m, family):
     assert fast == scalar
 
 
-def test_rows_the_bound_cannot_prove_go_to_the_scalar_path(table_1m):
+def test_rows_past_the_bound_are_decided_on_python_ints(table_1m, monkeypatch):
     # f(n) = n^4: f(mn)^2 = (mn)^8 fits in 62 bits for small rows only
     fn = make_prime_power_fn("n^4", lambda p, a: p ** (4 * a))
     spec = PropertySpec(K_SUB_MULT, 2)
     cfg = CheckConfig(max_m=40, max_n=40)
     prop = grid_property(Evaluator(fn, table_1m), spec, cfg)
     rows = list(prop.rows)
-    decided = [orders is not None for orders in row_orders(prop.vector(rows))]
-    assert len(decided) == len(rows)
-    # one block of rows: the first are decided in it, the rest are not
-    assert any(decided) and not all(decided)
-    assert decided == sorted(decided, reverse=True)
-    fast, scalar = _both_paths(fn, spec, cfg, table_1m)
-    assert fast == scalar
+    # one block of rows, every one decided in it as the scalar path orders it
+    cells = prop.vector(rows)
+    assert [orders.tolist() for orders in row_orders(cells)] == [
+        [prop.at(m)(*col)[0] for col in prop.cols(m)] for m in rows]
+    compared = []
+    monkeypatch.setattr(checks, "cmp_values",
+                        lambda x, y, cmp=checks.cmp_values: compared.append(1) or cmp(x, y))
+    fast = _outcome(prop, cfg)
+    assert not compared
+    with scalar_oracle():
+        assert fast == _outcome(grid_property(Evaluator(fn, table_1m), spec, cfg), cfg)
 
 
-def test_orders_leave_exactly_the_unproven_rows_undecided():
-    # three rows of signs -1, 0, 1; the middle row's bounds exceed BITS
-    lhs = vector.Row(np.array([[1, 2, 3]] * 3), np.int64(1),
-                     np.array([[2], [vector.BITS], [2]]), 1)
-    rhs = vector.Row(np.array([[2, 2, 2]]), np.int64(1), 2, 1)
-    signs = [[-1, 0, 1]] * 3
+# x = 2**61 - 1 has 61 bits, so -x / 3 against x / 3 is at 61 + 2 bits: the
+# cross products are each below 2**63 in magnitude, but their difference is not
+_NEAR = 2**61 - 1
+
+
+def test_orders_decide_the_rows_past_the_bound_on_python_ints():
+    # three rows of signs -1, 0, 1; the middle row's bounds exceed BITS, and
+    # in int64 its differences would wrap to the opposite signs
+    lhs = vector.Row(np.array([[1, 2, 3], [-_NEAR, 0, _NEAR], [1, 2, 3]]), np.int64(3),
+                     np.array([[2], [61], [2]]), 2)
+    rhs = vector.Row(np.array([[2, 2, 2], [_NEAR, 0, -_NEAR], [2, 2, 2]]), np.int64(3),
+                     np.array([[2], [61], [2]]), 2)
     orders = vector.orders(lhs, rhs)
     assert orders.dtype == np.int8
-    assert orders.tolist() == [signs[0], [vector.UNDECIDED] * 3, signs[2]]
-    proven = vector.orders(lhs, vector.Row(rhs.num, rhs.den, 2, 0))
-    assert proven.tolist() == signs
+    assert orders.tolist() == [[-1, 0, 1]] * 3
+    # exactly one bit past the bound: 61 + 2 bits
+    lhs = vector.Row(np.array([[-_NEAR]]), np.int64(3), 61, 2)
+    rhs = vector.Row(np.array([[_NEAR]]), np.int64(3), 61, 2)
+    assert vector.orders(lhs, rhs).tolist() == [[LESS]]
+    assert vector.orders(rhs, lhs).tolist() == [[GREATER]]
+
+
+@st.composite
+def _near_the_bound(draw):
+    """A rule of both signs near the int64 bounds: f(2) = x just below
+    2**30 and f(4) = -y / d with y just below 2**61 and d < 8, so that at
+    m = n = 2 of a mult shape the cross products of f(4) and f(2)**2 have
+    opposite signs and bounds of 63 bits, and with d = 7 a difference
+    beyond int64; the other prime powers are 1 or -1."""
+    x = draw(st.sampled_from([-1, 1])) * (2**30 - draw(st.integers(1, 2**10)))
+    y = 2**61 - draw(st.integers(2**8, 2**20))  # the tables admit values below 2**61
+    d = draw(st.integers(4, 7))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=4, max_size=4))
+
+    def rule(p, a):
+        if p == 2 and a in (1, 2):
+            return Fraction(x) if a == 1 else Fraction(-y, d)
+        return signs[min(a, 3)] if a else 1
+    return make_prime_power_fn(f"near-2^61({x}, {-y}/{d}, {signs})", rule, positive=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fn=_near_the_bound(),
+       family=st.one_of(st.sampled_from([SUB_MULT, SUP_MULT]), st.sampled_from(FAMILIES)),
+       k=st.sampled_from([2, 3]), max_m=st.integers(2, 5), max_n=st.integers(2, 3))
+# at (2, 2), lhs.nbits + rhs.dbits = 61 + 2 and rhs.nbits + lhs.dbits = 60 + 3,
+# and in int64 the difference of the cross products wraps
+@example(fn=make_prime_power_fn(
+    "near-2^61", lambda p, a: (Fraction(2**30 - 1) if a == 1 else Fraction(2**8 - 2**61, 7))
+    if p == 2 and a in (1, 2) else 1, positive=False),
+         family=SUP_MULT, k=2, max_m=2, max_n=2)
+def test_negative_rules_near_the_bound_match_the_scalar_path(table_1m, fn, family, k,
+                                                              max_m, max_n):
+    """The grid block path on rational rules of both signs whose cross
+    products reach 2**63, against the scalar oracle."""
+    spec = _spec(family, k)
+    cfg = CheckConfig(max_m=max_m, max_n=max_n)
+    fast = _outcome_or_error(grid_property(Evaluator(fn, table_1m), spec, cfg), cfg)
+    with scalar_oracle():
+        assert fast == _outcome_or_error(
+            grid_property(Evaluator(fn, table_1m), spec, cfg), cfg)
 
 
 def test_zero_divisor_raises_the_scalar_error(table_1m):
