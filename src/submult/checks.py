@@ -34,12 +34,14 @@ budget (vector.cross_power_ties).  The local criteria (submult.local)
 and eq16, eq20 and eq23 run the formula shape on a block of primes, or of
 exponents, on Python ints.
 
-The vector path leaves a cell to the scalar path in one of two ways: it
-marks it vector.UNDECIDED (a near-tie of the power comparisons, or every
-cell of a prime's row whose table cannot be built), or it raises
-vector.Unproven for the whole block (a function without an int64 value
-table, Python ints beyond the memory budget), which _blocks alone
-catches, handing the sweep each of the block's rows wholly UNDECIDED.
+A vector decision either decides its whole block or declines it: it
+raises vector.Unproven (a function without a value table, a base <= 0 or
+an exponent that is not an integer >= 0 of a power comparison, a prime
+whose table cannot be built, Python ints beyond the memory budget), which
+_blocks alone catches, handing the sweep each of the block's rows wholly
+UNDECIDED, so the scalar path raises any error where it always has.  The
+only cells a decided block marks vector.UNDECIDED are what the power
+filters leave open: ties and near-ties.
 The sweep tallies a block's points, failures and exact ties in numpy,
 and visits in Python, in order, only the rows that hold an UNDECIDED
 cell or, while fewer than the cap are held, a failing one.  The scalar
@@ -49,11 +51,10 @@ counterexamples up to the cap, so reports do not depend on the path.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -197,13 +198,13 @@ class Property:
     vector, when set, decides a block of consecutive rows at once, given
     as a slice of rows.  It returns an int8 array with one row per row of
     the block: the orders at the row's cols, in order, as LESS, EQUAL or
-    GREATER; vector.UNDECIDED at a cell left to compare (a near-tie of a
-    power comparison, or every cell of a row without values); vector.TIE
-    at an EQUAL that compare would reach through its exact fallback; and
-    GAP at the cells that are no point of the row, past its end or at the
-    columns a coprime row leaves out.  It raises vector.Unproven to leave
-    the whole block to compare.  at(row) decides the UNDECIDED cells point
-    by point.  width is the most cols a row has, so that a block of rows
+    GREATER; vector.UNDECIDED at a cell a power filter leaves to compare
+    (a tie or near-tie); vector.TIE at an EQUAL that compare would reach
+    through its exact fallback; and GAP at the cells that are no point of
+    the row, past its end or at the columns a coprime row leaves out.  It
+    raises vector.Unproven to leave the whole block to compare, as where
+    compare would raise.  at(row) decides the UNDECIDED cells point by
+    point.  width is the most cols a row has, so that a block of rows
     holds at most _CELLS cells, or is one row."""
 
     names: tuple[str, ...]
@@ -540,23 +541,20 @@ def power_formula(f: vector.RowValues, g: vector.RowValues):
     """The cross-power comparison f(mn)^g(mn) vs f(m)^(g(m) n) f(n)^(g(n) m)
     as decide(m, n) over a block of rows (see _grid): the log2 filter of
     vector.power_orders over int64 values of f and g, then
-    vector.cross_power_ties on what it leaves.  A row with a base <= 0 or
-    an exponent that is not an integer >= 0 is left UNDECIDED, and the
-    scalar path raises its error in place; vector.Unproven for a block
-    without tables."""
+    vector.cross_power_ties on what it leaves.  vector.Unproven for a block
+    without tables, or with a base <= 0 or an exponent that is not an
+    integer >= 0, where the scalar path raises its error."""
 
     def decide(m, n):
         args = (m * n, m, n)
-        fs, fok = zip(*(vector.positive(f(x)) for x in args))
-        gs, gok = zip(*(vector.exponents(g(x)) for x in args))
+        fs = tuple(vector.positive(f(x)) for x in args)
+        gs = tuple(vector.exponents(g(x)) for x in args)
         fmn, fm, fn = fs
         gmn, gm, gn = (np.asarray(x.num, dtype=np.float64) for x in gs)
         orders = vector.power_orders(
             [(fmn.num, fmn.den, gmn)],
             [(fm.num, fm.den, gm * n.x), (fn.num, fn.den, gn * m.x)])
-        orders = vector.cross_power_ties(orders, m.x, n.x, fs, gs)
-        proven = reduce(operator.and_, fok + gok)
-        return orders if np.all(proven) else np.where(proven, orders, vector.UNDECIDED)
+        return vector.cross_power_ties(orders, m.x, n.x, fs, gs)
 
     return decide
 

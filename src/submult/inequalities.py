@@ -13,15 +13,16 @@ Ids are stable CLI vocabulary:
 
 eq12, eq13 and corollary1 compare products of powers.  Each sweeps its
 range as one row: vector.power_orders decides the points in bulk from
-int64 value tables of the functions, and only the points it leaves
-UNDECIDED reach the scalar cmp_power_products_detail.  A line without
-tables, or with a base <= 0 or an exponent that is not an integer >= 0,
-raises vector.Unproven and goes whole to the scalar path.
+int64 value tables of the functions, and only the ties and near-ties it
+leaves UNDECIDED reach the scalar cmp_power_products_detail.  A line
+without tables, or with a base <= 0 or an exponent that is not an
+integer >= 0 (vector.positive, vector.exponents), raises vector.Unproven
+and goes whole to the scalar path, which raises the error in place.
 
 eq16, eq20 and eq23 are local criteria at prime powers, decided as
 submult.local decides them: in blocks, on Python ints, from one table of
 f(p^e) per prime; a block whose ints would exceed the memory budget goes
-to the scalar path.
+whole to the scalar path.
 """
 
 from __future__ import annotations
@@ -88,10 +89,10 @@ def _below_self(name: str, points, fe: Evaluator, ge: Evaluator, limit: int) -> 
     """f(x)^g(x) < x^x at each x of points, all <= limit, as a line with
     points named name; f(x) must be positive and g(x) an integer >= 0.
     The bulk log2 filter on f's and g's value tables over [0, limit]
-    decides the points first; it raises vector.Unproven, leaving them all
-    to the scalar path, when a table is missing, a base is <= 0 or an
-    exponent is not an integer >= 0, and the scalar path then raises any
-    error in place."""
+    decides the points first; vector.RowValues, vector.positive and
+    vector.exponents raise vector.Unproven, leaving them all to the scalar
+    path, when a table is missing, a base is <= 0 or an exponent is not an
+    integer >= 0, and the scalar path then raises any error in place."""
     f, g = vector.RowValues(fe, 1, limit), vector.RowValues(ge, 1, limit)
 
     def compare(x):
@@ -110,9 +111,7 @@ def _below_self(name: str, points, fe: Evaluator, ge: Evaluator, limit: int) -> 
 
     def decide(xs):
         x = vector.Arg(xs)
-        (fx, fok), (gx, gok) = vector.positive(f(x)), vector.exponents(g(x))
-        if not np.all(fok & gok):
-            raise vector.Unproven
+        fx, gx = vector.positive(f(x)), vector.exponents(g(x))
         exps = np.asarray(gx.num, dtype=np.float64)
         return vector.power_orders([(fx.num, fx.den, exps)], [(xs, 1, xs)])
 

@@ -165,12 +165,11 @@ def prime_power_property(f: ArithFn, family: str, k: int | None, primes,
 
     A block of primes is decided at once (Property.vector) by the formula
     shape on exact Python ints (vector.PowerValues), from f's table at
-    each prime at the exponents_read, up to the first prime whose table
-    cannot be built: its rule raises or a divisor is zero, and the scalar
-    path raises the same error at that prime.  That row and the rows after
-    it are left UNDECIDED.  vector.Unproven, for the scalar path, which
-    holds one cell at a time, when the first prime's table cannot be built
-    or the block's Python ints would exceed the memory budget."""
+    each prime at the exponents_read.  vector.Unproven, for the scalar
+    path, which holds one cell at a time, when a prime's table cannot be
+    built (its rule raises or a divisor is zero, and the scalar path
+    raises the same error at that prime) or the block's Python ints would
+    exceed the memory budget."""
     read = exponents_read(family, k, exps)
     a = np.repeat(np.array(exps), len(exps))[None, :]
     b = np.tile(np.array(exps), len(exps))[None, :]
@@ -184,18 +183,14 @@ def prime_power_property(f: ArithFn, family: str, k: int | None, primes,
 
     def decide(rows):
         built.clear()
-        for p in rows:
-            try:
+        try:
+            for p in rows:
                 built[p] = prime_power_table(f, p, read)
-            except Exception:  # the scalar path raises it at p
-                break
-        if not built:
-            raise vector.Unproven
-        ps = np.array(rows[:len(built)], dtype=object)[:, None]
-        cells = np.full((len(rows), len(cols)), vector.UNDECIDED, dtype=np.int8)
-        cells[:len(built)] = vector_formula(family, k, power_values(list(built.values())))(
+        except Exception:  # the scalar path raises it at its prime
+            raise vector.Unproven from None
+        ps = np.array(rows, dtype=object)[:, None]
+        return vector_formula(family, k, power_values(list(built.values())))(
             vector.PowerArg(a, ps), vector.PowerArg(b, ps))
-        return cells
 
     return Property(("p", "a", "b"), primes, lambda p: cols, at,
                     FORMULAS[family][1], vector=decide, width=len(cols))

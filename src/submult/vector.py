@@ -39,7 +39,9 @@ where the scalar sweep raises.  Values at k-th powers n^k come from the
 same recurrence with the rule at p^(k a), so the spf table need not
 reach n^k.  Tables are kept on the spf table, by function, limit, k and
 bound, so each is built once per command and a line never reads a
-grid's bounded table.  A build that would not fit in the
+grid's bounded table; a full table (bound = limit), once built, replaces
+the bounded ones of its function, limit and k and serves their
+requests.  A build that would not fit in the
 memory budget beside the sieve and the tables already kept on it is
 refused with ResourceError before its tables are allocated.
 
@@ -55,7 +57,9 @@ same factors (EQUAL) and, in int64 after dividing the exponents by their
 gcd, exact ties within the digit budget (TIE, which the sweep counts as
 an exact fallback, as the scalar path would).  What is left, near-ties,
 ties beyond int64 or the budget and every UNDECIDED cell of eq12, eq13
-and corollary1, goes to the scalar comparison.
+and corollary1, goes to the scalar comparison.  A block with a base <= 0
+or an exponent that is not an integer >= 0, where the scalar comparison
+raises, is declined whole (positive, exponents).
 
 The prime-power sweeps (submult.local, and eq16, eq20 and eq23) run the
 same formula shapes on rows indexed by exponent: a PowerArg holds the
@@ -91,9 +95,10 @@ Pair = tuple[np.ndarray, "np.ndarray | None"]
 
 class Unproven(Exception):
     """This block goes to the scalar path: the vector path cannot decide
-    any of it, as when a function has no int64 value table or its Python
-    ints would exceed the memory budget.  Raised out of a Property.vector and
-    caught by the sweep (checks._blocks)."""
+    any of it, as when a function has no int64 value table, its Python
+    ints would exceed the memory budget or the scalar path raises at one of
+    its cells.  Raised out of a Property.vector and caught by the sweep
+    (checks._blocks)."""
 
 
 def _absmax(a) -> int:
@@ -350,16 +355,22 @@ def _build_bytes(fn: ArithFn, spf: np.ndarray, limit: int, qs: np.ndarray,
 def _table(ev: Evaluator, limit: int, k: int, bound: int) -> Pair | None:
     """ev's function at n^k for n in [0, limit] with no prime factor above
     bound (see _build), built once per spf table and kept on it by
-    (function, limit, k, bound); None when the spf table does not reach
-    limit, an entry does not fit, a divisor is zero or a rule raises.
-    ResourceError, before the table's arrays are allocated, when the sieve,
-    the tables already kept on it and the build would exceed the memory
-    budget."""
+    (function, limit, k, bound), or the full table (bound = limit) when it
+    was built; building that drops the bounded ones.  None when the spf
+    table does not reach limit, an entry does not fit, a divisor is zero
+    or a rule raises.  ResourceError, before the table's arrays are
+    allocated, when the sieve, the tables already kept on it and the build
+    would exceed the memory budget."""
     sieve = ev.table
     if sieve is None or sieve.limit < limit:
         return None
-    key = (ev.fn, limit, k, bound)
+    key, full = (ev.fn, limit, k, bound), (ev.fn, limit, k, limit)
+    if sieve.tables.get(full) is not None:
+        return sieve.tables[full]
     if key not in sieve.tables:
+        if key == full:
+            for bounded in [t for t in sieve.tables if t[:3] == key[:3]]:
+                del sieve.tables[bounded]
         held = sieve.spf.nbytes + sum(a.nbytes for t in sieve.tables.values()
                                       if t is not None for a in t if a is not None)
         try:
@@ -604,27 +615,21 @@ def power_orders(lhs, rhs) -> np.ndarray:
                     np.where(rhi < llo, GREATER, UNDECIDED)).astype(np.int8)
 
 
-def positive(row: Row) -> tuple[Row, np.ndarray]:
-    """row as power bases, with 1 in place of every value <= 0, and at
-    each row of the block whether it holds none (at such a value the
-    scalar path raises DomainError)."""
-    good = row.num > 0
-    if good.all():
-        return row, True
-    return (Row(np.where(good, row.num, 1), row.den, row.nbits, row.dbits),
-            good.all(axis=-1, keepdims=True))
+def positive(row: Row) -> Row:
+    """row, as power bases; Unproven when it holds a value <= 0, at which
+    the scalar path raises DomainError."""
+    if not (row.num > 0).all():
+        raise Unproven
+    return row
 
 
-def exponents(row: Row) -> tuple[Row, np.ndarray]:
-    """row as power exponents, with 0 in place of every value that is not
-    an integer >= 0, and at each row of the block whether it holds none
-    (at such a value the scalar path raises UnsupportedInputError).
+def exponents(row: Row) -> Row:
+    """row, as power exponents; Unproven when it holds a value that is not
+    an integer >= 0, at which the scalar path raises UnsupportedInputError.
     Tables hold reduced fractions, so an integer has den 1."""
-    good = (row.den == 1) & (row.num >= 0)
-    if good.all():
-        return row, True
-    return (Row(np.where(good, row.num, 0), _ONE, row.nbits, 1),
-            good.all(axis=-1, keepdims=True))
+    if (row.num < 0).any() or np.any(row.den != 1):
+        raise Unproven
+    return row
 
 
 # cross_power_ties' bases by (numerator or denominator, argument): the

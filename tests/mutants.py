@@ -46,6 +46,13 @@ MUTANTS = [
     ("times-unchecked", V,
      "    if (_absmax(a).bit_length() + _absmax(b).bit_length() > BITS",
      "    if False and (_absmax(a).bit_length() + _absmax(b).bit_length() > BITS"),
+    ("plus-unchecked", V,
+     "    if (max(_absmax(a), _absmax(b)).bit_length() + 1 > BITS",
+     "    if False and (max(_absmax(a), _absmax(b)).bit_length() + 1 > BITS"),
+    ("rule-values-unproven", V,
+     "    _prove(_absmax(num).bit_length(), _absmax(den).bit_length())", "    pass"),
+    ("build-bytes-without-the-tables", V,
+     "    return (entries * 8 * arrays + max(", "    return (max("),
     # the bulk power comparisons against the scalar filter and exact branch
     ("log2-pad-below-the-scalar-pad", V,
      "_PAD_ABS = 2 * core._PAD_ABS", "_PAD_ABS = core._PAD_ABS / 2"),
@@ -53,6 +60,16 @@ MUTANTS = [
      "orders.flat[todo[tie]] = TIE", "orders.flat[todo[~identical]] = TIE"),
     ("bulk-ties-beyond-the-digit-budget", V,
      "(1 + 1e-9) <= core.DEFAULT_DIGIT_BUDGET", "(1 + 1e-9) <= 10 * core.DEFAULT_DIGIT_BUDGET"),
+    ("cross-power-ties-without-the-row-bound", V,
+     "    rows = ((gm.nbits", "    rows = True | ((gm.nbits"),
+    ("cross-power-ties-without-the-cell-bound", V,
+     "    fits = (((reduced", "    fits = True | (((reduced"),
+    # the decisions a block declines, where the scalar path raises
+    ("positive-admits-0", V, "if not (row.num > 0).all():", "if not (row.num >= 0).all():"),
+    ("exponents-admit-a-negative-value", V,
+     "if (row.num < 0).any() or ", "if "),
+    ("decide-ignores-a-failed-prime-table", L,
+     "            raise vector.Unproven from None", "            pass"),
     ("k-powers-read-from-the-k-1-table", V,
      "            table = power_table(self.ev, k, self.count)",
      "            table = value_table(self.ev, self.limit, self.count)"),

@@ -338,7 +338,9 @@ def test_vector_returns_one_int8_row_per_row_over_its_cols(monkeypatch, table_10
     assert seen <= ORDERS
     if builder == "coprime-grid":
         assert checks.GAP in seen
-    if builder == "python-int-rows":
+    # only the power filters leave cells to compare: every other block is
+    # decided whole or raises vector.Unproven
+    if builder not in ("eq13", "cross-power"):
         assert vector.UNDECIDED not in seen
 
 

@@ -352,8 +352,10 @@ def test_block_path_matches_the_scalar_path(fn, criterion, direction, k, max_pri
                          ids=lambda fn: fn.name)
 def test_a_table_that_cannot_be_built_raises_where_the_scalar_path_does(fn):
     prop = _property(fn, "eq14", "sub", None, 11, 2)
-    # the rows before 5 are decided; 5 and every row after it are left
-    assert _decided(prop, [2, 3, 5, 7, 11]) == [True, True, False, False, False]
+    # a block that holds 5 goes whole to the scalar path; one without is decided
+    with pytest.raises(vector.Unproven):
+        prop.vector([2, 3, 5, 7, 11])
+    assert _decided(prop, [2, 3]) == [True, True]
     fast = _outcome_or_error(prop, CheckConfig())
     assert fast[:2] == (DomainError, str(pytest.raises(DomainError, evaluate_fact, fn,
                                                        prime_power(5, 2)).value))

@@ -18,7 +18,7 @@ from submult import checks, core, inequalities, vector
 from submult.checks import HOLDS, REFUTED, SUB, SUP, CheckConfig, grid_property
 from submult.cli import main
 from submult.core import EQUAL, GREATER, LESS, build_spf_table, cmp_power_products_detail
-from submult.errors import DomainError, ResourceError, SubmultError
+from submult.errors import DomainError, ResourceError, SubmultError, UnsupportedInputError
 from submult.functions import (
     POWER,
     PRODUCT,
@@ -202,6 +202,23 @@ def test_values_beyond_int64_leave_the_table_out(table_1m, family):
     assert vector.value_table(Evaluator(fn, table_1m), 12 * 9) is None
     fast, scalar = _both_paths(fn, _spec(family, 2), cfg, table_1m)
     assert fast == scalar
+
+
+# 2^61 - 1 at 2 and 1 at every other prime power: each of its values, and
+# the sum of two, fits in int64, but the sum of five at 2 does not
+_NEAR_AT_2 = make_prime_power_fn("near-at-2",
+                                 lambda p, a: 2**61 - 1 if (p, a) == (2, 1) else 1)
+
+
+def test_sums_beyond_int64_leave_the_table_out(table_1m):
+    fn = combine(SUM, (_NEAR_AT_2,) * 5, name="five-near-at-2")
+    cfg = CheckConfig(max_m=10, max_n=10)
+    report = checks.check_subhom(fn, SUB, cfg, table_1m)
+    assert vector.value_table(Evaluator(fn, table_1m), 100, 10) is None
+    with scalar_oracle():
+        scalar = checks.check_subhom(fn, SUB, cfg, table_1m)
+    assert (dataclasses.replace(report, elapsed_seconds=0)
+            == dataclasses.replace(scalar, elapsed_seconds=0))
 
 
 def test_rows_past_the_bound_are_decided_on_python_ints(table_1m, monkeypatch):
@@ -475,6 +492,29 @@ def test_each_table_is_built_once_per_command(capsys, builds):
                       for key in ((600, 1, 30), (30, 2, 30), (30, 3, 30))]
 
 
+@pytest.mark.parametrize("order", ["grid first", "identity bound first"])
+def test_one_table_per_function_and_k_serves_grids_and_lines(builds, order):
+    """A full table, from every prime, serves the grids' bounded requests of
+    its function, limit and k once it is built, and replaces the bounded
+    ones kept before it: one table stays on the sieve, and every report
+    equals the one swept on a sieve of its own."""
+    sigma = REGISTRY.get("sigma")
+    cfg = CheckConfig(max_m=30, max_n=30, k_set=(2,))
+    tags = [PropertyTag("sigma", family) for family in
+            (SUB_MULT, GE_IDENTITY, SUP_HOM, K_SUB_MULT)]
+    if order == "identity bound first":
+        tags[:2] = tags[1::-1]
+    sieve = build_spf_table(900)
+    shared = [r for tag in tags for r in checks.reports_for_tag(sigma, tag, cfg, sieve)]
+    assert sorted(key[1:] for key in sieve.tables) == [(30, 2, 30), (900, 1, 900)]
+    full = builds.index(("sigma", 900, 1, 900))
+    assert ("sigma", 900, 1, 30) not in builds[full:]
+    alone = [r for tag in tags
+             for r in checks.reports_for_tag(sigma, tag, cfg, build_spf_table(900))]
+    assert ([dataclasses.replace(r, elapsed_seconds=0) for r in shared]
+            == [dataclasses.replace(r, elapsed_seconds=0) for r in alone])
+
+
 def test_grid_tables_call_rules_only_at_primes_the_grid_reaches():
     """Every prime factor of m n is at most max(max_m, max_n): the table
     over [0, max_m max_n] takes each rule value at such a prime once."""
@@ -553,9 +593,11 @@ def test_an_identity_bound_after_a_grid_reads_a_table_of_every_prime():
     cfg = CheckConfig(max_m=20, max_n=20)
     sieve = build_spf_table(400)
     [grid] = checks.reports_for_tag(sigma, PropertyTag("sigma", SUB_MULT), cfg, sieve)
+    assert sieve.tables[sigma, 400, 1, 20][0][23] != 24
     [bound] = checks.reports_for_tag(sigma, PropertyTag("sigma", GE_IDENTITY), cfg, sieve)
     assert grid.holds and bound.holds and bound.pairs_checked == 400
-    assert sieve.tables[sigma, 400, 1, 20][0][23] != 24
+    # the full table replaces the bounded one
+    assert list(sieve.tables) == [(sigma, 400, 1, 400)]
     assert sieve.tables[sigma, 400, 1, 400][0][23] == 24
     alone = checks.check_identity_bound(sigma, "ge", 400, build_spf_table(400))
     assert (bound.verdict, bound.counterexamples, bound.stats) == (
@@ -576,6 +618,23 @@ def test_tables_beyond_the_memory_budget_are_refused(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "the value table of sigma up to 2500" in err
     assert "physical memory" in err
+
+
+def test_rule_values_past_the_bound_refuse_the_table_before_its_memory_check(
+        monkeypatch):
+    """A table with a rule value of 2^62 cannot be built at any budget, so a
+    budget it would exceed refuses nothing: the sweep runs on the scalar
+    path, as it does under any budget."""
+    fn = make_prime_power_fn("2^62-at-2", lambda p, a: 2**62 if (p, a) == (2, 1) else 1)
+    cfg = CheckConfig(max_m=10, max_n=10)
+    sieves = build_spf_table(100), build_spf_table(100)
+    with scalar_oracle():
+        scalar = checks.check_submult(fn, SUB, cfg, sieves[0])
+    monkeypatch.setattr(core, "memory_budget", lambda: 0)
+    report = checks.check_submult(fn, SUB, cfg, sieves[1])
+    assert sieves[1].tables == {(fn, 100, 1, 10): None}
+    assert (dataclasses.replace(report, elapsed_seconds=0)
+            == dataclasses.replace(scalar, elapsed_seconds=0))
 
 
 @pytest.fixture
@@ -777,6 +836,30 @@ def test_cross_power_filter_matches_the_scalar_path(table_10k, base, expo,
     assert fast == scalar
 
 
+@pytest.mark.parametrize("base, expo, error", [
+    (_ZERO_AT_13, REGISTRY.get("identity"), DomainError),
+    (REGISTRY.get("identity"), _NEGATIVE_AT_13, UnsupportedInputError)],
+    ids=["zero-base", "negative-exponent"])
+def test_a_cross_power_block_with_a_bad_row_goes_to_the_scalar_path(table_10k, base,
+                                                                    expo, error):
+    """Off row 13 both sides are (mn)^(mn), so every cell is a tie the
+    block decides; a block that holds row 13, where the base is 0 or the
+    exponent -1, goes whole to the scalar path, which raises there."""
+    cfg = CheckConfig(max_m=16, max_n=12)
+    props = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(checks, "sweep_report", lambda *args: props.append(args[3]))
+        checks.check_power_submult(base, expo, SUB, cfg, table_10k)
+    [prop] = props
+    with pytest.raises(vector.Unproven):
+        prop.vector(prop.rows[9:])
+    assert vector.UNDECIDED not in prop.vector(prop.rows[:12])
+    fast, scalar = _vector_and_scalar(
+        lambda: checks.check_power_submult(base, expo, SUB, cfg, table_10k),
+        _BLOCKS["three rows"](cfg))
+    assert fast == scalar and fast[0] is error and fast[2] == (13, 1)
+
+
 def _row(*values) -> vector.Row:
     """One cell per value, as the rows of f and g."""
     xs = [Fraction(v) for v in values]
@@ -804,6 +887,9 @@ _TIE_CASES = {
                                     vector.UNDECIDED, (EQUAL, True)),
     "exponents beyond int64": ((6, 2, 3, 6 * 2**60, 2 * 2**60, 3 * 2**60),
                                vector.UNDECIDED, ResourceError),
+    # g(m) n = 3 (2^64 + 2) / 3 would wrap to 2 = g(mn) in int64
+    "exponents that would wrap int64": ((5, 5, 5, 2, (2**64 + 2) // 3, 0),
+                                        vector.UNDECIDED, (LESS, False)),
     "tie over the budget": ((6, 2, 3, 6 * 10**6, 2 * 10**6, 3 * 10**6),
                             vector.UNDECIDED, ResourceError),
 }
