@@ -23,30 +23,32 @@ families (check, classify, the global half of local --bridge,
 reports_for_tag) run the same formula shape once per block on the
 numerators and denominators of all its cells, in int64 where bit-length
 bounds prove every product below 2**62 and on Python ints elsewhere, and
-decide every cell; the identity bounds do the same on a line, f(n)
-against n.  The power comparisons (the
-cross-power checks here, eq12, eq13 and corollary1 in
-submult.inequalities, each a line of one row) run a padded log2 filter
-over the block in numpy and leave ties and near-ties undecided; the
-cross-power checks then settle in numpy the cells whose sides normalize
-to the same factors and the exact ties that fit int64 and the digit
-budget (vector.cross_power_ties).  The local criteria (submult.local)
-and eq16, eq20 and eq23 run the formula shape on a block of primes, or of
-exponents, on Python ints.
+decide every cell.  A property of one coordinate is a line (line): its
+points are its rows, each with one col, so a block is a run of at most
+_CELLS points.  The identity bounds decide f(n) against n on a line.  The
+power comparisons (the cross-power checks here, eq12, eq13 and
+corollary1 in submult.inequalities, lines but for the first) run a
+padded log2 filter over the block in numpy and leave ties and near-ties
+undecided; the cross-power checks then settle in numpy the cells whose
+sides normalize to the same factors and the exact ties that fit int64
+and the digit budget (vector.cross_power_ties).  The local criteria
+(submult.local) and eq16, eq20 and eq23 run the formula shape on a block
+of primes, or of exponents, on Python ints.
 
 A vector decision either decides its whole block or declines it: it
 raises vector.Unproven (a function without a value table, a base <= 0 or
 an exponent that is not an integer >= 0 of a power comparison, a prime
 whose table cannot be built, Python ints beyond the memory budget), which
-_blocks alone catches, handing the sweep each of the block's rows wholly
-UNDECIDED, so the scalar path raises any error where it always has.  The
-only cells a decided block marks vector.UNDECIDED are what the power
-filters leave open: ties and near-ties.
+_blocks alone catches.  A declined block, like every block of a sweep
+without a vector path, stays whole, with every cell UNDECIDED, so the
+scalar path raises any error where it always has.  The only cells a
+decided block marks vector.UNDECIDED are what the power filters leave
+open: ties and near-ties.
 The sweep tallies a block's points, failures and exact ties in numpy,
-and visits in Python, in order, only the rows that hold an UNDECIDED
-cell or, while fewer than the cap are held, a failing one.  The scalar
-path decides the UNDECIDED cells and recomputes a decided row's
-counterexamples up to the cap, so reports do not depend on the path.
+and visits in Python, in order, only the UNDECIDED cells and the first
+failing cells the counterexample cap has room for.  The scalar path
+decides the UNDECIDED cells and recomputes a decided cell's sides for
+its counterexample, so reports do not depend on the path.
 """
 
 from __future__ import annotations
@@ -109,13 +111,10 @@ GAP = 4  # a cell of a Property.vector block that is no point of its row
 _ORDERS = GAP + 2  # the orders a cell can hold, indexed by order + 1
 # relation -> whether order LESS, EQUAL, GREATER, vector.UNDECIDED,
 # vector.TIE or GAP fails it, indexed by order + 1 (a TIE fails as EQUAL
-# does); _VISIT marks the orders the sweep calls compare at, the failing
-# ones and vector.UNDECIDED
+# does)
 _FAILS = {rel: np.array([o not in ok for o in (LESS, EQUAL, GREATER)]
                         + [False, EQUAL not in ok, False])
           for rel, ok in _PASSING.items()}
-_UNDECIDED_ONLY = np.arange(_ORDERS) == vector.UNDECIDED + 1
-_VISIT = {rel: fails | _UNDECIDED_ONLY for rel, fails in _FAILS.items()}
 # relation -> the points, failures and TIEs among cells, from the number
 # of cells at each order + 1
 _TALLY = {rel: np.array([np.arange(_ORDERS) != GAP + 1, fails,
@@ -190,10 +189,11 @@ class Property:
     """A relation between two sides, to be checked at every point.
 
     The points are (row, *col) for each row in rows and each col in
-    cols(row), with coordinates named by names; a row of None (a line)
-    adds no coordinate, so its points are the cols.  at(row) is the row's
-    compare closure, called once per point as compare(*col).  limit is
-    the sieve limit that covers every value the sweep evaluates.
+    cols(row), with coordinates named by names; a line (see line) has one
+    coordinate, so its rows are its points and each has the one col ().
+    at(row) is the row's compare closure, called once per point as
+    compare(*col).  limit is the sieve limit that covers every value the
+    sweep evaluates.
 
     vector, when set, decides a block of consecutive rows at once, given
     as a slice of rows.  It returns an int8 array with one row per row of
@@ -208,50 +208,37 @@ class Property:
     holds at most _CELLS cells, or is one row."""
 
     names: tuple[str, ...]
-    rows: Sequence[int | None]
-    cols: Callable[[int | None], Sequence[tuple]]
-    at: Callable[[int | None], Compare]
+    rows: Sequence[int]
+    cols: Callable[[int], Sequence[tuple]]
+    at: Callable[[int], Compare]
     relation: str  # SUB, SUP, EQ or LT
     limit: int = 0
-    vector: Callable[[Sequence], np.ndarray] | None = None
+    vector: Callable[[Sequence[int]], np.ndarray] | None = None
     width: int = 1
 
 
-def _undecided(prop: Property, rows: Iterable):
-    """Each of rows alone, with every cell of it left to compare."""
-    for row in rows:
-        yield [row], np.full((1, len(prop.cols(row))), vector.UNDECIDED, dtype=np.int8)
+def _undecided(prop: Property, rows: Sequence[int]) -> np.ndarray:
+    """The block of rows left wholly to compare: UNDECIDED at each row's
+    cols, GAP past them."""
+    counts = np.fromiter(map(len, map(prop.cols, rows)), np.int64, len(rows))[:, None]
+    return np.where(np.arange(prop.width) < counts, vector.UNDECIDED,
+                    GAP).astype(np.int8)
 
 
 def _blocks(prop: Property):
-    """(rows, their cells) for each block of consecutive rows of prop, in
-    order: what prop.vector decides or, without it or where it raises
-    vector.Unproven, each row alone, left wholly to compare."""
-    if prop.vector is None:
-        yield from _undecided(prop, prop.rows)
-        return
+    """(rows, their cells) for each block of consecutive rows of prop, of
+    at most _CELLS cells or one row, in order: what prop.vector decides
+    or, without it or where it raises vector.Unproven, the block left
+    wholly to compare."""
     per = max(1, _CELLS // prop.width)
+    decide = prop.vector or partial(_undecided, prop)
     for lo in range(0, len(prop.rows), per):
         rows = prop.rows[lo:lo + per]
         try:
-            cells = prop.vector(rows)
+            cells = decide(rows)
         except vector.Unproven:
-            yield from _undecided(prop, rows)
-        else:
-            yield rows, cells
-
-
-def _visits(undecided: np.ndarray, failing: np.ndarray, full: Callable[[], bool]):
-    """The indices of the rows of a block the sweep visits, in order: every
-    row with an UNDECIDED cell, and every row with a failing cell while
-    full() is false."""
-    for last in np.flatnonzero(undecided | failing).tolist():
-        if full():
-            break
-        yield last
-    else:
-        return
-    yield from (last + np.flatnonzero(undecided[last:])).tolist()
+            cells = _undecided(prop, rows)
+        yield rows, cells
 
 
 # threads is pinned: perfbench/tracer.py reads it as args[2] (ROADMAP item 1)
@@ -262,58 +249,60 @@ def _sweep(prop: Property, cfg: CheckConfig,
 
     The points, failures and exact fallbacks a block's orders hold are
     tallied for the whole block at once.  Python then visits, in order,
-    only the rows with an UNDECIDED cell (every row without prop.vector)
-    and, while fewer than the cap are held, the rows with a failing cell.
-    In a visited row compare runs, in column order, at every UNDECIDED
-    cell and at the failing cells, up to the cap, to recompute their
-    sides.  Exact fallbacks are counted at vector.TIE cells and where
-    compare reports one at an UNDECIDED cell.
+    the block's UNDECIDED cells and its first failing cells, as many as
+    the cap still has room for, and runs compare there: to decide an
+    UNDECIDED cell, and to recompute a failing cell's sides while fewer
+    than the cap are held.  A cell's col is its rank among the row's cells
+    that are no GAP.  Exact fallbacks are counted at vector.TIE cells and
+    where compare reports one at an UNDECIDED cell.
 
     threads is ignored: sweeps run on the calling thread.  It stays the
     third positional parameter only because the benchmark's tracer reads
     it there; sweep_report passes 1."""
-    passing = _PASSING[prop.relation]
-    fails, visit, tally = (table[prop.relation] for table in (_FAILS, _VISIT, _TALLY))
+    passing, undecided = _PASSING[prop.relation], vector.UNDECIDED
+    fails, tally = _FAILS[prop.relation], _TALLY[prop.relation]
+    cols_at, compare_at = prop.cols, prop.at
     cap = cfg.counterexample_cap
     cex: list[Counterexample] = []
     failed = exact = 0  # at UNDECIDED cells
     bulk = np.zeros(3, dtype=np.int64)  # the points, and failures and TIEs elsewhere
 
-    def full():
-        return len(cex) == cap
-
     for rows, cells in _blocks(prop):
-        at = np.bincount(cells.ravel() + 1, minlength=_ORDERS)
+        flat = cells.ravel()
+        at = np.bincount(flat + 1, minlength=_ORDERS)
         bulk += tally @ at
-        if not at[vector.UNDECIDED + 1] and (full() or not at[fails].any()):
+        room = cap - len(cex)
+        if not at[undecided + 1] and not (room and at[fails].any()):
             continue
-        gaps = at[GAP + 1] > 0
-        undecided = (cells == vector.UNDECIDED).any(axis=1)
-        failing = fails[cells + 1].any(axis=1)
-        for r in _visits(undecided, failing, full):
-            row = rows[r]
-            cols = prop.cols(row)
-            orders = cells[r][cells[r] != GAP] if gaps else cells[r]
-            compare = prop.at(row)
-            lead = () if row is None else (row,)
-            todo = np.flatnonzero((_UNDECIDED_ONLY if full() else visit)[orders + 1])
-            for i, decided in zip(todo.tolist(), orders[todo].tolist()):
-                fallback = decided == vector.UNDECIDED
-                if not fallback and full():
-                    continue
-                col = cols[i]
-                order, lhs, rhs, used_exact = compare(*col)
-                exact += fallback and used_exact
-                if fallback and order in passing:
-                    continue
-                point = tuple(zip(prop.names, (*lead, *col)))
-                if order in passing:
-                    raise InconsistencyError(
-                        f"the vector and scalar paths disagree at {point}; "
-                        "this is an implementation bug")
-                failed += fallback
-                if len(cex) < cap:
-                    cex.append(Counterexample(point, lhs, rhs))
+        visit = flat == undecided
+        if room:
+            failing = fails[flat + 1]
+            visit |= failing & (np.cumsum(failing) <= room)
+        todo = np.flatnonzero(visit)
+        rs, cs = np.divmod(todo, cells.shape[1])
+        if at[GAP + 1]:
+            cs = (np.cumsum(cells != GAP, axis=1) - 1)[rs, cs]
+        last = None
+        for r, i, decided in zip(rs.tolist(), cs.tolist(), flat[todo].tolist()):
+            fallback = decided == undecided
+            if not fallback and len(cex) == cap:
+                continue
+            if r != last:
+                last, row = r, rows[r]
+                cols, compare = cols_at(row), compare_at(row)
+            col = cols[i]
+            order, lhs, rhs, used_exact = compare(*col)
+            exact += fallback and used_exact
+            if fallback and order in passing:
+                continue
+            point = tuple(zip(prop.names, (row, *col)))
+            if order in passing:
+                raise InconsistencyError(
+                    f"the vector and scalar paths disagree at {point}; "
+                    "this is an implementation bug")
+            failed += fallback
+            if len(cex) < cap:
+                cex.append(Counterexample(point, lhs, rhs))
     points, failures, ties = bulk.tolist()
     stats = {"exact_fallbacks": exact + ties} if exact + ties else {}
     return (REFUTED if failed + failures else HOLDS), cex, points, stats
@@ -341,33 +330,21 @@ def sweep_report(function: str, label: str, params: dict, prop: Property,
     )
 
 
-class _Singletons:
-    """The points of a line as its row's columns: (x,) for each x in xs,
-    made on access so a long line holds no tuple per point."""
-
-    __slots__ = ("xs",)
-
-    def __init__(self, xs: Sequence[int]):
-        self.xs = xs
-
-    def __len__(self) -> int:
-        return len(self.xs)
-
-    def __getitem__(self, i: int) -> tuple[int]:
-        return (self.xs[i],)
+_POINT = ((),)  # the cols of a line's row: the row is the point
 
 
 def line(name: str, points: Sequence[int], compare: Compare, relation: str,
          decide: Callable[[np.ndarray], np.ndarray], limit: int = 0) -> Property:
-    """A property with one coordinate: compare(x) at each point x, all in
-    one row.  decide(xs) decides the points at once, given as an int64
-    array: their orders, with vector.UNDECIDED at the points it leaves to
-    compare (see Property.vector)."""
-    def decide_line(_):
-        return decide(np.asarray(points, dtype=np.int64))[None, :]
+    """A property with one coordinate: compare(x) at each point x.  Each
+    point is a row with the one col (), so a block is a run of at most
+    _CELLS consecutive points.  decide(xs) decides such a run at once,
+    given as an int64 array: their orders, with vector.UNDECIDED at the
+    points it leaves to compare (see Property.vector)."""
+    def decide_rows(rows):
+        return decide(np.asarray(rows, dtype=np.int64))[:, None]
 
-    return Property((name,), (None,), lambda _: _Singletons(points),
-                    lambda _: compare, relation, limit, decide_line)
+    return Property((name,), points, lambda x: _POINT, lambda x: partial(compare, x),
+                    relation, limit, decide_rows)
 
 
 def _grid(cfg: CheckConfig, compare: Compare, relation: str, limit: int,
@@ -600,8 +577,9 @@ def check_identity_bound(f: ArithFn, direction: str, max_n: int,
     """f(n) <= n ("le") or f(n) >= n ("ge") for all 1 <= n <= max_n.
 
     Verifies the side conditions consumed by the bounded-* inference
-    rules.  The line is decided from f's value table over [0, max_n],
-    point by point with Fraction values where f has none."""
+    rules.  The line is decided a run of at most _CELLS points at a time
+    from f's value table over [0, max_n], point by point with Fraction
+    values where f has none."""
     ev = Evaluator(f, table)
     values = vector.RowValues(ev, 1, max_n)
 

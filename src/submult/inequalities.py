@@ -12,12 +12,15 @@ Ids are stable CLI vocabulary:
               conclusion f(n)^g(n) < n^n, as two reports
 
 eq12, eq13 and corollary1 compare products of powers.  Each sweeps its
-range as one row: vector.power_orders decides the points in bulk from
-int64 value tables of the functions, and only the ties and near-ties it
-leaves UNDECIDED reach the scalar cmp_power_products_detail.  A line
-without tables, or with a base <= 0 or an exponent that is not an
-integer >= 0 (vector.positive, vector.exponents), raises vector.Unproven
-and goes whole to the scalar path, which raises the error in place.
+range as a line (checks.line), a run of at most checks._CELLS points at a
+time: vector.power_orders decides the run in bulk from int64 value
+tables of the functions, and only the ties and near-ties it leaves
+UNDECIDED reach the scalar cmp_power_products_detail.  A run without
+tables, or with a base <= 0 or an exponent that is not an integer >= 0
+(vector.positive, vector.exponents), raises vector.Unproven and goes
+whole to the scalar path, which raises the error in place.  eq13 and
+corollary1 refuse a given spf table that does not reach every n they
+evaluate, before any work.
 
 eq16, eq20 and eq23 are local criteria at prime powers, decided as
 submult.local decides them: in blocks, on Python ints, from one table of
@@ -87,12 +90,13 @@ def verify_eq12(max_prime: int) -> CheckReport:
 
 def _below_self(name: str, points, fe: Evaluator, ge: Evaluator, limit: int) -> Property:
     """f(x)^g(x) < x^x at each x of points, all <= limit, as a line with
-    points named name; f(x) must be positive and g(x) an integer >= 0.
-    The bulk log2 filter on f's and g's value tables over [0, limit]
-    decides the points first; vector.RowValues, vector.positive and
-    vector.exponents raise vector.Unproven, leaving them all to the scalar
-    path, when a table is missing, a base is <= 0 or an exponent is not an
-    integer >= 0, and the scalar path then raises any error in place."""
+    points named name and sieve limit limit; f(x) must be positive and
+    g(x) an integer >= 0.  The bulk log2 filter on f's and g's value
+    tables over [0, limit] decides each run of points first;
+    vector.RowValues, vector.positive and vector.exponents raise
+    vector.Unproven, leaving the run to the scalar path, when a table is
+    missing, a base is <= 0 or an exponent is not an integer >= 0, and the
+    scalar path then raises any error in place."""
     f, g = vector.RowValues(fe, 1, limit), vector.RowValues(ge, 1, limit)
 
     def compare(x):
@@ -115,7 +119,7 @@ def _below_self(name: str, points, fe: Evaluator, ge: Evaluator, limit: int) -> 
         exps = np.asarray(gx.num, dtype=np.float64)
         return vector.power_orders([(fx.num, fx.den, exps)], [(xs, 1, xs)])
 
-    return line(name, points, compare, LT, decide)
+    return line(name, points, compare, LT, decide, limit)
 
 
 def verify_eq13(max_n: int, *, table: SpfTable | None = None) -> CheckReport:
@@ -123,6 +127,7 @@ def verify_eq13(max_n: int, *, table: SpfTable | None = None) -> CheckReport:
 
     The log filter resolves almost every n; near-ties fall back to the
     exact big-integer comparison (whose cost the digit budget caps).
+    Refuses to start when table does not reach max_n.
     """
     if max_n < 2:
         raise UsageError("max_n must be >= 2")
@@ -132,7 +137,7 @@ def verify_eq13(max_n: int, *, table: SpfTable | None = None) -> CheckReport:
     phi = Evaluator(make_prime_power_fn("phi", phi_rule), table)
     prop = _below_self("n", range(2, max_n + 1), sigma, phi, max_n)
     return sweep_report("eq13", "sigma(n)^phi(n) < n^n", {"max_n": max_n}, prop,
-                        CheckConfig())
+                        CheckConfig(), table)
 
 
 def _sigma_over_d_pp(p: int, e: int) -> Fraction:
@@ -209,7 +214,8 @@ def verify_corollary1(f: ArithFn, g: ArithFn, max_prime: int, max_n: int, *,
     Requires the hypotheses on record (f sub-multiplicative, g
     sub-homogeneous) and g integer-valued.  Report A checks the prime
     seed f(p)^g(p) < p^p for p <= max_prime; report B independently
-    checks the conclusion f(n)^g(n) < n^n for 2 <= n <= max_n.
+    checks the conclusion f(n)^g(n) < n^n for 2 <= n <= max_n.  Each
+    refuses to start when table does not reach max(max_prime, max_n).
     """
     if not registry.has_tag(f.name, SUB_MULT):
         raise UsageError(f"corollary1 requires a sub-mult tag on {f.name}")
@@ -226,10 +232,10 @@ def verify_corollary1(f: ArithFn, g: ArithFn, max_prime: int, max_n: int, *,
         "corollary1", f"{pair}: f(p)^g(p) < p^p on primes",
         {"max_prime": max_prime, "f": f.name, "g": g.name},
         _below_self("p", primes_upto(max_prime), fe, ge, limit),
-        CheckConfig())
+        CheckConfig(), table)
     report_b = sweep_report(
         "corollary1", f"{pair}: f(n)^g(n) < n^n",
         {"max_n": max_n, "f": f.name, "g": g.name},
         _below_self("n", range(2, max_n + 1), fe, ge, limit),
-        CheckConfig())
+        CheckConfig(), table)
     return report_a, report_b

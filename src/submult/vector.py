@@ -47,19 +47,19 @@ refused with ResourceError before its tables are allocated.
 
 Products of powers (eq12, eq13, corollary1, the cross-power checks) are
 ordered by power_orders from the same tables: padded float64 bounds on the
-log2 of each side, over a line or a block of rows at once.  It decides only
-where the bounds are disjoint under twice the pad of the scalar filter in
-core.cmp_power_products_detail, so it decides a subset of the cells the
-scalar filter decides, the same way; the rest are UNDECIDED.  For the
-cross-power checks, cross_power_ties then settles the UNDECIDED cells the
-scalar comparison settles without its filter: sides that normalize to the
-same factors (EQUAL) and, in int64 after dividing the exponents by their
-gcd, exact ties within the digit budget (TIE, which the sweep counts as
-an exact fallback, as the scalar path would).  What is left, near-ties,
-ties beyond int64 or the budget and every UNDECIDED cell of eq12, eq13
-and corollary1, goes to the scalar comparison.  A block with a base <= 0
-or an exponent that is not an integer >= 0, where the scalar comparison
-raises, is declined whole (positive, exponents).
+log2 of each side, over a block of rows, or a run of a line's points, at
+once.  It decides only where the bounds are disjoint under twice the pad
+of the scalar filter in core.cmp_power_products_detail, so it decides a
+subset of the cells the scalar filter decides, the same way; the rest are
+UNDECIDED.  For the cross-power checks, cross_power_ties then settles the
+UNDECIDED cells the scalar comparison settles without its filter: sides
+that normalize to the same factors (EQUAL) and, in int64 after dividing
+the exponents by their gcd, exact ties within the digit budget (TIE, which
+the sweep counts as an exact fallback, as the scalar path would).  What is
+left, near-ties, ties beyond int64 or the budget and every UNDECIDED cell
+of eq12, eq13 and corollary1, goes to the scalar comparison.  A block with
+a base <= 0 or an exponent that is not an integer >= 0, where the scalar
+comparison raises, is declined whole (positive, exponents).
 
 The prime-power sweeps (submult.local, and eq16, eq20 and eq23) run the
 same formula shapes on rows indexed by exponent: a PowerArg holds the
@@ -106,7 +106,10 @@ def _absmax(a) -> int:
 
 
 def _prove(*bits: int) -> None:
-    if max(bits) > BITS:
+    """Unproven unless values of these bit lengths are below 2**(BITS - 1):
+    _leaves forms each entry with _times, which refuses a rule value at or
+    above it, so a table holding one is refused before its memory check."""
+    if max(bits) > BITS - 1:
         raise Unproven
 
 

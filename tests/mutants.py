@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 900  # seconds for one mutant's run; one that hangs counts as killed
 
 V, C, L = "src/submult/vector.py", "src/submult/core.py", "src/submult/local.py"
+K = "src/submult/checks.py"
 
 # (name, file, old text, new text)
 MUTANTS = [
@@ -51,6 +52,8 @@ MUTANTS = [
      "    if False and (max(_absmax(a), _absmax(b)).bit_length() + 1 > BITS"),
     ("rule-values-unproven", V,
      "    _prove(_absmax(num).bit_length(), _absmax(den).bit_length())", "    pass"),
+    ("rule-values-proven-up-to-2^62", V,
+     "if max(bits) > BITS - 1:", "if max(bits) > BITS:"),
     ("build-bytes-without-the-tables", V,
      "    return (entries * 8 * arrays + max(", "    return (max("),
     # the bulk power comparisons against the scalar filter and exact branch
@@ -92,6 +95,13 @@ MUTANTS = [
     ("k-e-not-recorded", L,
      "read.update(x.x.ravel().tolist(), (k * x.x).ravel().tolist())",
      "read.update(x.x.ravel().tolist())"),
+    # the sweep's blocks and the cells it visits
+    ("sweep-cap-room-strict", K,
+     "(np.cumsum(failing) <= room)", "(np.cumsum(failing) < room)"),
+    ("sweep-cols-by-raw-column", K,
+     "            cs = (np.cumsum(cells != GAP, axis=1) - 1)[rs, cs]", "            pass"),
+    ("declined-block-padded-undecided", K,
+     "vector.UNDECIDED,\n                    GAP)", "vector.UNDECIDED,\n                    vector.UNDECIDED)"),
     # reports
     ("render-value-misses-the-digit-limit", "src/submult/report.py",
      "    except ValueError:  # more digits", "    except TypeError:  # more digits"),

@@ -2,6 +2,7 @@
 sieve limit, and the formulas shared by global checks, local criteria
 and named inequalities."""
 
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -307,6 +308,11 @@ VECTOR_BUILDERS = {
     "identity-bound": lambda mp, table: _swept(
         mp, checks, lambda: checks.check_identity_bound(REGISTRY.get("sigma"), "ge", 500,
                                                         table)),
+    # a line of three blocks
+    "long-identity-bound": lambda mp, table: _swept(
+        mp, checks, lambda: checks.check_identity_bound(
+            REGISTRY.get("sigma"), "ge", 2 * checks._CELLS + 5,
+            build_spf_table(2 * checks._CELLS + 5))),
     "eq13": lambda mp, table: _swept(
         mp, inequalities, lambda: inequalities.verify_eq13(300, table=table)),
     "cross-power": lambda mp, table: _swept(
@@ -342,6 +348,27 @@ def test_vector_returns_one_int8_row_per_row_over_its_cols(monkeypatch, table_10
     # decided whole or raises vector.Unproven
     if builder not in ("eq13", "cross-power"):
         assert vector.UNDECIDED not in seen
+
+
+@pytest.mark.parametrize("builder", VECTOR_BUILDERS)
+def test_each_vector_call_decides_at_most_a_block(monkeypatch, table_10k, builder):
+    """The sweep hands Property.vector at most max(1, _CELLS // width)
+    rows at a time, and gets back at most _CELLS cells or one row: a line
+    longer than _CELLS points is decided a run of points at a time."""
+    prop = VECTOR_BUILDERS[builder](monkeypatch, table_10k)
+    shapes = []
+
+    def spy(rows):
+        cells = prop.vector(rows)
+        shapes.append((len(rows), cells.shape))
+        return cells
+
+    checks._sweep(dataclasses.replace(prop, vector=spy), CheckConfig(), 1)
+    assert shapes
+    per = max(1, checks._CELLS // prop.width)
+    for rows, (height, width) in shapes:
+        assert rows == height <= per and width <= prop.width
+        assert height * width <= checks._CELLS or height == 1
 
 
 # --- the mutation gate ---------------------------------------------------------

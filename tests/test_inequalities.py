@@ -2,14 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from submult import core, inequalities, vector
+from submult import core, functions, inequalities, vector
 from submult.core import (
     LESS,
     build_spf_table,
     cmp_power_products,
     primes_upto,
 )
-from submult.errors import UnsupportedInputError, UsageError
+from submult.errors import ResourceError, UnsupportedInputError, UsageError
 from submult.inequalities import (
     verify_corollary1,
     verify_eq12,
@@ -210,3 +210,22 @@ def test_corollary1_constant_pair_trivial(registry):
     a, b = verify_corollary1(registry.get("constant-1"), registry.get("constant-1"),
                              20, 20, registry=registry)
     assert a.holds and b.holds
+
+
+@pytest.mark.parametrize("run", [
+    lambda registry, table: verify_eq13(20_000, table=table),
+    lambda registry, table: verify_corollary1(
+        registry.get("sigma"), registry.get("phi"), 10, 20_000, registry=registry,
+        table=table),
+], ids=["eq13", "corollary1"])
+def test_power_lines_refuse_a_table_below_their_sieve_limit(monkeypatch, registry, run):
+    """Like the grids and the identity bounds, eq13 and corollary1 refuse,
+    before any point is compared, a sieve that does not reach every n they
+    evaluate, instead of evaluating past it by trial division."""
+    def refuse(n):
+        raise AssertionError(f"trial division of {n}")
+
+    monkeypatch.setattr(functions, "trial_factorize", refuse)
+    with pytest.raises(ResourceError, match="sieve limit of at least 20000, "
+                                            "table covers 100"):
+        run(registry, build_spf_table(100))

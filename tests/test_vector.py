@@ -195,9 +195,13 @@ def test_int64_rows_match_the_scalar_path(table_1m, fn, family, k, max_m, max_n,
         assert fast == _brute_force(fn.name, spec, cfg)
 
 
+# values beyond int64 from p = 2 on: no table, so every block is declined
+P40A = make_prime_power_fn("p^40a", lambda p, a: p ** (40 * a))
+
+
 @pytest.mark.parametrize("family", [SUB_MULT, MULTIPLICATIVE, K_SUB_MULT, K_SUP_HOM])
 def test_values_beyond_int64_leave_the_table_out(table_1m, family):
-    fn = make_prime_power_fn("p^40a", lambda p, a: p ** (40 * a))
+    fn = P40A
     cfg = CheckConfig(max_m=12, max_n=9, counterexample_cap=4)
     assert vector.value_table(Evaluator(fn, table_1m), 12 * 9) is None
     fast, scalar = _both_paths(fn, _spec(family, 2), cfg, table_1m)
@@ -577,6 +581,10 @@ def test_no_grid_sweep_reads_an_entry_beyond_its_primes(run):
                     st.builds(_undefined_at, st.sampled_from([2, 3, 5]),
                               st.integers(1, 4))),
        direction=st.sampled_from(["le", "ge"]), max_n=st.integers(1, 3000))
+# lines of three blocks: refuted at every point past 1, and declined (p^40a
+# has no table), each block wholly on the scalar path
+@example(fn=REGISTRY.get("sigma"), direction="le", max_n=20_000)
+@example(fn=P40A, direction="le", max_n=20_000)
 def test_identity_bounds_in_int64_match_the_scalar_path(table_1m, fn, direction, max_n):
     """f(n) <= n or >= n on the line's int64 table, and on the scalar path:
     the same report, or the same error at the same point."""
@@ -622,19 +630,23 @@ def test_tables_beyond_the_memory_budget_are_refused(capsys, monkeypatch):
 
 def test_rule_values_past_the_bound_refuse_the_table_before_its_memory_check(
         monkeypatch):
-    """A table with a rule value of 2^62 cannot be built at any budget, so a
-    budget it would exceed refuses nothing: the sweep runs on the scalar
-    path, as it does under any budget."""
-    fn = make_prime_power_fn("2^62-at-2", lambda p, a: 2**62 if (p, a) == (2, 1) else 1)
+    """A table with a rule value of 2^61 or more cannot be built at any
+    budget (_times refuses an entry of 2^61 or more), so a budget it would
+    exceed refuses nothing: the sweep runs on the scalar path, as it does
+    under any budget."""
     cfg = CheckConfig(max_m=10, max_n=10)
-    sieves = build_spf_table(100), build_spf_table(100)
-    with scalar_oracle():
-        scalar = checks.check_submult(fn, SUB, cfg, sieves[0])
-    monkeypatch.setattr(core, "memory_budget", lambda: 0)
-    report = checks.check_submult(fn, SUB, cfg, sieves[1])
-    assert sieves[1].tables == {(fn, 100, 1, 10): None}
-    assert (dataclasses.replace(report, elapsed_seconds=0)
-            == dataclasses.replace(scalar, elapsed_seconds=0))
+    for value in (2**61, 2**62 - 1, 2**62):
+        fn = make_prime_power_fn(f"{value}-at-2",
+                                 lambda p, a, v=value: v if (p, a) == (2, 1) else 1)
+        sieves = build_spf_table(100), build_spf_table(100)
+        with scalar_oracle():
+            scalar = checks.check_submult(fn, SUB, cfg, sieves[0])
+        with monkeypatch.context() as m:
+            m.setattr(core, "memory_budget", lambda: 0)
+            report = checks.check_submult(fn, SUB, cfg, sieves[1])
+        assert sieves[1].tables == {(fn, 100, 1, 10): None}
+        assert (dataclasses.replace(report, elapsed_seconds=0)
+                == dataclasses.replace(scalar, elapsed_seconds=0))
 
 
 @pytest.fixture
