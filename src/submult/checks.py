@@ -9,8 +9,10 @@ the two sides must satisfy and the sieve limit the sweep needs.
 
 The global families and the local criteria share one table of formula
 shapes (FORMULAS): a local criterion is its family's formula at
-(m, n) = (p^a, p^b).  Grids include the m = 1 / n = 1 edges, since the
-properties are quantified over all m, n >= 1.
+(m, n) = (p^a, p^b).  Comparisons of products of powers share the power
+shapes _cross and below_self, run by power_compare and power_decide.
+Grids include the m = 1 / n = 1 edges, since the properties are
+quantified over all m, n >= 1.
 
 Points are enumerated in lexicographic order, so the counterexamples a
 sweep meets first are the smallest; a report keeps the first
@@ -26,12 +28,10 @@ bounds prove every product below 2**62 and on Python ints elsewhere, and
 decide every cell.  A property of one coordinate is a line (line): its
 points are its rows, each with one col, so a block is a run of at most
 _CELLS points.  The identity bounds decide f(n) against n on a line.  The
-power comparisons (the cross-power checks here, eq12, eq13 and
-corollary1 in submult.inequalities, lines but for the first) run a
-padded log2 filter over the block in numpy and leave ties and near-ties
-undecided; the cross-power checks then settle in numpy the cells whose
-sides normalize to the same factors and the exact ties that fit int64
-and the digit budget (vector.cross_power_ties).  The local criteria
+power shapes (lines but for _cross) run a padded log2 filter over the
+block in numpy, then settle in numpy the cells whose sides normalize to
+the same factors and the exact ties that fit int64 and the digit budget
+(vector.power_ties), and leave near-ties undecided.  The local criteria
 (submult.local) and eq16, eq20 and eq23 run the formula shape on a block
 of primes, or of exponents, on Python ints.
 
@@ -72,6 +72,7 @@ from submult.core import (
     cmp_values,
 )
 from submult.errors import (
+    DomainError,
     InconsistencyError,
     ResourceError,
     UnsupportedInputError,
@@ -143,7 +144,7 @@ class CheckConfig:
 class Counterexample:
     """A grid point where the checked inequality fails.
 
-    lhs/rhs hold either an exact Fraction or, for cross-power checks, a
+    lhs/rhs hold either an exact Fraction or, for the power shapes, a
     tuple of (base, exponent) factors; both are recomputable from the
     point and the property definition."""
 
@@ -334,14 +335,14 @@ _POINT = ((),)  # the cols of a line's row: the row is the point
 
 
 def line(name: str, points: Sequence[int], compare: Compare, relation: str,
-         decide: Callable[[np.ndarray], np.ndarray], limit: int = 0) -> Property:
+         decide: Callable[[vector.Arg], np.ndarray], limit: int = 0) -> Property:
     """A property with one coordinate: compare(x) at each point x.  Each
     point is a row with the one col (), so a block is a run of at most
-    _CELLS consecutive points.  decide(xs) decides such a run at once,
-    given as an int64 array: their orders, with vector.UNDECIDED at the
+    _CELLS consecutive points.  decide(x) decides such a run at once,
+    given as a vector.Arg: their orders, with vector.UNDECIDED at the
     points it leaves to compare (see Property.vector)."""
     def decide_rows(rows):
-        return decide(np.asarray(rows, dtype=np.int64))[:, None]
+        return decide(vector.Arg(np.asarray(rows, dtype=np.int64)))[:, None]
 
     return Property((name,), points, lambda x: _POINT, lambda x: partial(compare, x),
                     relation, limit, decide_rows)
@@ -430,6 +431,69 @@ def vector_formula(family: str, k: int | None, f: vector.RowValues):
     return lambda m, n: vector.orders(*shape(f, k, m, n))
 
 
+# The two power shapes: (lhs, rhs) of a comparison of products of powers,
+# each side a tuple of (base, exponent) factors, the bases from f and the
+# exponents from g at the point.
+
+
+def _cross(f, g, m, n):
+    # h = f^(g/n) at mn against h(m) h(n), both sides raised to the mn-th power
+    return ((f(m * n), g(m * n)),), ((f(m), g(m) * n), (f(n), g(n) * m))
+
+
+def below_self(f, g, x):
+    """f(x)^g(x) against x^x (eq12, eq13, corollary1)."""
+    return ((f(x), g(x)),), ((x, x),)
+
+
+def power_compare(shape, f, g) -> Compare:
+    """The power shape as compare(*point), ordered exactly by
+    cmp_power_products_detail.  f's values must be positive and g's
+    integers >= 0: the first value that is not, in the order the shape
+    takes them, raises DomainError or UnsupportedInputError."""
+    def base(x):
+        v = f(x)
+        if v <= 0:
+            raise DomainError(f"f({x}) = {v} is not positive, as a power base must be")
+        return v
+
+    def exponent(x):
+        v = g(x)
+        if v.denominator != 1 or v < 0:
+            raise UnsupportedInputError(
+                f"g({x}) = {v} is not an integer >= 0, as a power exponent must be")
+        return v.numerator
+
+    def compare(*point):
+        lhs, rhs = shape(base, exponent, *point)
+        order, used_exact = cmp_power_products_detail(lhs, rhs)
+        return order, lhs, rhs, used_exact
+
+    return compare
+
+
+def power_decide(shape, f, g):
+    """The power shape as decide(*args) over a block (see _grid and line),
+    with f and g giving Rows or Args at an Arg, such as vector.RowValues:
+    vector.power_orders at every cell, then vector.power_ties on the cells
+    it leaves UNDECIDED.  vector.Unproven for a block without tables, or
+    where f has a value <= 0 or g one that is not an integer >= 0."""
+    def base(x):
+        return vector.positive(vector.row(f(x)))
+
+    def exponent(x):
+        return vector.exponents(vector.row(g(x)))
+
+    def decide(*args):
+        lhs, rhs = ([(vector.row(b), vector.row(e)) for b, e in side]
+                    for side in shape(base, exponent, *args))
+        orders = vector.power_orders(*([(b.num, b.den, e.num) for b, e in side]
+                                       for side in (lhs, rhs)))
+        return vector.power_ties(orders, lhs, rhs)
+
+    return decide
+
+
 def sieve_limit(specs: Iterable[PropertySpec], cfg: CheckConfig) -> int:
     """The sieve limit covering every argument that sweeping the specs
     over cfg's grid factors through the sieve.  Each argument of a formula
@@ -505,68 +569,23 @@ def check_k_subhom(f: ArithFn, k: int, direction: str, cfg: CheckConfig,
     return run_property_check(f, spec, cfg, table)
 
 
-def _as_int(v: Value, fn_name: str, at: int) -> int:
-    if v.denominator != 1:
-        raise UnsupportedInputError(
-            f"{fn_name}({at}) = {v} is not an integer; cross-power comparison "
-            "requires an integer-valued exponent function"
-        )
-    return v.numerator
-
-
-def power_formula(f: vector.RowValues, g: vector.RowValues):
-    """The cross-power comparison f(mn)^g(mn) vs f(m)^(g(m) n) f(n)^(g(n) m)
-    as decide(m, n) over a block of rows (see _grid): the log2 filter of
-    vector.power_orders over int64 values of f and g, then
-    vector.cross_power_ties on what it leaves.  vector.Unproven for a block
-    without tables, or with a base <= 0 or an exponent that is not an
-    integer >= 0, where the scalar path raises its error."""
-
-    def decide(m, n):
-        args = (m * n, m, n)
-        fs = tuple(vector.positive(f(x)) for x in args)
-        gs = tuple(vector.exponents(g(x)) for x in args)
-        fmn, fm, fn = fs
-        gmn, gm, gn = (np.asarray(x.num, dtype=np.float64) for x in gs)
-        orders = vector.power_orders(
-            [(fmn.num, fmn.den, gmn)],
-            [(fm.num, fm.den, gm * n.x), (fn.num, fn.den, gn * m.x)])
-        return vector.cross_power_ties(orders, m.x, n.x, fs, gs)
-
-    return decide
-
-
 def check_power_submult(f: ArithFn, g: ArithFn, direction: str, cfg: CheckConfig,
                         table: SpfTable) -> CheckReport:
     """Sub/sup-multiplicativity of h(n) = f(n)^(g(n)/n), decided exactly.
 
     h(mn) <= h(m) h(n) is equivalent, after raising both sides to the
-    mn-th power, to f(mn)^g(mn) <= f(m)^(g(m) n) * f(n)^(g(n) m); both
-    sides are products of integer powers of positive rationals, which
-    cmp_power_products orders exactly.  g must be integer-valued.  Rows
-    are decided in bulk by power_formula; the cells it leaves undecided go
-    to cmp_power_products_detail.
+    mn-th power, to f(mn)^g(mn) <= f(m)^(g(m) n) * f(n)^(g(n) m) (the
+    power shape _cross); both sides are products of integer powers of
+    positive rationals, which cmp_power_products orders exactly.  f must be
+    positive and g integer-valued and >= 0.  Blocks of rows are decided in
+    bulk by power_decide, and the cells it leaves open by power_compare.
     """
-    fe = Evaluator(f, table)
-    ge = Evaluator(g, table)
-
-    def compare(m, n):
-        gm = _as_int(ge(m), g.name, m)
-        gn = _as_int(ge(n), g.name, n)
-        gmn = _as_int(ge(m * n), g.name, m * n)
-        if min(gm, gn, gmn) < 0:
-            raise UnsupportedInputError(
-                f"{g.name} takes a negative value on the grid")
-        lhs = ((fe(m * n), gmn),)
-        rhs = ((fe(m), gm * n), (fe(n), gn * m))
-        order, used_exact = cmp_power_products_detail(lhs, rhs)
-        return order, lhs, rhs, used_exact
-
-    decide = power_formula(vector.RowValues(fe, cfg.max_m, cfg.max_n),
-                           vector.RowValues(ge, cfg.max_m, cfg.max_n))
+    fe, ge = Evaluator(f, table), Evaluator(g, table)
+    rf, rg = (vector.RowValues(ev, cfg.max_m, cfg.max_n) for ev in (fe, ge))
     # h's sub-multiplicativity evaluates f and g where sub-mult evaluates f
-    prop = _grid(cfg, compare, direction,
-                 sieve_limit([PropertySpec(SUB_MULT)], cfg), False, decide)
+    prop = _grid(cfg, power_compare(_cross, fe, ge), direction,
+                 sieve_limit([PropertySpec(SUB_MULT)], cfg), False,
+                 power_decide(_cross, rf, rg))
     label = "power-sub-mult" if direction == SUB else "power-sup-mult"
     return sweep_report(f"{f.name}^({g.name}/n)", label,
                         {"max_m": cfg.max_m, "max_n": cfg.max_n}, prop, cfg, table)
@@ -587,12 +606,8 @@ def check_identity_bound(f: ArithFn, direction: str, max_n: int,
         v = ev(n)
         return cmp_values(v, n), v, Fraction(n), False
 
-    def decide(ns):
-        return vector.orders(values(vector.Arg(ns)),
-                             vector.Row(ns, 1, max_n.bit_length(), 1))
-
-    prop = line("n", range(1, max_n + 1), compare,
-                SUB if direction == "le" else SUP, decide, max_n)
+    prop = line("n", range(1, max_n + 1), compare, SUB if direction == "le" else SUP,
+                lambda n: vector.orders(values(n), vector.row(n)), max_n)
     return sweep_report(f.name, LE_IDENTITY if direction == "le" else GE_IDENTITY,
                         {"max_n": max_n}, prop, CheckConfig(), table)
 

@@ -306,7 +306,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except SubmultError as exc:
+    except (SubmultError, OSError) as exc:  # OSError: a --csv path not writable
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -11,16 +11,15 @@ Ids are stable CLI vocabulary:
   corollary1  seed f(p)^g(p) < p^p on primes plus the full-range
               conclusion f(n)^g(n) < n^n, as two reports
 
-eq12, eq13 and corollary1 compare products of powers.  Each sweeps its
-range as a line (checks.line), a run of at most checks._CELLS points at a
-time: vector.power_orders decides the run in bulk from int64 value
-tables of the functions, and only the ties and near-ties it leaves
-UNDECIDED reach the scalar cmp_power_products_detail.  A run without
-tables, or with a base <= 0 or an exponent that is not an integer >= 0
-(vector.positive, vector.exponents), raises vector.Unproven and goes
-whole to the scalar path, which raises the error in place.  eq13 and
-corollary1 refuse a given spf table that does not reach every n they
-evaluate, before any work.
+eq12, eq13 and corollary1 are the power shape checks.below_self, f(x)^g(x)
+against x^x, run by checks.power_compare and checks.power_decide as the
+cross-power checks are.  Each sweeps its range as a line (checks.line), a
+run of at most checks._CELLS points at a time, decided in bulk from int64
+value tables of the functions; only the near-ties left UNDECIDED reach the
+scalar cmp_power_products_detail.  A run without tables, or with a base
+<= 0 or an exponent that is not an integer >= 0, goes whole to the scalar
+path, which raises the error in place.  eq13 and corollary1 refuse a given
+spf table that does not reach every n they evaluate, before any work.
 
 eq16, eq20 and eq23 are local criteria at prime powers, decided as
 submult.local decides them: in blocks, on Python ints, from one table of
@@ -41,22 +40,25 @@ from submult.checks import (
     CheckConfig,
     CheckReport,
     Property,
+    below_self,
     formula,
     line,
+    power_compare,
+    power_decide,
     sweep_report,
     vector_formula,
 )
 from submult.core import (
     SpfTable,
     build_spf_table,
-    cmp_power_products_detail,
+    cmp_power_products_detail,  # noqa: F401 -- perfbench/tracer.py traces it here
     d_rule,
     factorize,  # noqa: F401 -- perfbench/tracer.py traces factorization here
     phi_rule,
     primes_upto,
     sigma_rule,
 )
-from submult.errors import DomainError, UnsupportedInputError, UsageError
+from submult.errors import UsageError
 from submult.functions import ArithFn, Evaluator, Registry, make_prime_power_fn
 from submult.inference import K_SUB_HOM, K_SUP_MULT, SUB_HOM, SUB_MULT, SUP_MULT
 from submult.local import (
@@ -70,56 +72,24 @@ INEQUALITY_IDS = ("eq12", "eq13", "eq16", "eq20", "eq23", "corollary1")
 
 
 def verify_eq12(max_prime: int) -> CheckReport:
-    """(p+1)^(p-1) < p^p, strict, for every prime p <= max_prime."""
+    """(p+1)^(p-1) < p^p, strict, for every prime p <= max_prime:
+    below_self with f(p) = p + 1 and g(p) = p - 1, on ints and Args alike."""
     if max_prime < 2:
         raise UsageError("max_prime must be >= 2")
-
-    def compare(p):
-        lhs = ((Fraction(p + 1), p - 1),)
-        rhs = ((Fraction(p), p),)
-        order, used_exact = cmp_power_products_detail(lhs, rhs)
-        return order, lhs, rhs, used_exact
-
-    def decide(ps):
-        return vector.power_orders([(ps + 1, 1, ps - 1)], [(ps, 1, ps)])
-
-    prop = line("p", primes_upto(max_prime), compare, LT, decide)
+    f, g = (lambda p: p + 1), (lambda p: p - 1)
+    prop = line("p", primes_upto(max_prime), power_compare(below_self, f, g), LT,
+                power_decide(below_self, f, g))
     return sweep_report("eq12", "(p+1)^(p-1) < p^p", {"max_prime": max_prime},
                         prop, CheckConfig())
 
 
 def _below_self(name: str, points, fe: Evaluator, ge: Evaluator, limit: int) -> Property:
-    """f(x)^g(x) < x^x at each x of points, all <= limit, as a line with
-    points named name and sieve limit limit; f(x) must be positive and
-    g(x) an integer >= 0.  The bulk log2 filter on f's and g's value
-    tables over [0, limit] decides each run of points first;
-    vector.RowValues, vector.positive and vector.exponents raise
-    vector.Unproven, leaving the run to the scalar path, when a table is
-    missing, a base is <= 0 or an exponent is not an integer >= 0, and the
-    scalar path then raises any error in place."""
-    f, g = vector.RowValues(fe, 1, limit), vector.RowValues(ge, 1, limit)
-
-    def compare(x):
-        fx = fe(x)
-        if fx <= 0:
-            raise DomainError(f"{fe.fn.name}({x}) = {fx} is not positive")
-        gx = ge(x)
-        if gx.denominator != 1 or gx < 0:
-            raise UnsupportedInputError(
-                f"{ge.fn.name}({x}) = {gx}; corollary1 needs a nonnegative "
-                "integer-valued exponent function")
-        lhs = ((fx, int(gx)),)
-        rhs = ((Fraction(x), x),)
-        order, used_exact = cmp_power_products_detail(lhs, rhs)
-        return order, lhs, rhs, used_exact
-
-    def decide(xs):
-        x = vector.Arg(xs)
-        fx, gx = vector.positive(f(x)), vector.exponents(g(x))
-        exps = np.asarray(gx.num, dtype=np.float64)
-        return vector.power_orders([(fx.num, fx.den, exps)], [(xs, 1, xs)])
-
-    return line(name, points, compare, LT, decide, limit)
+    """f(x)^g(x) < x^x (below_self) at each x of points, all <= limit, as a
+    line with points named name and sieve limit limit, decided in runs on
+    f's and g's value tables over [0, limit]."""
+    rows = (vector.RowValues(ev, 1, limit) for ev in (fe, ge))
+    return line(name, points, power_compare(below_self, fe, ge), LT,
+                power_decide(below_self, *rows), limit)
 
 
 def verify_eq13(max_n: int, *, table: SpfTable | None = None) -> CheckReport:

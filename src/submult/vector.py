@@ -45,21 +45,21 @@ requests.  A build that would not fit in the
 memory budget beside the sieve and the tables already kept on it is
 refused with ResourceError before its tables are allocated.
 
-Products of powers (eq12, eq13, corollary1, the cross-power checks) are
-ordered by power_orders from the same tables: padded float64 bounds on the
-log2 of each side, over a block of rows, or a run of a line's points, at
-once.  It decides only where the bounds are disjoint under twice the pad
-of the scalar filter in core.cmp_power_products_detail, so it decides a
+Products of powers (eq12, eq13, corollary1, the cross-power checks), the
+power shapes of checks, have Rows of the same tables, or Args (row()), as
+bases and exponents.  power_orders orders them by padded float64 bounds
+on the log2 of each side, over a block of rows or a run of a line's
+points at once, only where the bounds are disjoint under twice the pad of
+the scalar filter in core.cmp_power_products_detail, so it decides a
 subset of the cells the scalar filter decides, the same way; the rest are
-UNDECIDED.  For the cross-power checks, cross_power_ties then settles the
-UNDECIDED cells the scalar comparison settles without its filter: sides
-that normalize to the same factors (EQUAL) and, in int64 after dividing
-the exponents by their gcd, exact ties within the digit budget (TIE, which
-the sweep counts as an exact fallback, as the scalar path would).  What is
-left, near-ties, ties beyond int64 or the budget and every UNDECIDED cell
-of eq12, eq13 and corollary1, goes to the scalar comparison.  A block with
-a base <= 0 or an exponent that is not an integer >= 0, where the scalar
-comparison raises, is declined whole (positive, exponents).
+UNDECIDED.  power_ties then settles those the scalar comparison settles
+without its filter: sides that normalize to the same factors (EQUAL) and,
+in int64 after dividing the exponents by their gcd, exact ties within the
+digit budget (TIE, which the sweep counts as an exact fallback, as the
+scalar path would).  Near-ties and ties beyond int64 or the budget go to
+the scalar comparison.  A block with a base <= 0 or an exponent that is
+not an integer >= 0, where the scalar comparison raises, is declined
+whole (positive, exponents).
 
 The prime-power sweeps (submult.local, and eq16, eq20 and eq23) run the
 same formula shapes on rows indexed by exponent: a PowerArg holds the
@@ -86,7 +86,7 @@ _CHUNK = 4096  # table entries filled at once; bounds the temporaries
 _TEMPS = 8  # arrays of Python ints over a block alive at once while it is decided
 _ONE = np.int64(1)
 UNDECIDED = 2  # an order left to the exact scalar comparison
-TIE = 3  # EQUAL, proved by cross_power_ties where the scalar exact branch runs
+TIE = 3  # EQUAL, proved by power_ties where the scalar exact branch runs
 
 # An exact rational per entry: (numerators, denominators > 0), both int64;
 # denominators None when every one is 1.
@@ -462,7 +462,8 @@ class Arg:
     of values >= 0 that broadcasts to the block (the rows' m as a column,
     the columns' n as a row or, on a coprime grid, a block, or their
     products m n).  The formula shapes multiply Args, take f at them, f(x)
-    or f(x, k) for f at x^k, and multiply Rows by them.  x**power is only
+    or f(x, k) for f at x^k, and multiply Rows by them; the power shapes
+    also take an Arg as a base or an exponent (row()).  x**power is only
     the factor m^k of the k-hom shape; f is never taken at it."""
 
     __slots__ = ("x", "power")
@@ -478,16 +479,28 @@ class Arg:
     def __pow__(self, k: int) -> Arg:
         return Arg(self.x, self.power * k)
 
+    def __add__(self, k):  # x + k for an int k: eq12's p + 1 and p - 1
+        if isinstance(k, int) and self.power == 1:
+            return Arg(self.x + k)
+        return NotImplemented
+
+    def __sub__(self, k):
+        return self + -k if isinstance(k, int) else NotImplemented
+
     def values(self) -> np.ndarray:
         """x**power at each cell, on Python ints past power bits(x) > BITS."""
+        if self.power == 1:
+            return self.x
         x, = _exact(self.power * _row_bits(self.x), self.x)
         return x**self.power
 
     def bits(self) -> np.ndarray:
-        """A bound b with x**power < 2**b in each row, as a column: exact up
-        to power 2 BITS and scaled from x**(2 BITS) beyond, so that no large
-        power is formed before _exact's memory check."""
+        """A bound b with x**power < 2**b in each row, as a column: from
+        float64 at power 1, exact up to power 2 BITS and scaled from that
+        power beyond, so no large power is formed before _exact's check."""
         tops = np.max(self.x, axis=-1, keepdims=True)
+        if self.power == 1:
+            return _bit_lengths(tops)
         c = min(self.power, 2 * BITS)
         return np.array([(t**c).bit_length() for t in tops.ravel().tolist()],
                         dtype=np.float64).reshape(tops.shape) * (self.power / c)
@@ -599,6 +612,7 @@ def _log2_side(side) -> tuple[np.ndarray, np.ndarray]:
     for num, den, exp in side:
         nlo, nhi = _log2_bounds(num)
         dlo, dhi = _log2_bounds(den)
+        exp = np.asarray(exp, dtype=np.float64)
         lo = lo + exp * (nlo - dhi)
         hi = hi + exp * (nhi - dlo)
     return lo, hi
@@ -607,8 +621,8 @@ def _log2_side(side) -> tuple[np.ndarray, np.ndarray]:
 def power_orders(lhs, rhs) -> np.ndarray:
     """The order of two products of powers at each cell: LESS or
     GREATER where the sides' padded log2 intervals are disjoint, UNDECIDED
-    elsewhere (ties and near-ties, for cross_power_ties or the exact
-    scalar comparison).
+    elsewhere (ties and near-ties, for power_ties or the exact scalar
+    comparison).
 
     A side is a list of factors (num, den, exp): the base num / den with
     num, den >= 1 and the exponent exp >= 0, each an array over the
@@ -616,6 +630,13 @@ def power_orders(lhs, rhs) -> np.ndarray:
     (llo, lhi), (rlo, rhi) = _log2_side(lhs), _log2_side(rhs)
     return np.where(lhi < rlo, LESS,
                     np.where(rhi < llo, GREATER, UNDECIDED)).astype(np.int8)
+
+
+def row(x) -> Row:
+    """x as a Row: a Row as it is, an Arg as its values x**power."""
+    if isinstance(x, Row):
+        return x
+    return Row(x.values(), _ONE, x.bits(), 1)
 
 
 def positive(row: Row) -> Row:
@@ -630,29 +651,21 @@ def exponents(row: Row) -> Row:
     """row, as power exponents; Unproven when it holds a value that is not
     an integer >= 0, at which the scalar path raises UnsupportedInputError.
     Tables hold reduced fractions, so an integer has den 1."""
-    if (row.num < 0).any() or np.any(row.den != 1):
+    if (row.num < 0).any() or (row.den != 1).any():
         raise Unproven
     return row
 
 
-# cross_power_ties' bases by (numerator or denominator, argument): the
-# factors of lhs * rhs.den and of rhs * lhs.den, one per argument mn, m, n
-_ARGS = np.arange(3)
-_LEFT = (np.array([0, 1, 1]), _ARGS)
-_RIGHT = (np.array([1, 0, 0]), _ARGS)
-
-
-def cross_power_ties(orders: np.ndarray, m: np.ndarray, n: np.ndarray,
-                     f: tuple[Row, Row, Row], g: tuple[Row, Row, Row]) -> np.ndarray:
-    """Settle, in place, the UNDECIDED cells of orders (power_orders of
-    f(mn)^g(mn) vs f(m)^(g(m) n) f(n)^(g(n) m) over a block of rows, with
-    m and n int64 arrays that broadcast to the block, a column of its rows
-    and a row of its columns, and f and g the positive bases and the
-    exponents >= 0 as Rows at mn, m, n) that core.cmp_power_products_detail
-    settles without raising:
+def power_ties(orders: np.ndarray, lhs, rhs) -> np.ndarray:
+    """Settle, in place, the UNDECIDED cells of orders, power_orders of two
+    products of powers over a block, that core.cmp_power_products_detail
+    settles without raising.  A side is a sequence of factors (base,
+    exponent), Rows over the block: int64 bases > 0 and integer exponents
+    >= 0.  lhs is one factor and rhs at most two, as in every power shape,
+    so that rhs's exponents, each below 2**BITS, add up in int64.
 
     - EQUAL where its normalized sides are identical (factors with base 1
-      or exponent 0 dropped, f(m) and f(n) merged when equal), which it
+      or exponent 0 dropped, factors of equal bases merged), which it
       returns before its filter, its budget and its exact branch;
     - TIE where the sides are equal in value, proved in int64 after
       dividing the exponents by their gcd, and where a bound on its digit
@@ -661,11 +674,10 @@ def cross_power_ties(orders: np.ndarray, m: np.ndarray, n: np.ndarray,
 
     Every other cell, near-ties included, stays UNDECIDED, and so does a
     cell whose reduced powers the bounds cannot prove below 2**BITS, and
-    every cell of a row whose exponents g(m) n, g(n) m they cannot.
-    orders is returned."""
-    _, gm, gn = g
-    rows = ((gm.nbits + _bit_lengths(np.max(n, axis=-1, keepdims=True)) <= BITS)
-            & (gn.nbits + _bit_lengths(m) <= BITS))
+    every cell of a row whose exponents' Row bounds exceed BITS.  orders
+    is returned."""
+    factors = (*lhs, *rhs)
+    rows = reduce(np.logical_and, [exp.nbits <= BITS for _, exp in factors])
     todo = np.flatnonzero((orders == UNDECIDED) & rows)
     if not todo.size:
         return orders
@@ -674,29 +686,31 @@ def cross_power_ties(orders: np.ndarray, m: np.ndarray, n: np.ndarray,
     def at(x):
         return np.broadcast_to(x, orders.shape)[cells]
 
-    # the numerators and denominators, and the exponents, at mn, m, n
-    bases = np.empty((2, 3, todo.size), dtype=np.int64)
-    exps = np.empty((3, todo.size), dtype=np.int64)
-    for i, (fx, gx) in enumerate(zip(f, g)):
-        bases[0, i], bases[1, i], exps[i] = at(fx.num), at(fx.den), at(gx.num)
-    exps[1] *= at(n)
-    exps[2] *= at(m)
+    # the bases' numerators and denominators, and the exponents, by factor
+    bases = np.empty((2, len(factors), todo.size), dtype=np.int64)
+    exps = np.empty((len(factors), todo.size), dtype=np.int64)
+    for i, (base, exp) in enumerate(factors):
+        bases[0, i], bases[1, i], exps[i] = at(base.num), at(base.den), at(exp.num)
     exps[(bases == 1).all(axis=0)] = 0  # a base 1 is dropped like an exponent 0
     # rhs normalizes to lhs's one factor, or both to none: each factor of
     # rhs is dropped or has lhs's base, and the exponents add up
     dropped_or_same = (exps == 0) | (bases == bases[:, :1]).all(axis=0)
-    identical = (exps[1] + exps[2] == exps[0]) & dropped_or_same[1:].all(axis=0)
+    identical = (exps[1:].sum(axis=0) == exps[0]) & dropped_or_same[1:].all(axis=0)
     orders.flat[todo[identical]] = EQUAL
     if identical.all():  # such as the m = 1 row, when f(1) = 1
         return orders
 
+    # the bases of lhs * rhs.den and of rhs * lhs.den, by (numerator or
+    # denominator, factor), with lhs's one factor first
+    index = np.arange(len(factors))
+    left, right = (np.sign(index), index), (1 - np.sign(index), index)
     reduced = exps // np.maximum(np.gcd.reduce(exps), 1)
     ceils = _bit_lengths(bases - 1)  # x <= 2**ceil at each base x >= 1
-    fits = (((reduced * ceils[_LEFT]).sum(axis=0) <= BITS)
-            & ((reduced * ceils[_RIGHT]).sum(axis=0) <= BITS))
+    fits = (((reduced * ceils[left]).sum(axis=0) <= BITS)
+            & ((reduced * ceils[right]).sum(axis=0) <= BITS))
     reduced[:, ~fits] = 0
-    tie = fits & ~identical & ((bases[_LEFT] ** reduced).prod(axis=0)
-                               == (bases[_RIGHT] ** reduced).prod(axis=0))
+    tie = fits & ~identical & ((bases[left] ** reduced).prod(axis=0)
+                               == (bases[right] ** reduced).prod(axis=0))
 
     # the scalar digit estimate, with the unreduced exponents, bounded above:
     # per side, the larger of its numerator's and its denominator's bits

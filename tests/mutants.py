@@ -64,9 +64,17 @@ MUTANTS = [
     ("bulk-ties-beyond-the-digit-budget", V,
      "(1 + 1e-9) <= core.DEFAULT_DIGIT_BUDGET", "(1 + 1e-9) <= 10 * core.DEFAULT_DIGIT_BUDGET"),
     ("cross-power-ties-without-the-row-bound", V,
-     "    rows = ((gm.nbits", "    rows = True | ((gm.nbits"),
+     "    rows = reduce(np.logical_and", "    rows = True | reduce(np.logical_and"),
     ("cross-power-ties-without-the-cell-bound", V,
      "    fits = (((reduced", "    fits = True | (((reduced"),
+    ("power-ties-identical-reads-the-first-rhs-exponent", V,
+     "(exps[1:].sum(axis=0) == exps[0])", "(exps[1] == exps[0])"),
+    # swapping the two maps outright is equivalent: the tie test and fits
+    # are symmetric in them
+    ("power-ties-left-map-reads-rhs-numerators", V,
+     "left, right = (np.sign(index), index)", "left, right = (0 * index, index)"),
+    ("arg-bits-of-0-at-power-1", V,
+     "            return _bit_lengths(tops)\n", "            return 0 * _bit_lengths(tops)\n"),
     # the decisions a block declines, where the scalar path raises
     ("positive-admits-0", V, "if not (row.num > 0).all():", "if not (row.num >= 0).all():"),
     ("exponents-admit-a-negative-value", V,

@@ -231,6 +231,17 @@ def test_csv_export(capsys, tmp_path):
     assert rows[1] == ["d", "sup-mult", "m=2;n=2", "3", "4"]
 
 
+def test_unwritable_csv_path_exits_2(capsys, tmp_path):
+    """Exit 1 means refuted, so a file that cannot be written is an error."""
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "check", "sigma", "sub-mult", "--max-m", "5",
+                             "--max-n", "5", "--csv", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == "sieve limit: 25"
+    assert err.splitlines()[1].startswith("error: ") and str(path) in err
+    assert len(err.splitlines()) == 2 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("output", [[], ["--json"], ["--csv"]],
                          ids=["human", "json", "csv"])
 def test_values_too_long_for_text_exit_2(capsys, tmp_path, output):

@@ -881,8 +881,9 @@ def _row(*values) -> vector.Row:
                max(x.denominator for x in xs).bit_length())
 
 
-# (f(mn), f(m), f(n), g(mn), g(m), g(n)) at m = 2, n = 3, the order
-# cross_power_ties gives the cell, and what the scalar comparison returns
+# (f(mn), f(m), f(n), g(mn), g(m), g(n)) of the cross shape at m = 2,
+# n = 3, or (f(x), g(x)) of below_self at x = 2; the order power_ties gives
+# the cell, and what the scalar comparison returns
 _TIE_CASES = {
     "identical, f(n) = 1 dropped": ((5, 5, 1, 9, 3, 4), EQUAL, (EQUAL, False)),
     "identical, f(m) = f(n) merged": ((Fraction(3, 2),) * 3 + (7, 1, 2),
@@ -902,25 +903,48 @@ _TIE_CASES = {
     # g(m) n = 3 (2^64 + 2) / 3 would wrap to 2 = g(mn) in int64
     "exponents that would wrap int64": ((5, 5, 5, 2, (2**64 + 2) // 3, 0),
                                         vector.UNDECIDED, (LESS, False)),
+    # g(m) and g(n) fit in 62 bits, but g(m) n wraps to -2^62 - 3, and
+    # -2^62 - 3 + g(n) m = 1 = g(mn)
+    "exponent products that would wrap int64": ((5, 5, 5, 1, 2**62 - 1, 2**61 + 2),
+                                                vector.UNDECIDED, (LESS, False)),
     "tie over the budget": ((6, 2, 3, 6 * 10**6, 2 * 10**6, 3 * 10**6),
                             vector.UNDECIDED, ResourceError),
+    "below self, identical": ((2, 2), EQUAL, (EQUAL, False)),
+    "below self, tie": ((4, 1), vector.TIE, (EQUAL, True)),  # 4^1 against 2^2
+    "below self, near-tie": ((Fraction(4 * 10**12 + 1, 10**12), 1),
+                             vector.UNDECIDED, (GREATER, True)),
 }
 
 
 @pytest.mark.parametrize("case", _TIE_CASES)
 def test_cross_power_ties_settle_what_the_scalar_path_settles(case):
-    (fmn, fm, fn, gmn, gm, gn), settled, scalar = _TIE_CASES[case]
-    m, n = 2, 3
-    orders = vector.cross_power_ties(
-        np.array([[vector.UNDECIDED]], dtype=np.int8), np.array([[m]]), np.array([n]),
-        (_row(fmn), _row(fm), _row(fn)), (_row(gmn), _row(gm), _row(gn)))
+    """power_ties on the sides a power shape makes of Rows and Args, on a
+    cell power_orders left UNDECIDED, against power_compare on the same
+    values."""
+    values, settled, scalar = _TIE_CASES[case]
+    if len(values) == 6:
+        shape, point = checks._cross, (2, 3)
+        f, g = dict(zip((6, 2, 3), values[:3])), dict(zip((6, 2, 3), values[3:]))
+        args = (vector.Arg(np.array([[2]])), vector.Arg(np.array([3])))
+    else:
+        shape, point = checks.below_self, (2,)
+        f, g = {2: values[0]}, {2: values[1]}
+        args = (vector.Arg(np.array([[2]])),)
+
+    def rows(values):
+        return lambda x: _row(values[int(x.x.ravel()[0])])
+
+    lhs, rhs = ([(vector.row(b), vector.row(e)) for b, e in side]
+                for side in shape(rows(f), rows(g), *args))
+    orders = vector.power_ties(np.array([[vector.UNDECIDED]], dtype=np.int8), lhs, rhs)
     assert orders.tolist() == [[settled]]
-    sides = ([(fmn, gmn)], [(fm, gm * n), (fn, gn * m)])
+    compare = checks.power_compare(shape, f.get, g.get)
     if scalar is ResourceError:
         with pytest.raises(ResourceError):
-            cmp_power_products_detail(*sides)
+            compare(*point)
     else:
-        assert cmp_power_products_detail(*sides) == scalar
+        order, _, _, used_exact = compare(*point)
+        assert (order, used_exact) == scalar
 
 
 # f(n) = the odd part of n, and g(n) = 2^15 n: f(2n) = f(n), so at m = 1
@@ -1004,6 +1028,26 @@ def test_power_combinator_makes_no_scalar_power_compare(power_comparisons):
     assert ([(r.verdict, r.stats) for r in reports]
             == [(HOLDS, {"exact_fallbacks": 2401})] * 2)
     assert power_comparisons == []
+
+
+def test_ties_on_a_line_are_settled_in_bulk(power_comparisons):
+    """identity^identity against n^n: the sides are identical at every
+    point, so both reports of corollary1 are refuted everywhere.  Bulk ties
+    decide every point; the scalar comparison runs only to recompute the
+    counterexamples, and the reports are the scalar path's."""
+    identity = REGISTRY.get("identity")
+
+    def run():
+        return inequalities.verify_corollary1(identity, identity, 500, 2000,
+                                              registry=REGISTRY)
+
+    fast = run()
+    assert len(power_comparisons) <= 2 * CheckConfig().counterexample_cap
+    with scalar_oracle():
+        scalar = run()
+    assert ([(r.verdict, r.counterexamples, r.pairs_checked, r.stats) for r in fast]
+            == [(r.verdict, r.counterexamples, r.pairs_checked, r.stats) for r in scalar])
+    assert [r.verdict for r in fast] == [REFUTED] * 2
 
 
 @settings(max_examples=100, deadline=None)
