@@ -37,7 +37,7 @@ of primes, or of exponents, on Python ints.
 
 A vector decision either decides its whole block or declines it: it
 raises vector.Unproven (a function without a value table, a base <= 0 or
-an exponent that is not an integer >= 0 of a power comparison, a prime
+an exponent that is not an integer >= 0 of a power comparison, primes
 whose table cannot be built, Python ints beyond the memory budget), which
 _blocks alone catches.  A declined block, like every block of a sweep
 without a vector path, stays whole, with every cell UNDECIDED, so the

@@ -23,8 +23,9 @@ spf table that does not reach every n they evaluate, before any work.
 
 eq16, eq20 and eq23 are local criteria at prime powers, decided as
 submult.local decides them: in blocks, on Python ints, from one table of
-f(p^e) per prime; a block whose ints would exceed the memory budget goes
-whole to the scalar path.
+f(p^e) over the block's primes (vector.PowerValues); a block whose
+ints would exceed the memory budget goes whole to the scalar path, which
+evaluates its own values.
 """
 
 from __future__ import annotations
@@ -61,14 +62,13 @@ from submult.core import (
 from submult.errors import UsageError
 from submult.functions import ArithFn, Evaluator, Registry, make_prime_power_fn
 from submult.inference import K_SUB_HOM, K_SUP_MULT, SUB_HOM, SUB_MULT, SUP_MULT
-from submult.local import (
-    power_values,
-    prime_power_lookup,
-    prime_power_property,
-    prime_power_table,
-)
+from submult.local import prime_power_lookup, prime_power_property, prime_power_table
 
 INEQUALITY_IDS = ("eq12", "eq13", "eq16", "eq20", "eq23", "corollary1")
+
+# shared by every call, as the tables kept on an spf table are by function
+_SIGMA = make_prime_power_fn("sigma", sigma_rule)
+_PHI = make_prime_power_fn("phi", phi_rule)
 
 
 def verify_eq12(max_prime: int) -> CheckReport:
@@ -103,9 +103,8 @@ def verify_eq13(max_n: int, *, table: SpfTable | None = None) -> CheckReport:
         raise UsageError("max_n must be >= 2")
     if table is None:
         table = build_spf_table(max_n)
-    sigma = Evaluator(make_prime_power_fn("sigma", sigma_rule), table)
-    phi = Evaluator(make_prime_power_fn("phi", phi_rule), table)
-    prop = _below_self("n", range(2, max_n + 1), sigma, phi, max_n)
+    prop = _below_self("n", range(2, max_n + 1), Evaluator(_SIGMA, table),
+                       Evaluator(_PHI, table), max_n)
     return sweep_report("eq13", "sigma(n)^phi(n) < n^n", {"max_n": max_n}, prop,
                         CheckConfig(), table)
 
@@ -140,11 +139,10 @@ def verify_eq20(max_ab: int, max_k: int) -> CheckReport:
     if max_ab < 0 or max_k < 2:
         raise UsageError("need max_ab >= 0 and max_k >= 2")
     d = make_prime_power_fn("d", d_rule)
-    ks = range(2, max_k + 1)
-    values = prime_power_table(d, 2, range(max_k * max_ab + 1))
-    lookup = prime_power_lookup(2, values)
+    ks, read = range(2, max_k + 1), range(max_k * max_ab + 1)
+    lookup = prime_power_lookup(2, prime_power_table(d, 2, read))
     compares = {k: formula(K_SUP_MULT, k, lookup) for k in ks}
-    block_values = power_values([values])
+    block_values = vector.PowerValues(d, [2], read)
     decides = [vector_formula(K_SUP_MULT, k, block_values) for k in ks]
     two = np.array(2, dtype=object)
     bs = vector.PowerArg(np.arange(max_ab + 1)[None, :], two)
@@ -168,8 +166,7 @@ def verify_eq23(max_prime: int, max_exp: int, k: int) -> CheckReport:
     sub for phi."""
     if max_prime < 2 or max_exp < 0 or k < 2:
         raise UsageError("need max_prime >= 2, max_exp >= 0, k >= 2")
-    phi = make_prime_power_fn("phi", phi_rule)
-    prop = prime_power_property(phi, K_SUB_HOM, k, primes_upto(max_prime),
+    prop = prime_power_property(_PHI, K_SUB_HOM, k, primes_upto(max_prime),
                                 range(max_exp + 1))
     return sweep_report("eq23", "phi(p^(a+b))^k <= p^ka phi(p^kb)",
                         {"max_prime": max_prime, "max_exp": max_exp, "k": k},

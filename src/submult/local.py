@@ -1,8 +1,8 @@
 """Prime-power local criteria for multiplicative functions, and the
 bridge tests tying local verdicts to global sweep verdicts.
 
-For a multiplicative f with f(1) = 1, each global property has a local
-sufficient condition on prime powers:
+For a multiplicative f with f(1) = 1 and every f(p^e) >= 0, each global
+property has a local sufficient condition on prime powers:
 
   eq14   f(p^(a+b)) <=/>= f(p^a) f(p^b)      -> sub/sup-multiplicative
   eq18   f(p^(a+b))^k <=/>= f(p^ka) f(p^kb)  -> k-sub/sup-multiplicative
@@ -11,16 +11,17 @@ sufficient condition on prime powers:
 
 Each criterion is its global property's formula at (m, n) = (p^a, p^b),
 so it is swept from the same formula table as the global check.  For
-eq14 the implication is an equivalence (take m = p^a, n = p^b); for the
+eq14 the converse holds for every f (take m = p^a, n = p^b); for the
 others only the local-to-global direction is established, and the
 bridge checks only that direction.
 
-A sweep reads f from one table per prime, f(p^e) at the e it reads.  It
-decides a block of primes at once by the formula shape on Python ints
-(vector.PowerArg, vector.PowerValues), indexed by exponent: m n is
-a + b and f at m^k is entry k a.  The scalar path reads the same table as
-Fractions, stays the oracle and recomputes the counterexamples' sides.
-eq16, eq20 and eq23 (submult.inequalities) are swept the same way.
+A sweep decides a block of primes at once by the formula shape on Python
+ints (vector.PowerArg), from one table of f(p^e) at the block's primes
+and the exponents e it reads, built from f's rules (vector.PowerValues):
+m n is a + b, f at m^k is entry k a, and an exponent not read raises.
+The scalar path evaluates each row it visits on its own, with Fractions,
+stays the oracle and recomputes the counterexamples' sides.  eq16, eq20
+and eq23 (submult.inequalities) are swept the same way.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from submult.inference import (
     SUB_MULT,
     SUP_HOM,
     SUP_MULT,
+    PropertySpec,
 )
 
 EQ14, EQ18, EQ21, EQ22 = "eq14", "eq18", "eq21", "eq22"
@@ -134,28 +136,18 @@ def exponents_read(family: str, k: int | None, exps: range) -> list[int]:
     return sorted(read)
 
 
-def prime_power_table(f: ArithFn, p: int, exps: Iterable[int]) -> list[Value | None]:
-    """f(p^e) exactly at index e for each e in exps, and None, which no
-    arithmetic accepts, at every other index up to the largest."""
-    exps = set(exps)
-    return [evaluate_fact(f, prime_power(p, e)) if e in exps else None
-            for e in range(max(exps) + 1)]
+def prime_power_table(f: ArithFn, p: int, exps: Iterable[int]) -> dict[int, Value]:
+    """f(p^e) exactly, by evaluate_fact, at each e in exps, keyed by e: the
+    scalar path's values, so that reading an exponent not in exps raises
+    KeyError."""
+    return {e: evaluate_fact(f, prime_power(p, e)) for e in exps}
 
 
-def prime_power_lookup(p: int, values: list[Value | None]) -> Callable[..., Value]:
+def prime_power_lookup(p: int, values: dict[int, Value]) -> Callable[..., Value]:
     """f as the formula shapes call it, f(x, k=1) at x^k, on the powers
     x = p^e whose values[e] = f(p^e) is held (see checks.formula)."""
-    exponent = {p**e: e for e, v in enumerate(values) if v is not None}
+    exponent = {p**e: e for e in values}
     return lambda x, k=1: values[k * exponent[x]]
-
-
-def power_values(tables: list[list[Value | None]]) -> vector.PowerValues:
-    """The prime_power_table of each row of a block, as a
-    vector.PowerValues, with None where a table holds None."""
-    def part(name):
-        return np.array([[getattr(v, name, None) for v in t] for t in tables], dtype=object)
-
-    return vector.PowerValues(part("numerator"), part("denominator"))
 
 
 def prime_power_property(f: ArithFn, family: str, k: int | None, primes,
@@ -164,32 +156,23 @@ def prime_power_property(f: ArithFn, family: str, k: int | None, primes,
     a, b in exps, with points named (p, a, b).
 
     A block of primes is decided at once (Property.vector) by the formula
-    shape on exact Python ints (vector.PowerValues), from f's table at
-    each prime at the exponents_read.  vector.Unproven, for the scalar
-    path, which holds one cell at a time, when a prime's table cannot be
-    built (its rule raises or a divisor is zero, and the scalar path
-    raises the same error at that prime) or the block's Python ints would
-    exceed the memory budget."""
+    shape on exact Python ints, from f's table at its primes and the
+    exponents_read (vector.PowerValues); vector.Unproven, for the scalar
+    path, which evaluates each row it visits on its own, when that table
+    cannot be built (a rule raises or a divisor is zero, where the scalar
+    path raises) or the block's Python ints would exceed the memory budget."""
     read = exponents_read(family, k, exps)
     a = np.repeat(np.array(exps), len(exps))[None, :]
     b = np.tile(np.array(exps), len(exps))[None, :]
     cols = list(zip(a[0].tolist(), b[0].tolist()))
-    built = {}  # prime -> its table, in the block last decided, for at()
 
     def at(p):
-        values = built.get(p) or prime_power_table(f, p, read)
-        compare = formula(family, k, prime_power_lookup(p, values))
+        compare = formula(family, k, prime_power_lookup(p, prime_power_table(f, p, read)))
         return lambda a, b: compare(p**a, p**b)
 
     def decide(rows):
-        built.clear()
-        try:
-            for p in rows:
-                built[p] = prime_power_table(f, p, read)
-        except Exception:  # the scalar path raises it at its prime
-            raise vector.Unproven from None
         ps = np.array(rows, dtype=object)[:, None]
-        return vector_formula(family, k, power_values(list(built.values())))(
+        return vector_formula(family, k, vector.PowerValues(f, rows, read))(
             vector.PowerArg(a, ps), vector.PowerArg(b, ps))
 
     return Property(("p", "a", "b"), primes, lambda p: cols, at,
@@ -206,16 +189,9 @@ def check_local(f: ArithFn, crit: LocalCriterion, max_prime: int,
     prop = prime_power_property(f, crit.global_family(), crit.k,
                                 primes_upto(max_prime), range(max_exp + 1))
     r = sweep_report(f.name, crit.label(), {}, prop, CheckConfig())
-    return LocalReport(
-        function=f.name,
-        criterion=crit,
-        max_prime=max_prime,
-        max_exp=max_exp,
-        verdict=r.verdict,
-        counterexamples=r.counterexamples,
-        triples_checked=r.pairs_checked,
-        elapsed_seconds=r.elapsed_seconds,
-    )
+    return LocalReport(function=f.name, criterion=crit, max_prime=max_prime,
+                       max_exp=max_exp, verdict=r.verdict, counterexamples=r.counterexamples,
+                       triples_checked=r.pairs_checked, elapsed_seconds=r.elapsed_seconds)
 
 
 def check_local_submult(f: ArithFn, direction: str, max_prime: int,
@@ -266,26 +242,39 @@ def _covered(m: int, n: int, max_prime: int, max_exp: int) -> bool:
     return True
 
 
+def _nonnegative(f: ArithFn, crit: LocalCriterion, local: LocalReport) -> bool:
+    """Whether every f(p^e) the local sweep read is >= 0, exactly, a block
+    of primes at a time; False where a block's values cannot be built."""
+    read = exponents_read(crit.global_family(), crit.k, range(local.max_exp + 1))
+    primes, per = primes_upto(local.max_prime), max(1, vector._CHUNK // len(read))
+    try:
+        return all((vector.PowerValues(f, primes[lo:lo + per], read).num >= 0).all()
+                   for lo in range(0, len(primes), per))
+    except vector.Unproven:
+        return False
+
+
 def bridge_consistency(f: ArithFn, crit: LocalCriterion, local: LocalReport,
                        global_report: CheckReport) -> BridgeReport:
-    """Assert that no reported counterexample contradicts the proved
+    """Assert that no reported counterexample contradicts the
     local-to-global implication (and its converse, for eq14).
 
     Local holds + a reported global counterexample whose prime support
     lies inside the local grid is impossible unless the implementation
-    is wrong; likewise (eq14 only) global holds + a local counterexample
-    at (p, a, b) with p^a <= max_m and p^b <= max_n.  Raises
-    InconsistencyError on violation.  Only the counterexamples the reports
-    list are checked, at most the counterexample cap of each: one beyond
-    the cap goes unseen.
+    is wrong, when every f(p^e) the local sweep read is >= 0, as the
+    product of one local inequality per prime needs (no obligation
+    otherwise); likewise (eq14 only) global holds + a local
+    counterexample at (p, a, b) with p^a <= max_m and p^b <= max_n.
+    Raises InconsistencyError on violation.  Only the counterexamples the
+    reports list are checked, at most the counterexample cap of each: one
+    beyond the cap goes unseen.
     """
     if local.function != f.name or global_report.function != f.name:
         raise UsageError("bridge: reports belong to a different function")
     if local.criterion != crit:
         raise UsageError("bridge: local report does not match the criterion")
-    expected = crit.global_family()
     prop = global_report.property
-    expected_label = expected if crit.k is None else f"{expected}(k={crit.k})"
+    expected_label = PropertySpec(crit.global_family(), crit.k).label()
     if prop != expected_label:
         raise UsageError(
             f"bridge: criterion {crit.label()} certifies {expected_label}, "
@@ -293,7 +282,12 @@ def bridge_consistency(f: ArithFn, crit: LocalCriterion, local: LocalReport,
         )
 
     notes = []
-    if local.verdict == HOLDS:
+    if local.verdict != HOLDS:
+        notes.append("local refuted; no forward obligation")
+    elif not _nonnegative(f, crit, local):
+        notes.append("local holds, but f(p^e) >= 0 is not established on the "
+                     "local grid; no forward obligation")
+    else:
         for cex in global_report.counterexamples:
             m, n = cex["m"], cex["n"]
             if _covered(m, n, local.max_prime, local.max_exp):
@@ -304,8 +298,6 @@ def bridge_consistency(f: ArithFn, crit: LocalCriterion, local: LocalReport,
                     f"(m={m}, n={n}); this is an implementation bug"
                 )
         notes.append("local holds; no covered global counterexample")
-    else:
-        notes.append("local refuted; no forward obligation")
 
     if crit.criterion == EQ14:
         max_m = global_report.params.get("max_m", 0)
@@ -323,10 +315,5 @@ def bridge_consistency(f: ArithFn, crit: LocalCriterion, local: LocalReport,
         else:
             notes.append("converse: global refuted; no obligation")
 
-    return BridgeReport(
-        function=f.name,
-        criterion=crit.label(),
-        property=prop,
-        consistent=True,
-        notes=notes,
-    )
+    return BridgeReport(function=f.name, criterion=crit.label(), property=prop,
+                        consistent=True, notes=notes)

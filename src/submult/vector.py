@@ -21,29 +21,27 @@ tables does, and the sweep leaves each of its rows wholly to the scalar
 Fraction path, which stays the oracle.
 
 f's values come from int64 (num, den) tables over [0, limit], built from
-the spf table and the primes up to a bound: max(max_m, max_n) for a grid,
-since every prime factor of m n is at most that, and limit itself for a
-line.  Each prime-power rule is called once per prime power q = p^a <=
-limit with p <= bound, through the function's own scalar rule, and its
-value is placed at q; an entry at an n with a prime factor above the
-bound is left undefined, and no sweep reads one.  Every other n is
-filled by one multiplicative
-recurrence, f(n) = f(q(n)) f(n / q(n)) with q(n) the full power of
-spf(n) in n, over slices of at most 4096 entries whose factors all lie
-below the slice.  The rules' tables are then combined, 4096 entries at
-a time and in place, as products, quotients, sums and reciprocals
-combine their children, and reduced by gcd.  An entry that would
-overflow, a zero divisor or a rule that raises leaves the function
-without a table, so every row goes to the scalar path, which raises
-where the scalar sweep raises.  Values at k-th powers n^k come from the
-same recurrence with the rule at p^(k a), so the spf table need not
-reach n^k.  Tables are kept on the spf table, by function, limit, k and
-bound, so each is built once per command and a line never reads a
-grid's bounded table; a full table (bound = limit), once built, replaces
-the bounded ones of its function, limit and k and serves their
-requests.  A build that would not fit in the
-memory budget beside the sieve and the tables already kept on it is
-refused with ResourceError before its tables are allocated.
+the spf table and the primes up to a bound: max(max_m, max_n) for a
+grid, since every prime factor of m n is at most that, and limit itself
+for a line.  Each prime-power rule is called once per prime power
+q = p^a <= limit with p <= bound, and its value is placed at q; an entry
+at an n with a prime factor above the bound is left undefined, and no
+sweep reads one.  Every other n is filled by one multiplicative recurrence,
+f(n) = f(q(n)) f(n / q(n)) with q(n) the full power of spf(n) in n, over
+slices of at most 4096 entries whose factors all lie below the slice.
+The rules' tables are then combined, 4096 entries at a time and in
+place, as products, quotients, sums and reciprocals combine their
+children, and reduced by gcd.  An entry that would overflow, a zero
+divisor or a rule that raises leaves the function without a table, so
+every row goes to the scalar path, which raises where the scalar sweep
+raises.  Values at k-th powers n^k come from the same recurrence with
+the rule at p^(k a), so the spf table need not reach n^k.  Tables are
+kept on the spf table, by function, limit, k and bound, so each is built
+once per command and a line never reads a grid's bounded table; a full
+table (bound = limit), once built, replaces the bounded ones of its
+function, limit and k and serves their requests.  A build that would not
+fit in the memory budget beside the sieve and the tables already kept on
+it is refused with ResourceError before its tables are allocated.
 
 Products of powers (eq12, eq13, corollary1, the cross-power checks), the
 power shapes of checks, have Rows of the same tables, or Args (row()), as
@@ -64,8 +62,8 @@ whole (positive, exponents).
 The prime-power sweeps (submult.local, and eq16, eq20 and eq23) run the
 same formula shapes on rows indexed by exponent: a PowerArg holds the
 exponents e of its cells and the rows' primes p, and PowerValues reads f
-at p^(k e) from one table of f(p^e) per prime.  Those tables hold Python
-ints in numpy object arrays, and their Rows carry the same bounds as a
+at p^(k e) from a table of f(p^e) over a block's primes, built from the
+rules as above on Python ints.  Their Rows carry the same bounds as a
 grid's, which size them by the same rule.
 """
 
@@ -114,11 +112,15 @@ def _prove(*bits: int) -> None:
 
 
 def _bit_lengths(x) -> np.ndarray:
-    """At each x >= 0, a bound b >= x.bit_length(), so x < 2**b, for any
-    int64 x: the exponent frexp gives is exact below 2**53, and above it
-    the conversion to float64 rounds monotonically and keeps 2**(b-1)
-    exact.  As float64, so that products with int64 exponents cannot wrap."""
-    return np.frexp(np.asarray(x, dtype=np.float64))[1].astype(np.float64)
+    """At each x >= 0, a bound b >= x.bit_length(), so x < 2**b: exactly
+    x.bit_length() on an object array of Python ints and, for any int64 x,
+    the exponent frexp gives, exact below 2**53, and above it the
+    conversion to float64 rounds monotonically and keeps 2**(b-1) exact.
+    As float64, so that products with int64 exponents cannot wrap."""
+    x = np.asarray(x)
+    if x.dtype == object:
+        return np.vectorize(int.bit_length, otypes=[np.float64])(x)
+    return np.frexp(x.astype(np.float64))[1].astype(np.float64)
 
 
 def _row_bits(a: np.ndarray) -> np.ndarray:
@@ -136,10 +138,12 @@ def _row_bits(a: np.ndarray) -> np.ndarray:
 # do not prove a result below 2**62, each result's float64 estimate must
 # stay below 2**61.  Operands below 2**62 put the estimate within a factor
 # 1 + 2**-50 of a product and within 2**11 of a sum, so the exact result
-# is below 2**62 too.
+# is below 2**62 too.  Operands that are Python ints are exact as they are.
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if object in (a.dtype, b.dtype):
+        return a * b
     if (_absmax(a).bit_length() + _absmax(b).bit_length() > BITS
             and np.abs(np.multiply(a, b, dtype=np.float64)).max() >= 2.0**61):
         raise Unproven
@@ -147,6 +151,8 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if object in (a.dtype, b.dtype):
+        return a + b
     if (max(_absmax(a), _absmax(b)).bit_length() + 1 > BITS
             and np.abs(np.add(a, b, dtype=np.float64)).max() >= 2.0**61):
         raise Unproven
@@ -221,14 +227,15 @@ def _prime_powers(spf: np.ndarray, limit: int, bound: int):
             np.concatenate([np.ones_like(primes), exps]))
 
 
-def _rule_values(rule, ps: np.ndarray, exps: np.ndarray, k: int) -> list:
+def _rule_values(rule, ps: np.ndarray, exps: np.ndarray, k: int, dtype=np.int64) -> list:
     """rule(p, k a) at each p, a of ps, exps, called once each, _CHUNK at a
-    time: [numerators, denominators or None when every one is 1]."""
-    num = np.empty(len(ps), dtype=np.int64)
-    den = np.empty(len(ps), dtype=np.int64)
+    time, and 1 at a = 0 with no call (make_prime_power_fn): [numerators,
+    denominators or None when every one is 1], as int64 (_prove) or dtype."""
+    num = np.empty(len(ps), dtype=dtype)
+    den = np.empty(len(ps), dtype=dtype)
     for lo, hi in _chunks(0, len(ps)):
         try:
-            vals = [rule(p, k * a)
+            vals = [rule(p, k * a) if a else 1
                     for p, a in zip(ps[lo:hi].tolist(), exps[lo:hi].tolist())]
         except Exception:  # a rule's own failure is the scalar path's to raise,
             raise Unproven from None  # at the point that needs the value
@@ -239,7 +246,8 @@ def _rule_values(rule, ps: np.ndarray, exps: np.ndarray, k: int) -> list:
             den[lo:hi] = [v.denominator for v in vals]
         except OverflowError:
             raise Unproven from None
-    _prove(_absmax(num).bit_length(), _absmax(den).bit_length())
+    if dtype != object:
+        _prove(_absmax(num).bit_length(), _absmax(den).bit_length())
     return [num, None if (den == 1).all() else den]
 
 
@@ -502,8 +510,7 @@ class Arg:
         if self.power == 1:
             return _bit_lengths(tops)
         c = min(self.power, 2 * BITS)
-        return np.array([(t**c).bit_length() for t in tops.ravel().tolist()],
-                        dtype=np.float64).reshape(tops.shape) * (self.power / c)
+        return _bit_lengths(tops.astype(object) ** c) * (self.power / c)
 
 
 class RowValues:
@@ -566,21 +573,28 @@ class PowerArg(Arg):
 
 
 class PowerValues:
-    """f as the formula shapes call it on a block of rows of prime powers:
-    at a PowerArg x, f at p^(k e) at its cells, read from the tables num
-    and den, numpy object arrays of the exact numerators and denominators
-    of f(p^e) at [r, e] for the block's r-th prime (or one prime for every
-    row), bounded in each row by the bit lengths of the entries it reads (0
-    at an unread one, which holds None)."""
+    """fn as the formula shapes call it on a block of rows of prime powers:
+    at a PowerArg x, fn at p^(k e) at its cells, bounded in each row by the
+    bit lengths of the entries it reads, from the exact numerators num and
+    denominators den of fn(p^e), Python ints, at [r, j] for the r-th prime
+    of ps (or one for every row) and the j-th exponent of exps, ascending;
+    one not in exps raises IndexError.  Built as _build builds a table, from
+    each rule at every (p, e), called once (_rule_values): Unproven where fn
+    has no standalone values, a rule raises or a divisor is zero."""
 
-    def __init__(self, num: np.ndarray, den: np.ndarray):
-        self.num, self.den = num, den
-        self.rows = np.arange(len(num))[:, None]
-        bits = np.frompyfunc(lambda v: 0 if v is None else abs(v).bit_length(), 1, 1)
-        self.bits = [bits(t).astype(np.float64) for t in (num, den)]
+    def __init__(self, fn: ArithFn, ps, exps):
+        cells = len(ps), len(exps)
+        at = np.repeat(ps, cells[1]), np.tile(exps, cells[0])
+        leaves = {g: _rule_values(g.rule, *at, 1, object) for g in dict.fromkeys(_rules(fn))}
+        num, den = _combine(fn, leaves, slice(None))
+        self.num, self.den = num.reshape(cells), _dense(den, num).reshape(cells)
+        self.rows = np.arange(cells[0])[:, None]
+        self.column = np.full(max(exps) + 1, cells[1])  # past the last column
+        self.column[exps] = np.arange(cells[1])
+        self.bits = [_bit_lengths(t) for t in (self.num, self.den)]
 
     def __call__(self, x: PowerArg, k: int = 1) -> Row:
-        at = (self.rows, k * x.x)
+        at = (self.rows, self.column[k * x.x])
         nbits, dbits = (b[at].max(axis=-1, keepdims=True) for b in self.bits)
         return Row(self.num[at], self.den[at], nbits, dbits)
 

@@ -52,6 +52,9 @@ MUTANTS = [
      "    if False and (max(_absmax(a), _absmax(b)).bit_length() + 1 > BITS"),
     ("rule-values-unproven", V,
      "    _prove(_absmax(num).bit_length(), _absmax(den).bit_length())", "    pass"),
+    ("rule-values-call-the-rule-at-exponent-0", V,
+     "rule(p, k * a) if a else 1", "rule(p, k * a) if a or True else 1"),
+    ("rule-values-2-at-exponent-0", V, "rule(p, k * a) if a else 1", "rule(p, k * a) if a else 2"),
     ("rule-values-proven-up-to-2^62", V,
      "if max(bits) > BITS - 1:", "if max(bits) > BITS:"),
     ("build-bytes-without-the-tables", V,
@@ -73,14 +76,17 @@ MUTANTS = [
     # are symmetric in them
     ("power-ties-left-map-reads-rhs-numerators", V,
      "left, right = (np.sign(index), index)", "left, right = (0 * index, index)"),
+    ("bit-lengths-of-python-ints-one-short", V,
+     "otypes=[np.float64])(x)\n", "otypes=[np.float64])(x) - 1\n"),
     ("arg-bits-of-0-at-power-1", V,
      "            return _bit_lengths(tops)\n", "            return 0 * _bit_lengths(tops)\n"),
     # the decisions a block declines, where the scalar path raises
     ("positive-admits-0", V, "if not (row.num > 0).all():", "if not (row.num >= 0).all():"),
     ("exponents-admit-a-negative-value", V,
      "if (row.num < 0).any() or ", "if "),
-    ("decide-ignores-a-failed-prime-table", L,
-     "            raise vector.Unproven from None", "            pass"),
+    # a prime-power table with a zero divisor, which local's blocks decline
+    ("decide-ignores-a-failed-prime-table", V,
+     "        raise Unproven  # a zero divisor", "        pass  # a zero divisor"),
     ("k-powers-read-from-the-k-1-table", V,
      "            table = power_table(self.ev, k, self.count)",
      "            table = value_table(self.ev, self.limit, self.count)"),
@@ -93,16 +99,16 @@ MUTANTS = [
      "    if left == right and 2 * _estimated_digits(left) <= DEFAULT_DIGIT_BUDGET:"),
     ("digit-budget-of-10^7", C, "DEFAULT_DIGIT_BUDGET = 10**6", "DEFAULT_DIGIT_BUDGET = 10**7"),
     # the prime-power sweeps
-    ("scalar-path-rebuilds-each-table", L,
-     "values = built.get(p) or prime_power_table(f, p, read)",
-     "values = prime_power_table(f, p, read)"),
     ("every-exponent-up-to-the-largest-read", L,
      "    return sorted(read)", "    return list(range(max(read) + 1))"),
-    ("unread-exponents-hold-0", L,
-     "prime_power(p, e)) if e in exps else None", "prime_power(p, e)) if e in exps else 0"),
+    ("unread-exponents-hold-0", V,
+     "np.full(max(exps) + 1, cells[1])", "np.full(max(exps) + 1, 0)"),
     ("k-e-not-recorded", L,
      "read.update(x.x.ravel().tolist(), (k * x.x).ravel().tolist())",
      "read.update(x.x.ravel().tolist())"),
+    # the bridge's forward obligation, which needs f >= 0
+    ("bridge-skips-its-positivity-check", L,
+     "    elif not _nonnegative(f, crit, local):", "    elif False:"),
     # the sweep's blocks and the cells it visits
     ("sweep-cap-room-strict", K,
      "(np.cumsum(failing) <= room)", "(np.cumsum(failing) < room)"),

@@ -73,6 +73,16 @@ def test_eq13_exact_mode_forces_fallback(table_10k):
     assert filtered.stats.get("exact_fallbacks", 0) < 299
 
 
+def test_eq13_calls_share_their_value_tables():
+    # the tables kept on a given spf table are keyed by function, so a call
+    # with new functions would keep two more
+    table = core.build_spf_table(500)
+    verify_eq13(500, table=table)
+    kept = list(table.tables)
+    verify_eq13(500, table=table)
+    assert kept and list(table.tables) == kept
+
+
 def test_eq13_range_validation():
     with pytest.raises(UsageError):
         verify_eq13(1)

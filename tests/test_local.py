@@ -12,7 +12,10 @@ from submult.checks import REFUTED, SUB, SUP, CheckConfig, CheckReport, check_su
 from submult.core import build_spf_table, prime_power, primes_upto
 from submult.errors import DomainError, InconsistencyError, UsageError
 from submult.functions import (
+    PRODUCT,
     QUOTIENT,
+    RECIPROCAL,
+    SUM,
     builtin_registry,
     combine,
     evaluate_fact,
@@ -35,7 +38,6 @@ from submult.local import (
     check_local_subhom,
     check_local_submult,
     exponents_read,
-    power_values,
     prime_power_lookup,
     prime_power_property,
     prime_power_table,
@@ -153,6 +155,27 @@ def test_bridge_consistent_when_both_hold(registry, table_10k):
     global_report = check_submult(d, SUB, CheckConfig(), table_10k)
     br = bridge_consistency(d, crit, local, global_report)
     assert br.consistent
+    assert br.notes == ["local holds; no covered global counterexample",
+                        "converse: no local counterexample inside the global grid"]
+
+
+MU = make_prime_power_fn("mu", lambda p, a: 1 if a == 0 else (-1 if a == 1 else 0),
+                         positive=False)
+
+
+def test_bridge_takes_no_forward_obligation_where_f_is_negative():
+    """Multiplying one local inequality per prime needs f >= 0: mu holds
+    eq14 sub locally, yet fails globally at (2, 6), whose primes are
+    covered, since mu(12) = 0 > mu(2) mu(6) = -1."""
+    crit = LocalCriterion("eq14", "sub")
+    local = check_local(MU, crit, 10, 3)
+    global_report = check_submult(MU, SUB, CheckConfig(max_m=10, max_n=10),
+                                  build_spf_table(100))
+    assert local.holds and global_report.counterexamples[0].coords() == (2, 6)
+    br = bridge_consistency(MU, crit, local, global_report)
+    assert br.consistent
+    assert br.notes == ["local holds, but f(p^e) >= 0 is not established on the local "
+                        "grid; no forward obligation", "converse: global refuted; no obligation"]
 
 
 def test_bridge_consistent_when_both_refuted(registry, table_10k):
@@ -293,11 +316,48 @@ def _raising_at(p0, a0):
     return make_prime_power_fn(f"raising-at-{p0}^{a0}", rule)
 
 
+def _zero_at(p0, a0):
+    """a + 1, except that it is 0 at p0^a0."""
+    return make_prime_power_fn(f"zero-at-{p0}^{a0}",
+                               lambda p, a: 0 if (p, a) == (p0, a0) else a + 1)
+
+
 def _zero_divisor_at(p0, a0):
     """sigma over a rule that is 0 at p0^a0: its table has a zero divisor."""
-    zero = make_prime_power_fn(
-        f"zero-at-{p0}^{a0}", lambda p, a: 0 if (p, a) == (p0, a0) else a + 1)
-    return combine(QUOTIENT, (builtin_registry().get("sigma"), zero))
+    return combine(QUOTIENT, (builtin_registry().get("sigma"), _zero_at(p0, a0)))
+
+
+_LEAVES = st.one_of(st.sampled_from(BLOCK_FUNCTIONS),
+                    st.builds(_raising_at, st.sampled_from([2, 3, 5]), st.integers(1, 6)),
+                    st.builds(_zero_at, st.sampled_from([2, 3, 5]), st.integers(1, 6)))
+_TREES = st.recursive(_LEAVES, lambda children: st.one_of(
+    st.builds(lambda *parts: combine(PRODUCT, parts), children, children),
+    st.builds(lambda *parts: combine(QUOTIENT, parts), children, children),
+    st.builds(lambda *parts: combine(SUM, parts), children, children),
+    st.builds(lambda part: combine(RECIPROCAL, (part,)), children)), max_leaves=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fn=_TREES,
+       primes=st.lists(st.sampled_from(primes_upto(20)), min_size=1, max_size=4,
+                       unique=True).map(sorted),
+       exps=st.lists(st.integers(0, 12), min_size=1, max_size=6, unique=True).map(sorted))
+def test_power_values_equal_evaluate_fact(fn, primes, exps):
+    """The block's table of f(p^e) holds evaluate_fact's reduced fractions
+    and their exact bit lengths, or is declined where evaluate_fact
+    raises at one of its cells."""
+    try:
+        want = [[evaluate_fact(fn, prime_power(p, e)) for e in exps] for p in primes]
+    except DomainError:
+        with pytest.raises(vector.Unproven):
+            vector.PowerValues(fn, primes, exps)
+        return
+    values = vector.PowerValues(fn, primes, exps)
+    for got, bits, part in zip((values.num, values.den), values.bits,
+                               ("numerator", "denominator")):
+        exact = [[getattr(v, part) for v in row] for row in want]
+        assert got.tolist() == exact
+        assert bits.tolist() == [[abs(x).bit_length() for x in row] for row in exact]
 
 
 def _property(fn, criterion, direction, k, max_prime, max_exp):
@@ -425,9 +485,11 @@ def test_k_criteria_read_only_the_exponents_their_formula_reads():
 
 @pytest.mark.parametrize("criterion, direction", [("eq18", "sub"), ("eq22", "sup")])
 def test_each_exponent_read_is_evaluated_once(criterion, direction):
-    """Only at the exponents read, and once for the block path and the
-    scalar path together: sigma is refuted by eq18 sub, so the scalar path
-    recomputes counterexamples from the rows the block path decided."""
+    """Only at the exponents read, but 0, where every rule is 1: once at
+    each prime on the block path, and once more at each prime whose row the
+    scalar path visits.  sigma is refuted by eq18 sub, so the scalar path
+    recomputes the counterexamples' sides on its own, from the rows they
+    lie in; it holds by eq22 sup, so the scalar path visits no row."""
     calls = []
 
     def rule(p, a):
@@ -441,21 +503,24 @@ def test_each_exponent_read_is_evaluated_once(criterion, direction):
     assert report.verdict == (REFUTED if direction == "sub" else "holds-on-range")
     read = exponents_read(crit.global_family(), 50, range(5))
     assert read == [*range(9), 50, 100, 150, 200]
-    assert calls == [(p, e) for p in (2, 3) for e in read if e]
+    visited = list(dict.fromkeys(cex["p"] for cex in report.counterexamples))
+    assert visited == ([2] if direction == "sub" else [])
+    assert calls == [(p, e) for p in [2, 3, *visited] for e in read if e]
 
 
 def test_an_unread_exponent_fails_loudly(registry):
-    values = prime_power_table(registry.get("sigma"), 2, [0, 1, 2, 4])
-    assert values[3] is None
+    sigma, read = registry.get("sigma"), [0, 1, 2, 4]
+    values = prime_power_table(sigma, 2, read)
+    assert sorted(values) == read
     compare = checks.formula(K_SUB_MULT, 3, prime_power_lookup(2, values))
-    block = checks.vector_formula(K_SUB_MULT, 3, power_values([values]))
-    one = np.ones((1, 1), dtype=np.int64)
+    block = checks.vector_formula(K_SUB_MULT, 3, vector.PowerValues(sigma, [2], read))
     two = np.array(2, dtype=object)
-    # f(p^(3 a)) at a = 1
-    with pytest.raises(TypeError):
-        compare(2, 2)
-    with pytest.raises(TypeError):
-        block(vector.PowerArg(one, two), vector.PowerArg(one, two))
+    for a in (1, 2):  # f(p^(3 a)): 3 is below the largest exponent read, 6 above it
+        with pytest.raises(KeyError):
+            compare(2**a, 2**a)
+        x = vector.PowerArg(np.full((1, 1), a), two)
+        with pytest.raises(IndexError):
+            block(x, x)
 
 
 @pytest.mark.parametrize("name", ["d", "phi", "sigma"])

@@ -245,6 +245,12 @@ def test_rows_past_the_bound_are_decided_on_python_ints(table_1m, monkeypatch):
         assert fast == _outcome(grid_property(Evaluator(fn, table_1m), spec, cfg), cfg)
 
 
+def test_bit_lengths_are_exact_on_python_ints():
+    x = np.array([0, 1, 2**64, 2**2000 - 1], dtype=object)
+    assert vector._bit_lengths(x).tolist() == [0, 1, 65, 2000]
+    assert vector._bit_lengths(x.reshape(2, 2)).shape == (2, 2)
+
+
 # x = 2**61 - 1 has 61 bits, so -x / 3 against x / 3 is at 61 + 2 bits: the
 # cross products are each below 2**63 in magnitude, but their difference is not
 _NEAR = 2**61 - 1
