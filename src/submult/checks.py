@@ -1,11 +1,13 @@
 """Exhaustive exact verification of properties over finite grids.
 
-One engine, _sweep, runs every check in the package: the property
+One engine, _sweep_many, runs every check in the package: the property
 families over (m, n) grids here, the prime-power local criteria
 (submult.local) and the named inequalities (submult.inequalities).  A
 check is a Property record: the coordinate names of a point, the rows
 and each row's remaining coordinates, a compare closure, the relation
-the two sides must satisfy and the sieve limit the sweep needs.
+the two sides must satisfy and the sieve limit the sweep needs.  _sweep
+checks a Property's own relation; classify has _sweep_many tally one
+pass of a formula shape for both directions, sub and sup, at once.
 
 The global families and the local criteria share one table of formula
 shapes (FORMULAS): a local criterion is its family's formula at
@@ -44,9 +46,10 @@ without a vector path, stays whole, with every cell UNDECIDED, so the
 scalar path raises any error where it always has.  The only cells a
 decided block marks vector.UNDECIDED are what the power filters leave
 open: ties and near-ties.
-The sweep tallies a block's points, failures and exact ties in numpy,
-and visits in Python, in order, only the UNDECIDED cells and the first
-failing cells the counterexample cap has room for.  The scalar path
+The sweep tallies a block's points, exact ties and failures of each
+relation in numpy, and visits in Python, in order, only the UNDECIDED
+cells and the first failing cells each relation's counterexample cap has
+room for.  The scalar path
 decides the UNDECIDED cells and recomputes a decided cell's sides for
 its counterexample, so reports do not depend on the path.
 """
@@ -57,6 +60,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -116,11 +120,9 @@ _ORDERS = GAP + 2  # the orders a cell can hold, indexed by order + 1
 _FAILS = {rel: np.array([o not in ok for o in (LESS, EQUAL, GREATER)]
                         + [False, EQUAL not in ok, False])
           for rel, ok in _PASSING.items()}
-# relation -> the points, failures and TIEs among cells, from the number
-# of cells at each order + 1
-_TALLY = {rel: np.array([np.arange(_ORDERS) != GAP + 1, fails,
-                         np.arange(_ORDERS) == vector.TIE + 1], dtype=np.int64)
-          for rel, fails in _FAILS.items()}
+# the points and TIEs among cells, from the number of cells at each
+# order + 1; a sweep adds a row of failures per relation
+_COUNTS = np.array([np.arange(_ORDERS) != GAP + 1, np.arange(_ORDERS) == vector.TIE + 1])
 
 
 @dataclass(frozen=True)
@@ -246,39 +248,57 @@ def _blocks(prop: Property):
 def _sweep(prop: Property, cfg: CheckConfig,
            threads: int) -> tuple[str, list[Counterexample], int, dict]:
     """Check prop at every point: (verdict, the first
-    cfg.counterexample_cap counterexamples, points checked, stats).
-
-    The points, failures and exact fallbacks a block's orders hold are
-    tallied for the whole block at once.  Python then visits, in order,
-    the block's UNDECIDED cells and its first failing cells, as many as
-    the cap still has room for, and runs compare there: to decide an
-    UNDECIDED cell, and to recompute a failing cell's sides while fewer
-    than the cap are held.  A cell's col is its rank among the row's cells
-    that are no GAP.  Exact fallbacks are counted at vector.TIE cells and
-    where compare reports one at an UNDECIDED cell.
+    cfg.counterexample_cap counterexamples, points checked, stats), as
+    _sweep_many tallies them for prop.relation alone.
 
     threads is ignored: sweeps run on the calling thread.  It stays the
     third positional parameter only because the benchmark's tracer reads
     it there; sweep_report passes 1."""
-    passing, undecided = _PASSING[prop.relation], vector.UNDECIDED
-    fails, tally = _FAILS[prop.relation], _TALLY[prop.relation]
+    return _sweep_many(prop, cfg, (prop.relation,))[0]
+
+
+def _sweep_many(prop: Property, cfg: CheckConfig,
+                relations: Sequence[str]) -> list[tuple[str, list[Counterexample], int, dict]]:
+    """Check each of relations, in place of prop.relation, at every point
+    of prop in one pass: per relation, (verdict, the first
+    cfg.counterexample_cap counterexamples, points checked, stats).
+
+    Each block is decided once, and the points, the exact fallbacks and
+    each relation's failures that its orders hold are tallied for the
+    whole block at once.  Python then visits, in order, the block's
+    UNDECIDED cells and, for each relation, its first failing cells, as
+    many as that relation's cap still has room for, and runs compare once
+    per cell: to decide an UNDECIDED cell for every relation, and to
+    recompute a failing cell's sides for each relation it fails that holds
+    fewer than the cap.  A cell's col is its rank among the row's cells
+    that are no GAP.  Exact fallbacks are counted at vector.TIE cells and
+    where compare reports one at an UNDECIDED cell.  The points and stats
+    are the same for every relation; each keeps its own failures,
+    counterexamples and verdict."""
+    undecided, cap = vector.UNDECIDED, cfg.counterexample_cap
+    every = range(len(relations))
+    passing = [_PASSING[rel] for rel in relations]
+    fails = np.array([_FAILS[rel] for rel in relations])
+    fail_at = fails.tolist()
+    tally = np.vstack([_COUNTS, fails]).astype(np.int64)
     cols_at, compare_at = prop.cols, prop.at
-    cap = cfg.counterexample_cap
-    cex: list[Counterexample] = []
-    failed = exact = 0  # at UNDECIDED cells
-    bulk = np.zeros(3, dtype=np.int64)  # the points, and failures and TIEs elsewhere
+    cexs: list[list[Counterexample]] = [[] for _ in every]
+    failed = [0 for _ in every]  # at UNDECIDED cells, per relation
+    exact = 0  # at UNDECIDED cells
+    bulk = np.zeros(len(tally), dtype=np.int64)  # points, TIEs, failures per relation
 
     for rows, cells in _blocks(prop):
         flat = cells.ravel()
         at = np.bincount(flat + 1, minlength=_ORDERS)
         bulk += tally @ at
-        room = cap - len(cex)
-        if not at[undecided + 1] and not (room and at[fails].any()):
+        rooms = [cap - len(cex) if at[fail].any() else 0 for fail, cex in zip(fails, cexs)]
+        if not at[undecided + 1] and not any(rooms):
             continue
         visit = flat == undecided
-        if room:
-            failing = fails[flat + 1]
-            visit |= failing & (np.cumsum(failing) <= room)
+        for fail, room in zip(fails, rooms):
+            if room:
+                failing = fail[flat + 1]
+                visit |= failing & (np.cumsum(failing) <= room)
         todo = np.flatnonzero(visit)
         rs, cs = np.divmod(todo, cells.shape[1])
         if at[GAP + 1]:
@@ -286,7 +306,11 @@ def _sweep(prop: Property, cfg: CheckConfig,
         last = None
         for r, i, decided in zip(rs.tolist(), cs.tolist(), flat[todo].tolist()):
             fallback = decided == undecided
-            if not fallback and len(cex) == cap:
+            # the relations the cell is compared for: every one at an
+            # UNDECIDED cell, else each it fails that holds fewer than the cap
+            held = every if fallback else [
+                j for j in every if fail_at[j][decided + 1] and len(cexs[j]) < cap]
+            if not held:
                 continue
             if r != last:
                 last, row = r, rows[r]
@@ -294,19 +318,34 @@ def _sweep(prop: Property, cfg: CheckConfig,
             col = cols[i]
             order, lhs, rhs, used_exact = compare(*col)
             exact += fallback and used_exact
-            if fallback and order in passing:
-                continue
             point = tuple(zip(prop.names, (row, *col)))
-            if order in passing:
-                raise InconsistencyError(
-                    f"the vector and scalar paths disagree at {point}; "
-                    "this is an implementation bug")
-            failed += fallback
-            if len(cex) < cap:
-                cex.append(Counterexample(point, lhs, rhs))
-    points, failures, ties = bulk.tolist()
+            for j in held:
+                if order not in passing[j]:
+                    failed[j] += fallback
+                    if len(cexs[j]) < cap:
+                        cexs[j].append(Counterexample(point, lhs, rhs))
+                elif not fallback:
+                    raise InconsistencyError(
+                        f"the vector and scalar paths disagree at {point}; "
+                        "this is an implementation bug")
+    points, ties, *failures = bulk.tolist()
     stats = {"exact_fallbacks": exact + ties} if exact + ties else {}
-    return (REFUTED if failed + failures else HOLDS), cex, points, stats
+    return [(REFUTED if bad + more else HOLDS, cex, points, dict(stats))
+            for bad, more, cex in zip(failed, failures, cexs)]
+
+
+def _report(function: str, label: str, params: dict, result, elapsed: float) -> CheckReport:
+    verdict, cex, checked, stats = result
+    return CheckReport(function=function, property=label, params=params, verdict=verdict,
+                       counterexamples=cex, pairs_checked=checked,
+                       elapsed_seconds=elapsed, stats=stats)
+
+
+def _covers(table: SpfTable | None, prop: Property, label: str) -> None:
+    if table is not None and table.limit < prop.limit:
+        raise ResourceError(
+            f"{label} needs a sieve limit of at least {prop.limit}, "
+            f"table covers {table.limit}")
 
 
 def sweep_report(function: str, label: str, params: dict, prop: Property,
@@ -314,21 +353,9 @@ def sweep_report(function: str, label: str, params: dict, prop: Property,
     """Sweep prop into a report.  Refuses to start when table does not
     reach the sieve limit the property needs."""
     t0 = time.perf_counter()
-    if table is not None and table.limit < prop.limit:
-        raise ResourceError(
-            f"{label} needs a sieve limit of at least {prop.limit}, "
-            f"table covers {table.limit}")
-    verdict, cex, checked, stats = _sweep(prop, cfg, 1)
-    return CheckReport(
-        function=function,
-        property=label,
-        params=params,
-        verdict=verdict,
-        counterexamples=cex,
-        pairs_checked=checked,
-        elapsed_seconds=time.perf_counter() - t0,
-        stats=stats,
-    )
+    _covers(table, prop, label)
+    result = _sweep(prop, cfg, 1)
+    return _report(function, label, params, result, time.perf_counter() - t0)
 
 
 _POINT = ((),)  # the cols of a line's row: the row is the point
@@ -525,12 +552,32 @@ def grid_property(ev: Evaluator, spec: PropertySpec, cfg: CheckConfig) -> Proper
                  vector_formula(spec.family, spec.k, rows))
 
 
-def _check(ev: Evaluator, spec: PropertySpec, cfg: CheckConfig) -> CheckReport:
+def _sweep_key(spec: PropertySpec):
+    """What one sweep decides for several specs: their formula shape, k,
+    and whether the grid holds only coprime pairs."""
+    return FORMULAS[spec.family][0], spec.k, spec.family == MULTIPLICATIVE
+
+
+def _check(ev: Evaluator, specs: Sequence[PropertySpec],
+           cfg: CheckConfig) -> list[CheckReport]:
+    """One report per spec, from one sweep over cfg's grid: the specs
+    share their _sweep_key and differ only in the relation between the
+    formula's sides.  A lone spec is swept by _sweep, several by
+    _sweep_many, and each report of a shared sweep carries the time of the
+    whole sweep."""
+    spec = specs[0]
     prop = grid_property(ev, spec, cfg)
     params = {"max_m": cfg.max_m, "max_n": cfg.max_n}
     if spec.k is not None:
         params["k"] = spec.k
-    return sweep_report(ev.fn.name, spec.label(), params, prop, cfg, ev.table)
+    if len(specs) == 1:
+        return [sweep_report(ev.fn.name, spec.label(), params, prop, cfg, ev.table)]
+    t0 = time.perf_counter()
+    _covers(ev.table, prop, spec.label())
+    results = _sweep_many(prop, cfg, [FORMULAS[s.family][1] for s in specs])
+    elapsed = time.perf_counter() - t0
+    return [_report(ev.fn.name, s.label(), dict(params), result, elapsed)
+            for s, result in zip(specs, results)]
 
 
 def check_multiplicative(f: ArithFn, cfg: CheckConfig, table: SpfTable) -> CheckReport:
@@ -620,7 +667,7 @@ def check_identity_bound(f: ArithFn, direction: str, max_n: int,
 def run_property_check(f: ArithFn, spec: PropertySpec, cfg: CheckConfig,
                        table: SpfTable) -> CheckReport:
     """Sweep one property family over cfg's grid."""
-    return _check(Evaluator(f, table), spec, cfg)
+    return _check(Evaluator(f, table), [spec], cfg)[0]
 
 
 def classify_specs(cfg: CheckConfig) -> list[PropertySpec]:
@@ -633,12 +680,17 @@ def classify_specs(cfg: CheckConfig) -> list[PropertySpec]:
 
 def classify(f: ArithFn, cfg: CheckConfig, table: SpfTable) -> list[CheckReport]:
     """One report per property family, k-families instantiated over
-    cfg.k_set, in a fixed order."""
+    cfg.k_set, in the order of classify_specs.  Each pair of families of
+    one formula shape and k (sub-mult and sup-mult, sub-hom and sup-hom,
+    and the k-sub and k-sup form of each for every k) is decided by one
+    sweep, tallied for both relations; multiplicative, whose points are
+    only the coprime pairs, is swept on its own."""
     if f.kind == POWER:
         raise UsageError(f"{f.name}: power combinators cannot be classified "
                          "(no standalone values)")
     ev = Evaluator(f, table)
-    return [_check(ev, spec, cfg) for spec in classify_specs(cfg)]
+    return [report for _, specs in groupby(classify_specs(cfg), key=_sweep_key)
+            for report in _check(ev, list(specs), cfg)]
 
 
 # threads is pinned: perfbench/worker.py passes it (ROADMAP item 1)
@@ -658,4 +710,4 @@ def reports_for_tag(f: ArithFn, tag: PropertyTag, cfg: CheckConfig,
     else:
         ks = cfg.k_set if tag.k is None else (tag.k,)
     ev = Evaluator(f, table)
-    return [_check(ev, PropertySpec(tag.family, k), cfg) for k in ks]
+    return [_check(ev, [PropertySpec(tag.family, k)], cfg)[0] for k in ks]

@@ -13,6 +13,7 @@ JSON envelope under --json).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -31,6 +32,8 @@ from submult.errors import SubmultError, UsageError
 from submult.functions import builtin_registry, evaluate
 from submult.inequalities import (
     INEQUALITY_IDS,
+    corollary1_sieve_limit,
+    eq13_sieve_limit,
     verify_corollary1,
     verify_eq12,
     verify_eq13,
@@ -185,7 +188,7 @@ def _cmd_inequality(args) -> int:
     if ineq == "eq12":
         reports = [verify_eq12(args.max_prime)]
     elif ineq == "eq13":
-        _announce_sieve(args.max_n)
+        _announce_sieve(eq13_sieve_limit(args.max_n))
         reports = [verify_eq13(args.max_n)]
     elif ineq == "eq16":
         reports = [verify_eq16(args.max_prime, args.max_exp)]
@@ -197,7 +200,8 @@ def _cmd_inequality(args) -> int:
         registry = builtin_registry()
         f = registry.get(args.f)
         g = registry.get(args.g)
-        limit = max(args.max_prime, args.max_n)
+        limit = corollary1_sieve_limit(f, g, args.max_prime, args.max_n,
+                                       registry=registry)
         _announce_sieve(limit)
         table = build_spf_table(limit)
         a, b = verify_corollary1(f, g, args.max_prime, args.max_n,
@@ -238,7 +242,10 @@ def _add_common(sp, *, csv: bool = True) -> None:
                          "on one thread")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on first use and kept: parsing
+    leaves it unchanged, so one serves each main() call of a process."""
     parser = argparse.ArgumentParser(
         prog="submult",
         description="Exact verification of multiplicativity-type inequalities "

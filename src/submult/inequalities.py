@@ -20,6 +20,8 @@ scalar cmp_power_products_detail.  A run without tables, or with a base
 <= 0 or an exponent that is not an integer >= 0, goes whole to the scalar
 path, which raises the error in place.  eq13 and corollary1 refuse a given
 spf table that does not reach every n they evaluate, before any work.
+Their sieve limits (eq13_sieve_limit, corollary1_sieve_limit) check the
+inputs first, so a caller refuses bad input before it builds a sieve.
 
 eq16, eq20 and eq23 are local criteria at prime powers, decided as
 submult.local decides them: in blocks, on Python ints, from one table of
@@ -92,6 +94,14 @@ def _below_self(name: str, points, fe: Evaluator, ge: Evaluator, limit: int) -> 
                 power_decide(below_self, *rows), limit)
 
 
+def eq13_sieve_limit(max_n: int) -> int:
+    """The sieve limit eq13 needs, max_n, once max_n is checked, so that a
+    caller can refuse bad input before it builds the sieve."""
+    if max_n < 2:
+        raise UsageError("max_n must be >= 2")
+    return max_n
+
+
 def verify_eq13(max_n: int, *, table: SpfTable | None = None) -> CheckReport:
     """sigma(n)^phi(n) < n^n, strict, for all 2 <= n <= max_n.
 
@@ -99,10 +109,9 @@ def verify_eq13(max_n: int, *, table: SpfTable | None = None) -> CheckReport:
     exact big-integer comparison (whose cost the digit budget caps).
     Refuses to start when table does not reach max_n.
     """
-    if max_n < 2:
-        raise UsageError("max_n must be >= 2")
+    limit = eq13_sieve_limit(max_n)
     if table is None:
-        table = build_spf_table(max_n)
+        table = build_spf_table(limit)
     prop = _below_self("n", range(2, max_n + 1), Evaluator(_SIGMA, table),
                        Evaluator(_PHI, table), max_n)
     return sweep_report("eq13", "sigma(n)^phi(n) < n^n", {"max_n": max_n}, prop,
@@ -173,6 +182,20 @@ def verify_eq23(max_prime: int, max_exp: int, k: int) -> CheckReport:
                         prop, CheckConfig())
 
 
+def corollary1_sieve_limit(f: ArithFn, g: ArithFn, max_prime: int, max_n: int, *,
+                          registry: Registry) -> int:
+    """The sieve limit corollary1 needs, max(max_prime, max_n), once its
+    hypotheses are on record in registry and its ranges are checked, so
+    that a caller can refuse bad input before it builds the sieve."""
+    if not registry.has_tag(f.name, SUB_MULT):
+        raise UsageError(f"corollary1 requires a sub-mult tag on {f.name}")
+    if not registry.has_tag(g.name, SUB_HOM):
+        raise UsageError(f"corollary1 requires a sub-hom tag on {g.name}")
+    if max_prime < 2 or max_n < 2:
+        raise UsageError("need max_prime >= 2 and max_n >= 2")
+    return max(max_prime, max_n)
+
+
 def verify_corollary1(f: ArithFn, g: ArithFn, max_prime: int, max_n: int, *,
                       registry: Registry,
                       table: SpfTable | None = None) -> tuple[CheckReport, CheckReport]:
@@ -184,13 +207,7 @@ def verify_corollary1(f: ArithFn, g: ArithFn, max_prime: int, max_n: int, *,
     checks the conclusion f(n)^g(n) < n^n for 2 <= n <= max_n.  Each
     refuses to start when table does not reach max(max_prime, max_n).
     """
-    if not registry.has_tag(f.name, SUB_MULT):
-        raise UsageError(f"corollary1 requires a sub-mult tag on {f.name}")
-    if not registry.has_tag(g.name, SUB_HOM):
-        raise UsageError(f"corollary1 requires a sub-hom tag on {g.name}")
-    if max_prime < 2 or max_n < 2:
-        raise UsageError("need max_prime >= 2 and max_n >= 2")
-    limit = max(max_prime, max_n)
+    limit = corollary1_sieve_limit(f, g, max_prime, max_n, registry=registry)
     if table is None:
         table = build_spf_table(limit)
     fe, ge = Evaluator(f, table), Evaluator(g, table)

@@ -116,6 +116,19 @@ MUTANTS = [
      "            cs = (np.cumsum(cells != GAP, axis=1) - 1)[rs, cs]", "            pass"),
     ("declined-block-padded-undecided", K,
      "vector.UNDECIDED,\n                    GAP)", "vector.UNDECIDED,\n                    vector.UNDECIDED)"),
+    # one pass tallied for several relations (classify's sub/sup pairs)
+    ("shared-pass-recomputes-by-the-first-relations-mask", K,
+     "if fail_at[j][decided + 1] and len(cexs[j]) < cap]",
+     "if fail_at[0][decided + 1] and len(cexs[j]) < cap]"),
+    ("shared-pass-visits-by-the-first-relations-mask", K,
+     "                failing = fail[flat + 1]", "                failing = fails[0][flat + 1]"),
+    ("shared-pass-one-cap-across-relations", K,
+     "and len(cexs[j]) < cap]", "and sum(map(len, cexs)) < cap]"),
+    ("shared-pass-exact-fallbacks-in-the-first-report-only", K,
+     "cex, points, dict(stats))", "cex, points, dict(stats) if cex is cexs[0] else {})"),
+    ("classify-shares-the-coprime-sweep", K,
+     "return FORMULAS[spec.family][0], spec.k, spec.family == MULTIPLICATIVE",
+     "return FORMULAS[spec.family][0], spec.k"),
     # reports
     ("render-value-misses-the-digit-limit", "src/submult/report.py",
      "    except ValueError:  # more digits", "    except TypeError:  # more digits"),

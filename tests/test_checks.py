@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from submult import checks, vector
 from submult.checks import (
     HOLDS,
     REFUTED,
@@ -14,13 +17,24 @@ from submult.checks import (
     check_subhom,
     check_submult,
     classify,
+    classify_specs,
+    grid_property,
     reports_for_tag,
     run_property_check,
+    sieve_limit,
 )
 from submult.core import build_spf_table
 from submult.errors import ResourceError, UnsupportedInputError, UsageError
-from submult.functions import POWER, combine, evaluate
-from submult.inference import K_SUP_MULT, SUB_MULT, PropertySpec, PropertyTag
+from submult.functions import POWER, Evaluator, builtin_registry, combine, evaluate
+from submult.inference import (
+    K_SUP_MULT,
+    MULTIPLICATIVE,
+    SUB_HOM,
+    SUB_MULT,
+    SUP_HOM,
+    PropertySpec,
+    PropertyTag,
+)
 from submult.report import report_to_json
 
 CFG10 = CheckConfig(max_m=10, max_n=10)
@@ -231,6 +245,64 @@ def test_classify_sigma_over_d(registry, table_10k):
                 for r in classify(registry.get("sigma_over_d"), cfg, table_10k)}
     assert verdicts["sup-mult"] == HOLDS
     assert verdicts["sub-hom"] == HOLDS
+
+
+_NON_POWER = [name for name in builtin_registry().names()
+              if builtin_registry().get(name).kind != POWER]
+
+
+def _timeless(report):
+    return dataclasses.replace(report, elapsed_seconds=0.0)
+
+
+@pytest.mark.parametrize("name, max_m, max_n, k_set", [
+    *((name, 12, 12, (2, 3)) for name in _NON_POWER),
+    *((name, 40, 30, (2, 4)) for name in _NON_POWER),
+    # f(n^8) passes 2^62 below n = 210, so sigma's k = 8 table is refused
+    # and its k-forms run on the scalar path
+    ("sigma", 210, 3, (8,)),
+    # f(mn)^k past int64: the k-forms are decided on Python-int rows
+    ("sigma", 9, 9, (63, 64)),
+    ("n_plus_d", 9, 9, (63, 64)),
+])
+def test_classify_equals_one_sweep_per_spec(registry, monkeypatch, name, max_m, max_n,
+                                            k_set):
+    """Each report of classify, which sweeps each formula shape and k once
+    for both directions, equals the report of run_property_check for its
+    spec, field by field but the time."""
+    fn = registry.get(name)
+    cfg = CheckConfig(max_m=max_m, max_n=max_n, k_set=k_set)
+    specs = classify_specs(cfg)
+    table = build_spf_table(sieve_limit(specs, cfg))
+    swept = []
+    monkeypatch.setattr(checks, "grid_property", lambda ev, spec, cfg, grid=grid_property:
+                        swept.append(spec.label()) or grid(ev, spec, cfg))
+    shared = classify(fn, cfg, table)
+    # multiplicative, sub-mult, sub-hom, and k-sub-mult and k-sub-hom per k
+    assert swept == [spec.label() for spec in specs
+                     if spec.family == MULTIPLICATIVE or "sub" in spec.family]
+    alone = [run_property_check(fn, spec, cfg, table) for spec in specs]
+    assert [r.property for r in shared] == [spec.label() for spec in specs]
+    assert list(map(_timeless, shared)) == list(map(_timeless, alone))
+    if k_set == (8,):
+        assert vector.power_table(Evaluator(fn, table), 8, 210) is None
+
+
+def test_classify_keeps_a_cap_per_direction(registry):
+    """sub-hom and sup-hom of sigma/phi, decided by one sweep, are both
+    refuted far past the cap, and each report keeps its own first 10."""
+    fn = registry.get("sigma_over_phi")
+    cfg = CheckConfig(max_m=40, max_n=40, k_set=(2,))
+    table = build_spf_table(1600)
+    reports = {r.property: r for r in classify(fn, cfg, table)}
+    wide = CheckConfig(max_m=40, max_n=40, counterexample_cap=1000)
+    for family in (SUB_HOM, SUP_HOM):
+        capped = reports[family]
+        assert capped.verdict == REFUTED and len(capped.counterexamples) == 10
+        every = run_property_check(fn, PropertySpec(family), wide, table)
+        assert len(every.counterexamples) > 10
+        assert capped.counterexamples == every.counterexamples[:10]
+        assert capped.elapsed_seconds == reports[SUB_HOM].elapsed_seconds
 
 
 def test_classify_rejects_power_combinator(registry, table_10k):

@@ -200,6 +200,31 @@ def test_inequality_corollary1(capsys):
     assert len(env["reports"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("corollary1", "--f", "phi", "--g", "phi", "--max-prime", "5",
+      "--max-n", "30000000"), "corollary1 requires a sub-mult tag on phi"),
+    (("corollary1", "--f", "sigma", "--g", "sigma", "--max-prime", "5",
+      "--max-n", "30000000"), "corollary1 requires a sub-hom tag on sigma"),
+    (("corollary1", "--max-prime", "1", "--max-n", "1"),
+     "need max_prime >= 2 and max_n >= 2"),
+    (("corollary1", "--max-prime", "1", "--max-n", "30000000"),
+     "need max_prime >= 2 and max_n >= 2"),
+    (("eq13", "--max-n", "1"), "max_n must be >= 2"),
+], ids=["f-untagged", "g-untagged", "both-ranges", "max-prime", "eq13-max-n"])
+def test_inequality_inputs_are_refused_before_the_sieve(capsys, monkeypatch, argv,
+                                                        message):
+    """Bad tags and ranges are refused with their own message, before a
+    sieve limit is announced or a sieve built."""
+    from submult import core
+
+    def never(limit):
+        raise AssertionError("the sieve was built")
+
+    monkeypatch.setattr(core._sieve, "spf_sieve", never)
+    code, out, err = run_cli(capsys, "inequality", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_inequality_bad_id_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["inequality", "eq99"])
@@ -278,3 +303,35 @@ def test_rerun_identical_modulo_timestamps(capsys):
     _, first = run_json(capsys, *args)
     _, second = run_json(capsys, *args)
     assert scrub(first) == scrub(second)
+
+
+# --- one parser per process ----------------------------------------------------
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(capsys):
+    """main() parses every command with the one cached parser; a flag, an
+    option or a usage error of one call does not reach the next."""
+    from submult import cli
+
+    assert run_cli(capsys, "eval", "d", "12")[:2] == (0, "6\n")
+    assert cli.build_parser() is cli.build_parser()
+    local = ("local", "sigma", "eq21", "sup", "--max-prime", "7", "--max-exp", "2",
+             "--max-m", "6", "--max-n", "6", "--json")
+    _, bridged = run_json(capsys, *local[:4], "--bridge", *local[4:])
+    _, alone = run_json(capsys, *local)
+    assert len(bridged["reports"]) == 3
+    assert len(alone["reports"]) == 1 and alone["inputs"]["bridge"] is False
+    check = ("check", "d", "k-sup-mult", "--max-m", "6", "--max-n", "6", "--json")
+    _, k3 = run_json(capsys, *check, "--k", "3")
+    _, default = run_json(capsys, *check)
+    assert k3["reports"][0]["params"]["k"] == 3
+    assert default["reports"][0]["params"]["k"] == 2
+    assert default["inputs"]["k"] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "d", "sup-mult", "--max-m"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, env = run_json(capsys, "check", "d", "sup-mult", "--json")
+    assert code == 1
+    assert env["inputs"]["max_m"] == env["inputs"]["max_n"] == 100
+    assert env["reports"][0]["pairs_checked"] == 100 * 100

@@ -371,6 +371,26 @@ def test_each_vector_call_decides_at_most_a_block(monkeypatch, table_10k, builde
         assert height * width <= checks._CELLS or height == 1
 
 
+@pytest.mark.parametrize("path", ["vector", "scalar"])
+@pytest.mark.parametrize("builder", VECTOR_BUILDERS)
+def test_one_pass_tallies_each_relation_as_its_own_sweep(monkeypatch, table_10k,
+                                                         builder, path):
+    """_sweep_many over several relations gives each what _sweep gives the
+    property with that relation alone: verdict, counterexamples up to the
+    cap, points and stats, on the vector path and on the scalar path."""
+    prop = VECTOR_BUILDERS[builder](monkeypatch, table_10k)
+    if path == "scalar":
+        prop = dataclasses.replace(prop, vector=None)
+    cfg = CheckConfig(counterexample_cap=3)
+    relations = (checks.SUB, checks.SUP, checks.EQ, checks.LT)
+    shared = checks._sweep_many(prop, cfg, relations)
+    assert shared == [checks._sweep(dataclasses.replace(prop, relation=rel), cfg, 1)
+                      for rel in relations]
+    # the cross-power grid's exact ties are counted for every relation
+    if builder == "cross-power":
+        assert all(stats["exact_fallbacks"] > 0 for *_, stats in shared)
+
+
 # --- the mutation gate ---------------------------------------------------------
 
 
