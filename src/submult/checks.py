@@ -3,9 +3,10 @@
 One engine, _sweep_many, runs every check in the package: the property
 families over (m, n) grids here, the prime-power local criteria
 (submult.local) and the named inequalities (submult.inequalities).  A
-check is a Property record: the coordinate names of a point, the rows
-and each row's remaining coordinates, a compare closure, the relation
-the two sides must satisfy and the sieve limit the sweep needs.  _sweep
+check is a Property record: the coordinate names of a point, the axes
+whose product holds the points, a compare function of one point, the
+relation the two sides must satisfy, the sieve limit the sweep needs,
+and, on a coprime grid only, keep, which drops the other pairs.  _sweep
 checks a Property's own relation; classify has _sweep_many tally one
 pass of a formula shape for both directions, sub and sup, at once.
 
@@ -20,38 +21,41 @@ Points are enumerated in lexicographic order, so the counterexamples a
 sweep meets first are the smallest; a report keeps the first
 counterexample_cap of them.
 
-Checks also carry a vector path (Property.vector, built on submult.vector)
-that decides a block of consecutive rows, of at most _CELLS cells, at
-once, and returns one int8 array of orders over the block.  The global
-families (check, classify, the global half of local --bridge,
-reports_for_tag) run the same formula shape once per block on the
-numerators and denominators of all its cells, in int64 where bit-length
-bounds prove every product below 2**62 and on Python ints elsewhere, and
-decide every cell.  A property of one coordinate is a line (line): its
-points are its rows, each with one col, so a block is a run of at most
-_CELLS points.  The identity bounds decide f(n) against n on a line.  The
-power shapes (lines but for _cross) run a padded log2 filter over the
-block in numpy, then settle in numpy the cells whose sides normalize to
-the same factors and the exact ties that fit int64 and the digit budget
-(vector.power_ties), and leave near-ties undecided.  The local criteria
-(submult.local) and eq16, eq20 and eq23 run the formula shape on a block
-of primes, or of exponents, on Python ints.
+A sweep runs a block at a time (_block): a run of rows, values of the
+first axis, with every tuple of the other axes, its cols, at most _CELLS
+cells or one row.  A vector path (Property.vector, built on
+submult.vector) decides a block at once from its coordinates, the rows
+as a column and each other axis as a row, and returns one int8 array of
+orders over it.  The global families (check, classify, the global half
+of local --bridge, reports_for_tag) run the same formula shape once per
+block on the numerators and denominators of all its cells, in int64
+where bit-length bounds prove every product below 2**62 and on Python
+ints elsewhere, and decide every cell.  A property of one coordinate is
+a line (line), whose blocks are runs of at most _CELLS points, which its
+formula sees as one row; the identity bounds decide f(n) against n on
+one.  The power shapes (lines
+but for _cross) run a padded log2 filter over the block in numpy, then
+settle in numpy the cells whose sides normalize to the same factors and
+the exact ties that fit int64 and the digit budget (vector.power_ties),
+and leave near-ties undecided.  The local criteria (submult.local) and
+eq16, eq20 and eq23 run the formula shape on a block of primes, or of
+exponents, on Python ints.
 
 A vector decision either decides its whole block or declines it: it
 raises vector.Unproven (a function without a value table, a base <= 0 or
 an exponent that is not an integer >= 0 of a power comparison, primes
 whose table cannot be built, Python ints beyond the memory budget), which
-_blocks alone catches.  A declined block, like every block of a sweep
+_block alone catches.  A declined block, like every block of a sweep
 without a vector path, stays whole, with every cell UNDECIDED, so the
 scalar path raises any error where it always has.  The only cells a
 decided block marks vector.UNDECIDED are what the power filters leave
-open: ties and near-ties.
+open: ties and near-ties.  On either, GAP marks the cells keep drops.
 The sweep tallies a block's points, exact ties and failures of each
 relation in numpy, and visits in Python, in order, only the UNDECIDED
 cells and the first failing cells each relation's counterexample cap has
-room for.  The scalar path
-decides the UNDECIDED cells and recomputes a decided cell's sides for
-its counterexample, so reports do not depend on the path.
+room for.  The scalar path decides the UNDECIDED cells and recomputes a
+decided cell's sides for its counterexample, so reports do not depend on
+the path.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import groupby
+from itertools import groupby, product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -112,7 +116,7 @@ LT = "lt"  # lhs < rhs
 
 _PASSING = {SUB: (LESS, EQUAL), SUP: (EQUAL, GREATER), EQ: (EQUAL,), LT: (LESS,)}
 
-GAP = 4  # a cell of a Property.vector block that is no point of its row
+GAP = 4  # a cell of a block that is no point: Property.keep is False there
 _ORDERS = GAP + 2  # the orders a cell can hold, indexed by order + 1
 # relation -> whether order LESS, EQUAL, GREATER, vector.UNDECIDED,
 # vector.TIE or GAP fails it, indexed by order + 1 (a TIE fails as EQUAL
@@ -181,7 +185,7 @@ class CheckReport:
 # Sweep engine
 # ---------------------------------------------------------------------------
 
-# compare(*col) -> (order of lhs against rhs, lhs, rhs, exact fallback ran)
+# compare(*point) -> (order of lhs against rhs, lhs, rhs, exact fallback ran)
 Compare = Callable[..., tuple[int, object, object, bool]]
 
 _CELLS = 8192  # cells of a block of rows decided at once; bounds the temporaries
@@ -191,57 +195,55 @@ _CELLS = 8192  # cells of a block of rows decided at once; bounds the temporarie
 class Property:
     """A relation between two sides, to be checked at every point.
 
-    The points are (row, *col) for each row in rows and each col in
-    cols(row), with coordinates named by names; a line (see line) has one
-    coordinate, so its rows are its points and each has the one col ().
-    at(row) is the row's compare closure, called once per point as
-    compare(*col).  limit is the sieve limit that covers every value the
-    sweep evaluates.
+    The points are the product of axes, in lexicographic order, with
+    coordinates named by names, less the cells keep drops.  compare(*point)
+    orders the two sides at one point.  limit is the sieve limit that
+    covers every value the sweep evaluates.
 
-    vector, when set, decides a block of consecutive rows at once, given
-    as a slice of rows.  It returns an int8 array with one row per row of
-    the block: the orders at the row's cols, in order, as LESS, EQUAL or
+    vector, when set, decides a block at once: a run of rows, values of the
+    first axis, with every tuple of the other axes, its cols (see
+    _block).  It takes the coordinates as int64 arrays that broadcast to
+    the block, the rows as a column and each other axis as a row over the
+    cols, and returns an int8 array of the block's shape: LESS, EQUAL or
     GREATER; vector.UNDECIDED at a cell a power filter leaves to compare
     (a tie or near-tie); vector.TIE at an EQUAL that compare would reach
-    through its exact fallback; and GAP at the cells that are no point of
-    the row, past its end or at the columns a coprime row leaves out.  It
-    raises vector.Unproven to leave the whole block to compare, as where
-    compare would raise.  at(row) decides the UNDECIDED cells point by
-    point.  width is the most cols a row has, so that a block of rows
-    holds at most _CELLS cells, or is one row."""
+    through its exact fallback.  It raises vector.Unproven to leave the
+    whole block to compare, as where compare would raise.  keep, when set,
+    takes the same coordinates and is False at the cells that are no point
+    (the pairs a coprime grid leaves out), which become GAP."""
 
     names: tuple[str, ...]
-    rows: Sequence[int]
-    cols: Callable[[int], Sequence[tuple]]
-    at: Callable[[int], Compare]
+    axes: tuple[Sequence[int], ...]
+    compare: Compare
     relation: str  # SUB, SUP, EQ or LT
     limit: int = 0
-    vector: Callable[[Sequence[int]], np.ndarray] | None = None
-    width: int = 1
+    vector: Callable[..., np.ndarray] | None = None
+    keep: Callable[..., np.ndarray] | None = None
 
 
-def _undecided(prop: Property, rows: Sequence[int]) -> np.ndarray:
-    """The block of rows left wholly to compare: UNDECIDED at each row's
-    cols, GAP past them."""
-    counts = np.fromiter(map(len, map(prop.cols, rows)), np.int64, len(rows))[:, None]
-    return np.where(np.arange(prop.width) < counts, vector.UNDECIDED,
-                    GAP).astype(np.int8)
+def _cols(prop: Property) -> list[tuple]:
+    """Every tuple of prop's axes after the first, in lexicographic order:
+    the cols of each row (a line's one col is ())."""
+    return list(product(*prop.axes[1:]))
 
 
-def _blocks(prop: Property):
-    """(rows, their cells) for each block of consecutive rows of prop, of
-    at most _CELLS cells or one row, in order: what prop.vector decides
-    or, without it or where it raises vector.Unproven, the block left
-    wholly to compare."""
-    per = max(1, _CELLS // prop.width)
-    decide = prop.vector or partial(_undecided, prop)
-    for lo in range(0, len(prop.rows), per):
-        rows = prop.rows[lo:lo + per]
-        try:
-            cells = decide(rows)
-        except vector.Unproven:
-            cells = _undecided(prop, rows)
-        yield rows, cells
+def _block(prop: Property, rows: Sequence[int], cols: Sequence[tuple]) -> np.ndarray:
+    """The orders at the block of rows, a run of prop's first axis, each
+    with every col of cols (_cols(prop)), as one int8 array, a row per row:
+    what prop.vector decides or, without it or where it raises
+    vector.Unproven, UNDECIDED at every cell, left wholly to compare; and
+    GAP wherever prop.keep is False."""
+    coords = [np.asarray(rows, dtype=np.int64)[:, None],
+              *(np.array(axis, dtype=np.int64)[None, :] for axis in zip(*cols))]
+    try:
+        if prop.vector is None:
+            raise vector.Unproven
+        cells = prop.vector(*coords)
+    except vector.Unproven:
+        cells = np.full((len(rows), len(cols)), vector.UNDECIDED, dtype=np.int8)
+    if prop.keep is None:
+        return cells
+    return np.where(prop.keep(*coords), cells, GAP)
 
 
 # threads is pinned: perfbench/tracer.py reads it as args[2] (ROADMAP item 1)
@@ -270,8 +272,7 @@ def _sweep_many(prop: Property, cfg: CheckConfig,
     many as that relation's cap still has room for, and runs compare once
     per cell: to decide an UNDECIDED cell for every relation, and to
     recompute a failing cell's sides for each relation it fails that holds
-    fewer than the cap.  A cell's col is its rank among the row's cells
-    that are no GAP.  Exact fallbacks are counted at vector.TIE cells and
+    fewer than the cap.  Exact fallbacks are counted at vector.TIE cells and
     where compare reports one at an UNDECIDED cell.  The points and stats
     are the same for every relation; each keeps its own failures,
     counterexamples and verdict."""
@@ -281,13 +282,16 @@ def _sweep_many(prop: Property, cfg: CheckConfig,
     fails = np.array([_FAILS[rel] for rel in relations])
     fail_at = fails.tolist()
     tally = np.vstack([_COUNTS, fails]).astype(np.int64)
-    cols_at, compare_at = prop.cols, prop.at
+    rows, cols, compare = prop.axes[0], _cols(prop), prop.compare
+    per = max(1, _CELLS // len(cols))
     cexs: list[list[Counterexample]] = [[] for _ in every]
     failed = [0 for _ in every]  # at UNDECIDED cells, per relation
     exact = 0  # at UNDECIDED cells
     bulk = np.zeros(len(tally), dtype=np.int64)  # points, TIEs, failures per relation
 
-    for rows, cells in _blocks(prop):
+    for lo in range(0, len(rows), per):
+        block = rows[lo:lo + per]
+        cells = _block(prop, block, cols)
         flat = cells.ravel()
         at = np.bincount(flat + 1, minlength=_ORDERS)
         bulk += tally @ at
@@ -300,11 +304,8 @@ def _sweep_many(prop: Property, cfg: CheckConfig,
                 failing = fail[flat + 1]
                 visit |= failing & (np.cumsum(failing) <= room)
         todo = np.flatnonzero(visit)
-        rs, cs = np.divmod(todo, cells.shape[1])
-        if at[GAP + 1]:
-            cs = (np.cumsum(cells != GAP, axis=1) - 1)[rs, cs]
-        last = None
-        for r, i, decided in zip(rs.tolist(), cs.tolist(), flat[todo].tolist()):
+        rs, cs = np.divmod(todo, len(cols))
+        for r, c, decided in zip(rs.tolist(), cs.tolist(), flat[todo].tolist()):
             fallback = decided == undecided
             # the relations the cell is compared for: every one at an
             # UNDECIDED cell, else each it fails that holds fewer than the cap
@@ -312,13 +313,10 @@ def _sweep_many(prop: Property, cfg: CheckConfig,
                 j for j in every if fail_at[j][decided + 1] and len(cexs[j]) < cap]
             if not held:
                 continue
-            if r != last:
-                last, row = r, rows[r]
-                cols, compare = cols_at(row), compare_at(row)
-            col = cols[i]
-            order, lhs, rhs, used_exact = compare(*col)
+            coords = (block[r], *cols[c])
+            order, lhs, rhs, used_exact = compare(*coords)
             exact += fallback and used_exact
-            point = tuple(zip(prop.names, (row, *col)))
+            point = tuple(zip(prop.names, coords))
             for j in held:
                 if order not in passing[j]:
                     failed[j] += fallback
@@ -358,21 +356,15 @@ def sweep_report(function: str, label: str, params: dict, prop: Property,
     return _report(function, label, params, result, time.perf_counter() - t0)
 
 
-_POINT = ((),)  # the cols of a line's row: the row is the point
-
-
 def line(name: str, points: Sequence[int], compare: Compare, relation: str,
          decide: Callable[[vector.Arg], np.ndarray], limit: int = 0) -> Property:
     """A property with one coordinate: compare(x) at each point x.  Each
     point is a row with the one col (), so a block is a run of at most
     _CELLS consecutive points.  decide(x) decides such a run at once,
-    given as a vector.Arg: their orders, with vector.UNDECIDED at the
-    points it leaves to compare (see Property.vector)."""
-    def decide_rows(rows):
-        return decide(vector.Arg(np.asarray(rows, dtype=np.int64)))[:, None]
-
-    return Property((name,), points, lambda x: _POINT, lambda x: partial(compare, x),
-                    relation, limit, decide_rows)
+    given as one row, a vector.Arg, so that its Rows take one bound for
+    the run (see Property.vector)."""
+    return Property((name,), (points,), compare, relation, limit,
+                    lambda x: decide(vector.Arg(x.T)).T)
 
 
 def _grid(cfg: CheckConfig, compare: Compare, relation: str, limit: int,
@@ -380,25 +372,12 @@ def _grid(cfg: CheckConfig, compare: Compare, relation: str, limit: int,
     """compare(m, n) over the (m, n) grid of cfg, only at coprime pairs
     when coprime is set.  decide(m, n) decides a block of rows at every
     column at once, given the rows as a column m and the columns as a row
-    n (on a coprime grid, as a block with 1 in each left-out cell, which
-    becomes a GAP), both vector.Args: the orders at its cells (see
-    Property.vector)."""
-    ns = np.arange(1, cfg.max_n + 1)
-    every = [(n,) for n in range(1, cfg.max_n + 1)]
-
-    def cols(m):
-        return [(n,) for n in ns[np.gcd(ns, m) == 1].tolist()] if coprime else every
-
-    def decide_block(rows):
-        ms = np.asarray(rows, dtype=np.int64)[:, None]
-        keep = np.gcd(ms, ns) == 1 if coprime else None
-        cells = decide(vector.Arg(ms),
-                       vector.Arg(ns if keep is None else np.where(keep, ns, 1)))
-        return cells if keep is None else np.where(keep, cells, GAP)
-
-    return Property(("m", "n"), range(1, cfg.max_m + 1), cols,
-                    lambda m: partial(compare, m), relation, limit, decide_block,
-                    cfg.max_n)
+    n, both vector.Args (see Property.vector); the pairs a coprime grid
+    leaves out become GAP after it."""
+    return Property(("m", "n"), (range(1, cfg.max_m + 1), range(1, cfg.max_n + 1)),
+                    compare, relation, limit,
+                    lambda m, n: decide(vector.Arg(m), vector.Arg(n)),
+                    (lambda m, n: np.gcd(m, n) == 1) if coprime else None)
 
 
 # ---------------------------------------------------------------------------

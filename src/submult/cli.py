@@ -71,14 +71,9 @@ def _print_human(envelope: dict) -> None:
             for note in rep["notes"]:
                 print(f"  {note}")
             continue
-        if rep["kind"] == "local-criterion":
-            label = rep["criterion"] + (f"(k={rep['k']})" if rep["k"] else "")
-            label = f"{label}:{rep['direction']}"
-            count = f"{rep['triples_checked']} triples"
-        else:
-            label = rep["property"]
-            count = f"{rep['pairs_checked']} pairs"
-        print(f"{rep['function']}  {label}  {_colored(rep['verdict'])}  "
+        local = rep["kind"] == "local-criterion"
+        count = f"{rep['triples_checked']} triples" if local else f"{rep['pairs_checked']} pairs"
+        print(f"{rep['function']}  {rpt.label(rep)}  {_colored(rep['verdict'])}  "
               f"({count}, {rep['elapsed_seconds']:.3f}s)")
         for cex in rep["counterexamples"]:
             point = ", ".join(f"{k}={v}" for k, v in cex["point"].items())
@@ -183,6 +178,12 @@ def _cmd_classify(args) -> int:
     return 0  # classification is informative, not pass/fail
 
 
+# inequality id -> the flags it reads, which its envelope records as inputs
+_INEQUALITY_FLAGS = {"eq12": ("max_prime",), "eq13": ("max_n",), "eq16": ("max_prime", "max_exp"),
+                     "eq20": ("max_ab", "max_k"), "eq23": ("max_prime", "max_exp", "k"),
+                     "corollary1": ("max_prime", "max_n", "f", "g")}
+
+
 def _cmd_inequality(args) -> int:
     ineq = args.id
     if ineq == "eq12":
@@ -207,10 +208,7 @@ def _cmd_inequality(args) -> int:
         a, b = verify_corollary1(f, g, args.max_prime, args.max_n,
                                  registry=registry, table=table)
         reports = [a, b]
-    inputs = {"id": ineq}
-    for key in ("max_prime", "max_n", "max_exp", "max_ab", "max_k", "k", "f", "g"):
-        if hasattr(args, key):
-            inputs[key] = getattr(args, key)
+    inputs = {"id": ineq, **{key: getattr(args, key) for key in _INEQUALITY_FLAGS[ineq]}}
     _emit(args, "inequality", inputs, reports)
     return _exit_code(reports)
 

@@ -27,7 +27,10 @@ eq16, eq20 and eq23 are local criteria at prime powers, decided as
 submult.local decides them: in blocks, on Python ints, from one table of
 f(p^e) over the block's primes (vector.PowerValues); a block whose
 ints would exceed the memory budget goes whole to the scalar path, which
-evaluates its own values.
+evaluates its own values.  eq20's points (a, b, k) are the product of
+three axes, with k the last: one call of the formula shape decides a
+block of rows a at every (b, k), reading k as a row as it reads b, and
+its table holds the exponents local.exponents_read finds for every k.
 """
 
 from __future__ import annotations
@@ -64,7 +67,12 @@ from submult.core import (
 from submult.errors import UsageError
 from submult.functions import ArithFn, Evaluator, Registry, make_prime_power_fn
 from submult.inference import K_SUB_HOM, K_SUP_MULT, SUB_HOM, SUB_MULT, SUP_MULT
-from submult.local import prime_power_lookup, prime_power_property, prime_power_table
+from submult.local import (
+    exponents_read,
+    prime_power_lookup,
+    prime_power_property,
+    prime_power_table,
+)
 
 INEQUALITY_IDS = ("eq12", "eq13", "eq16", "eq20", "eq23", "corollary1")
 
@@ -148,24 +156,20 @@ def verify_eq20(max_ab: int, max_k: int) -> CheckReport:
     if max_ab < 0 or max_k < 2:
         raise UsageError("need max_ab >= 0 and max_k >= 2")
     d = make_prime_power_fn("d", d_rule)
-    ks, read = range(2, max_k + 1), range(max_k * max_ab + 1)
+    exps, ks = range(max_ab + 1), range(2, max_k + 1)
+    read = sorted(set().union(*(exponents_read(K_SUP_MULT, k, exps) for k in ks)))
     lookup = prime_power_lookup(2, prime_power_table(d, 2, read))
-    compares = {k: formula(K_SUP_MULT, k, lookup) for k in ks}
-    block_values = vector.PowerValues(d, [2], read)
-    decides = [vector_formula(K_SUP_MULT, k, block_values) for k in ks]
+    values = vector.PowerValues(d, [2], read)
     two = np.array(2, dtype=object)
-    bs = vector.PowerArg(np.arange(max_ab + 1)[None, :], two)
 
-    def decide(rows):
-        # one k at a time, at the block's cells (a, b), then in (b, k) order
-        a = vector.PowerArg(np.array(rows)[:, None], two)
-        orders = np.stack([decide_k(a, bs) for decide_k in decides], axis=-1)
-        return orders.reshape(len(rows), -1)
+    def decide(a, b, k):
+        # every k of the block at once: k is a row, as b is
+        return vector_formula(K_SUP_MULT, k, values)(vector.PowerArg(a, two),
+                                                     vector.PowerArg(b, two))
 
-    cols = [(b, k) for b in range(max_ab + 1) for k in ks]
-    prop = Property(("a", "b", "k"), range(max_ab + 1), lambda a: cols,
-                    lambda a: lambda b, k: compares[k](2**a, 2**b),
-                    FORMULAS[K_SUP_MULT][1], vector=decide, width=len(cols))
+    prop = Property(("a", "b", "k"), (exps, exps, ks),
+                    lambda a, b, k: formula(K_SUP_MULT, k, lookup)(2**a, 2**b),
+                    FORMULAS[K_SUP_MULT][1], vector=decide)
     return sweep_report("eq20", "(a+b+1)^k >= (ka+1)(kb+1)",
                         {"max_ab": max_ab, "max_k": max_k}, prop, CheckConfig())
 

@@ -15,18 +15,23 @@ eq14 the converse holds for every f (take m = p^a, n = p^b); for the
 others only the local-to-global direction is established, and the
 bridge checks only that direction.
 
-A sweep decides a block of primes at once by the formula shape on Python
-ints (vector.PowerArg), from one table of f(p^e) at the block's primes
-and the exponents e it reads, built from f's rules (vector.PowerValues):
-m n is a + b, f at m^k is entry k a, and an exponent not read raises.
-The scalar path evaluates each row it visits on its own, with Fractions,
-stays the oracle and recomputes the counterexamples' sides.  eq16, eq20
-and eq23 (submult.inequalities) are swept the same way.
+A criterion's points (p, a, b) are the product of three axes: the
+primes and the exponents twice.  A sweep decides a block of primes at
+once by the formula shape on Python ints (vector.PowerArg), from one
+table of f(p^e) at the block's primes and the exponents e it reads,
+built from f's rules (vector.PowerValues): m n is a + b, f at m^k is
+entry k a, and an exponent not read raises.  The scalar path evaluates
+f's values at a prime on its own, with Fractions, when it first compares
+a point of it, and keeps them for that prime's next points only, since
+points are visited in order; it stays the oracle and recomputes the
+counterexamples' sides.  eq16, eq20 and eq23 (submult.inequalities) are
+swept the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -158,25 +163,25 @@ def prime_power_property(f: ArithFn, family: str, k: int | None, primes,
     A block of primes is decided at once (Property.vector) by the formula
     shape on exact Python ints, from f's table at its primes and the
     exponents_read (vector.PowerValues); vector.Unproven, for the scalar
-    path, which evaluates each row it visits on its own, when that table
-    cannot be built (a rule raises or a divisor is zero, where the scalar
-    path raises) or the block's Python ints would exceed the memory budget."""
+    path, when that table cannot be built (a rule raises or a divisor is
+    zero, where the scalar path raises) or the block's Python ints would
+    exceed the memory budget.  The scalar path evaluates f's values at a
+    prime when it first compares a point of it, and keeps them for the
+    prime's next points only, since points are visited in order."""
     read = exponents_read(family, k, exps)
-    a = np.repeat(np.array(exps), len(exps))[None, :]
-    b = np.tile(np.array(exps), len(exps))[None, :]
-    cols = list(zip(a[0].tolist(), b[0].tolist()))
 
-    def at(p):
-        compare = formula(family, k, prime_power_lookup(p, prime_power_table(f, p, read)))
-        return lambda a, b: compare(p**a, p**b)
+    @lru_cache(maxsize=1)
+    def formula_at(p):
+        return formula(family, k, prime_power_lookup(p, prime_power_table(f, p, read)))
 
-    def decide(rows):
-        ps = np.array(rows, dtype=object)[:, None]
-        return vector_formula(family, k, vector.PowerValues(f, rows, read))(
+    def decide(ps, a, b):
+        ps = ps.astype(object)  # Python ints, so that p^e cannot wrap
+        return vector_formula(family, k, vector.PowerValues(f, ps[:, 0], read))(
             vector.PowerArg(a, ps), vector.PowerArg(b, ps))
 
-    return Property(("p", "a", "b"), primes, lambda p: cols, at,
-                    FORMULAS[family][1], vector=decide, width=len(cols))
+    return Property(("p", "a", "b"), (primes, exps, exps),
+                    lambda p, a, b: formula_at(p)(p**a, p**b), FORMULAS[family][1],
+                    vector=decide)
 
 
 def check_local(f: ArithFn, crit: LocalCriterion, max_prime: int,

@@ -17,7 +17,7 @@ from importlib import resources
 
 from submult.checks import CheckReport
 from submult.errors import ResourceError
-from submult.local import BridgeReport, LocalReport
+from submult.local import BridgeReport, LocalCriterion, LocalReport
 
 SCHEMA_VERSION = "1"
 
@@ -95,6 +95,14 @@ def report_to_json(r) -> dict:
     raise TypeError(f"not a report: {r!r}")
 
 
+def label(rep: dict) -> str:
+    """What a report dict checked: a check's property, or a local report's
+    criterion in full, as LocalCriterion.label() gives it."""
+    if rep["kind"] == "local-criterion":
+        return LocalCriterion(rep["criterion"], rep["direction"], rep["k"]).label()
+    return rep["property"]
+
+
 def make_envelope(command: str, inputs: dict, reports: list) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -126,11 +134,10 @@ def write_counterexample_csv(path: str, envelope: dict) -> None:
         for rep in envelope["reports"]:
             if "counterexamples" not in rep:
                 continue
-            label = rep.get("property") or rep.get("criterion", "")
             for cex in rep["counterexamples"]:
                 point = ";".join(f"{k}={v}" for k, v in cex["point"].items())
                 writer.writerow([
-                    rep["function"], label, point,
+                    rep["function"], label(rep), point,
                     _side_csv(cex["lhs"]), _side_csv(cex["rhs"]),
                 ])
 

@@ -96,7 +96,7 @@ class Unproven(Exception):
     any of it, as when a function has no int64 value table, its Python
     ints would exceed the memory budget or the scalar path raises at one of
     its cells.  Raised out of a Property.vector and caught by the sweep
-    (checks._blocks)."""
+    (checks._block)."""
 
 
 def _absmax(a) -> int:
@@ -411,10 +411,11 @@ def power_table(ev: Evaluator, k: int, count: int) -> Pair | None:
 class Row:
     """Exact rationals num / den, den > 0, at the cells of a block of
     rows: arrays that broadcast to the block, with |num| < 2**nbits and
-    den < 2**dbits in each row (nbits and dbits broadcast to a column of
-    the block's rows).  f's values take their bounds from the largest of
-    them in each row; products add them, and each is formed in int64 or
-    on Python ints as they decide (_exact)."""
+    den < 2**dbits (nbits and dbits broadcast to it: a column of the
+    block's rows, but for powers to an array of exponents).  f's values
+    take their bounds from the largest of them in each row; products add
+    them, and each is formed in int64 or on Python ints as they decide
+    (_exact)."""
 
     __slots__ = ("num", "den", "nbits", "dbits")
 
@@ -435,7 +436,9 @@ class Row:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> Row:
+    def __pow__(self, k) -> Row:
+        """self**k at each cell, for an int k >= 0 or int64 array of them
+        that broadcasts to the block, such as a k axis."""
         nbits, dbits = k * self.nbits, k * self.dbits
         (num,), (den,) = _exact(nbits, self.num), _exact(dbits, self.den)
         return Row(num**k, den**k, nbits, dbits)
@@ -468,10 +471,10 @@ def orders(lhs: Row, rhs: Row) -> np.ndarray:
 class Arg:
     """An argument of f at the cells of a block of rows: an int64 array x
     of values >= 0 that broadcasts to the block (the rows' m as a column,
-    the columns' n as a row or, on a coprime grid, a block, or their
-    products m n).  The formula shapes multiply Args, take f at them, f(x)
-    or f(x, k) for f at x^k, and multiply Rows by them; the power shapes
-    also take an Arg as a base or an exponent (row()).  x**power is only
+    the columns' n as a row, or their products m n).  The formula shapes
+    multiply Args, take f at them, f(x) or f(x, k) for f at x^k, and
+    multiply Rows by them; the power shapes also take an Arg as a base or
+    an exponent (row()).  x**power is only
     the factor m^k of the k-hom shape; f is never taken at it."""
 
     __slots__ = ("x", "power")

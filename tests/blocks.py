@@ -1,7 +1,7 @@
-"""Reading a block that Property.vector decides back row by row, for the
-tests that inspect what the vector path leaves to the scalar path; the
-memory a block's Python ints are sized at; and running every sweep on the
-scalar path, the oracle."""
+"""Deciding a block of a Property as its sweep does and reading it back
+row by row, for the tests that inspect what the vector path leaves to the
+scalar path; the memory a block's Python ints are sized at; and running
+every sweep on the scalar path, the oracle."""
 
 import dataclasses
 from contextlib import contextmanager
@@ -10,6 +10,12 @@ from functools import partial
 import pytest
 
 from submult import checks, core, inequalities, vector
+
+
+def block(prop, rows):
+    """The orders the sweep's block function gives the rows of prop (a run
+    of its first axis) at every col."""
+    return checks._block(prop, rows, checks._cols(prop))
 
 
 def row_orders(cells):

@@ -112,10 +112,14 @@ MUTANTS = [
     # the sweep's blocks and the cells it visits
     ("sweep-cap-room-strict", K,
      "(np.cumsum(failing) <= room)", "(np.cumsum(failing) < room)"),
-    ("sweep-cols-by-raw-column", K,
-     "            cs = (np.cumsum(cells != GAP, axis=1) - 1)[rs, cs]", "            pass"),
-    ("declined-block-padded-undecided", K,
-     "vector.UNDECIDED,\n                    GAP)", "vector.UNDECIDED,\n                    vector.UNDECIDED)"),
+    ("declined-block-skips-keep", K,
+     "        cells = np.full((len(rows), len(cols)), vector.UNDECIDED",
+     "        return np.full((len(rows), len(cols)), vector.UNDECIDED"),
+    ("decided-block-skips-keep", K,
+     "        cells = prop.vector(*coords)", "        return prop.vector(*coords)"),
+    ("cols-in-fortran-order", K,
+     "    return list(product(*prop.axes[1:]))",
+     "    return [col[::-1] for col in product(*prop.axes[:0:-1])]"),
     # one pass tallied for several relations (classify's sub/sup pairs)
     ("shared-pass-recomputes-by-the-first-relations-mask", K,
      "if fail_at[j][decided + 1] and len(cexs[j]) < cap]",

@@ -225,6 +225,24 @@ def test_inequality_inputs_are_refused_before_the_sieve(capsys, monkeypatch, arg
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+# each id with its own flags, and a flag of another id that it does not read
+@pytest.mark.parametrize("argv, inputs", [
+    (("eq12", "--max-prime", "30", "--max-n", "9"), {"max_prime": 30}),
+    (("eq13", "--max-n", "30", "--k", "5"), {"max_n": 30}),
+    (("eq16", "--max-prime", "7", "--max-exp", "3", "--max-ab", "4"),
+     {"max_prime": 7, "max_exp": 3}),
+    (("eq20", "--max-ab", "4", "--max-k", "3", "--max-prime", "7"),
+     {"max_ab": 4, "max_k": 3}),
+    (("eq23", "--max-prime", "7", "--max-exp", "3", "--k", "3", "--max-n", "9"),
+     {"max_prime": 7, "max_exp": 3, "k": 3}),
+    (("corollary1", "--max-prime", "20", "--max-n", "30", "--max-exp", "3"),
+     {"max_prime": 20, "max_n": 30, "f": "sigma", "g": "phi"}),
+], ids=["eq12", "eq13", "eq16", "eq20", "eq23", "corollary1"])
+def test_inequality_records_only_the_inputs_it_reads(capsys, argv, inputs):
+    _, env = run_json(capsys, "inequality", *argv, "--json")
+    assert env["inputs"] == {"id": argv[0], **inputs, "threads": 1}
+
+
 def test_inequality_bad_id_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["inequality", "eq99"])
@@ -254,6 +272,27 @@ def test_csv_export(capsys, tmp_path):
     rows = list(csv.reader(path.open()))
     assert rows[0] == ["function", "property", "point", "lhs", "rhs"]
     assert rows[1] == ["d", "sup-mult", "m=2;n=2", "3", "4"]
+
+
+def test_local_reports_name_their_criterion_in_full(capsys, tmp_path):
+    """The human line and the CSV rows of a local report name the criterion
+    as LocalCriterion.label() does, and so as the bridge line does: sub and
+    sup, or two values of k, stay apart."""
+    path = tmp_path / "cex.csv"
+    code, out, _ = run_cli(capsys, "local", "d", "eq18", "sub", "--k", "3",
+                           "--max-prime", "5", "--max-exp", "2", "--csv", str(path))
+    assert code == 1
+    assert out.startswith("d  eq18:sub(k=3)  refuted  (27 triples, ")
+    rows = list(csv.reader(path.open()))
+    assert rows[1] == ["d", "eq18:sub(k=3)", "p=2;a=0;b=1", "8", "4"]
+    code, out, _ = run_cli(capsys, "local", "d", "eq14", "sup", "--bridge",
+                           "--max-prime", "5", "--max-exp", "2", "--max-m", "6",
+                           "--max-n", "6", "--csv", str(path))
+    assert code == 1
+    assert out.startswith("d  eq14:sup  refuted  (27 triples, ")
+    assert "\nbridge eq14:sup vs sup-mult: consistent\n" in out
+    assert {tuple(row[:2]) for row in csv.reader(path.open())} == {
+        ("function", "property"), ("d", "eq14:sup"), ("d", "sup-mult")}
 
 
 def test_unwritable_csv_path_exits_2(capsys, tmp_path):

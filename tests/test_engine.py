@@ -5,7 +5,9 @@ and named inequalities."""
 import dataclasses
 import importlib
 import importlib.util
+import itertools
 import json
+import math
 import re
 import sys
 from functools import cache
@@ -327,48 +329,82 @@ VECTOR_BUILDERS = {
 ORDERS = {LESS, EQUAL, GREATER, vector.UNDECIDED, vector.TIE, checks.GAP}
 
 
+def _is_point(builder):
+    """Whether a tuple of the axes of the builder's Property is one of its
+    points: the coprime pairs on the coprime grid, every tuple elsewhere."""
+    if builder == "coprime-grid":
+        return lambda point: math.gcd(*point) == 1
+    return lambda point: True
+
+
 @pytest.mark.parametrize("builder", VECTOR_BUILDERS)
-def test_vector_returns_one_int8_row_per_row_over_its_cols(monkeypatch, table_10k,
-                                                           builder):
+def test_vector_returns_one_int8_row_per_row_over_its_cols(monkeypatch, table_10k, builder):
     prop = VECTOR_BUILDERS[builder](monkeypatch, table_10k)
-    rows = list(prop.rows)
-    per = max(1, checks._CELLS // prop.width)
+    rows, cols = list(prop.axes[0]), checks._cols(prop)
+    per = max(1, checks._CELLS // len(cols))
     seen = set()
     for block in (rows[:per], rows[-1:], rows[len(rows) // 2:][:3]):
-        cells = prop.vector(block)
+        cells = checks._block(prop, block, cols)
         assert isinstance(cells, np.ndarray) and cells.dtype == np.int8
-        assert cells.ndim == 2 and len(cells) == len(block)
-        for row, orders in zip(block, cells):
-            assert np.count_nonzero(orders != checks.GAP) == len(prop.cols(row))
+        assert cells.shape == (len(block), len(cols))
+        # GAP exactly at the tuples of the axes that are no point
+        assert (cells != checks.GAP).tolist() == [
+            [_is_point(builder)((row, *col)) for col in cols] for row in block]
         seen |= set(np.unique(cells).tolist())
     assert seen <= ORDERS
     if builder == "coprime-grid":
         assert checks.GAP in seen
     # only the power filters leave cells to compare: every other block is
-    # decided whole or raises vector.Unproven
+    # decided whole, not declined
     if builder not in ("eq13", "cross-power"):
         assert vector.UNDECIDED not in seen
 
 
 @pytest.mark.parametrize("builder", VECTOR_BUILDERS)
 def test_each_vector_call_decides_at_most_a_block(monkeypatch, table_10k, builder):
-    """The sweep hands Property.vector at most max(1, _CELLS // width)
-    rows at a time, and gets back at most _CELLS cells or one row: a line
-    longer than _CELLS points is decided a run of points at a time."""
+    """The sweep hands Property.vector the coordinates of a run of at most
+    max(1, _CELLS // cols) rows, as int64 arrays, the rows a column and
+    each other axis a row over the cols, and gets back the block's cells:
+    at most _CELLS of them or one row, so that a line longer than _CELLS
+    points is decided a run of points at a time."""
     prop = VECTOR_BUILDERS[builder](monkeypatch, table_10k)
+    cols = checks._cols(prop)
     shapes = []
 
-    def spy(rows):
-        cells = prop.vector(rows)
+    def spy(rows, *others):
+        assert rows.dtype == np.int64 and rows.shape[1:] == (1,)
+        assert [axis.ravel().tolist() for axis in others] == [list(axis) for axis in zip(*cols)]
+        assert all(axis.dtype == np.int64 and axis.shape[0] == 1 for axis in others)
+        cells = prop.vector(rows, *others)
         shapes.append((len(rows), cells.shape))
         return cells
 
     checks._sweep(dataclasses.replace(prop, vector=spy), CheckConfig(), 1)
-    assert shapes
-    per = max(1, checks._CELLS // prop.width)
+    per = max(1, checks._CELLS // len(cols))
+    assert sum(rows for rows, _ in shapes) == len(prop.axes[0])
     for rows, (height, width) in shapes:
-        assert rows == height <= per and width <= prop.width
+        assert rows == height <= per and width == len(cols)
         assert height * width <= checks._CELLS or height == 1
+
+
+@pytest.mark.parametrize("builder", VECTOR_BUILDERS)
+def test_the_scalar_path_compares_the_product_of_the_axes_in_order(monkeypatch, table_10k,
+                                                                   builder):
+    """Without a vector path the sweep compares each point once, in
+    lexicographic order: every tuple of the product of the axes that keep
+    leaves a point, and it counts as many."""
+    prop = VECTOR_BUILDERS[builder](monkeypatch, table_10k)
+    assert (prop.keep is None) == (builder != "coprime-grid")
+    seen = []
+
+    def spy(*point):
+        seen.append(point)
+        return prop.compare(*point)
+
+    _, _, checked, _ = checks._sweep(dataclasses.replace(prop, vector=None, compare=spy),
+                                     CheckConfig(), 1)
+    points = list(filter(_is_point(builder), itertools.product(*prop.axes)))
+    assert seen == points and checked == len(points)
 
 
 @pytest.mark.parametrize("path", ["vector", "scalar"])

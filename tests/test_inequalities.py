@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from submult import core, functions, inequalities, vector
+from submult import core, functions, inequalities
 from submult.core import (
     LESS,
     build_spf_table,
@@ -19,7 +19,7 @@ from submult.inequalities import (
     verify_eq23,
 )
 
-from blocks import block_need, row_orders, scalar_oracle
+from blocks import block, block_need, row_orders, scalar_oracle
 from oracles import phi_oracle, sigma_oracle
 
 
@@ -138,13 +138,13 @@ def _eq20_property(monkeypatch, max_ab, max_k):
 
 @pytest.mark.parametrize("rows", [[0], [0, 1, 2], list(range(13))])
 def test_eq20_block_orders_are_the_scalar_orders(monkeypatch, rows):
-    # every k of a block, back in (b, k) column order
+    # every k of a block, in (b, k) column order
     prop = _eq20_property(monkeypatch, 12, 5)
-    decided = list(row_orders(prop.vector(rows)))
+    decided = list(row_orders(block(prop, rows)))
     assert len(decided) == len(rows)
     for row, orders in zip(rows, decided):
-        compare = prop.at(row)
-        assert orders.tolist() == [compare(*col)[0] for col in prop.cols(row)]
+        assert orders.tolist() == [prop.compare(row, b, k)[0]
+                                   for b in range(13) for k in range(2, 6)]
 
 
 def _outcome(r):
@@ -155,14 +155,13 @@ def test_eq20_blocks_beyond_the_memory_budget_go_to_the_scalar_path(monkeypatch)
     fast = verify_eq20(12, 5)
     prop = _eq20_property(monkeypatch, 12, 5)
     monkeypatch.undo()
-    need = block_need(prop.vector, [0, 1])
+    need = block_need(block, prop, [0, 1])
     assert need > 0
     monkeypatch.setattr(core, "memory_budget", lambda: need)
-    assert all(orders is not None for orders in row_orders(prop.vector([0, 1])))
+    assert all(orders is not None for orders in row_orders(block(prop, [0, 1])))
     # below the need of its Python ints a block goes whole to the scalar path
     monkeypatch.setattr(core, "memory_budget", lambda: need - 1)
-    with pytest.raises(vector.Unproven):
-        prop.vector([0, 1])
+    assert all(orders is None for orders in row_orders(block(prop, [0, 1])))
     assert _outcome(verify_eq20(12, 5)) == _outcome(fast)
     with scalar_oracle():
         assert _outcome(verify_eq20(12, 5)) == _outcome(fast)

@@ -43,7 +43,7 @@ from submult.local import (
     prime_power_table,
 )
 
-from blocks import block_need, row_orders
+from blocks import block, block_need, row_orders
 from oracles import d_oracle, phi_oracle, sigma_oracle
 
 
@@ -367,22 +367,23 @@ def _property(fn, criterion, direction, k, max_prime, max_exp):
 
 
 def _decided(prop, rows):
-    return [orders is not None for orders in row_orders(prop.vector(rows))]
+    return [orders is not None for orders in row_orders(block(prop, rows))]
 
 
 def _outcome_or_error(prop, cfg):
     """The sweep's outcome, or the type and message of its error and the
-    last row whose compare closure it asked for."""
-    rows = []
+    point it was comparing."""
+    points = []
 
-    def at(row):
-        rows.append(row)
-        return prop.at(row)
+    def compare(*point):
+        points.append(point)
+        return prop.compare(*point)
 
     try:
-        verdict, cex, checked, stats = checks._sweep(dataclasses.replace(prop, at=at), cfg, 1)
+        verdict, cex, checked, stats = checks._sweep(
+            dataclasses.replace(prop, compare=compare), cfg, 1)
     except Exception as err:
-        return type(err), str(err), rows[-1]
+        return type(err), str(err), points[-1]
     return verdict, [(c.point, c.lhs, c.rhs) for c in cex], checked, stats
 
 
@@ -413,8 +414,7 @@ def test_block_path_matches_the_scalar_path(fn, criterion, direction, k, max_pri
 def test_a_table_that_cannot_be_built_raises_where_the_scalar_path_does(fn):
     prop = _property(fn, "eq14", "sub", None, 11, 2)
     # a block that holds 5 goes whole to the scalar path; one without is decided
-    with pytest.raises(vector.Unproven):
-        prop.vector([2, 3, 5, 7, 11])
+    assert _decided(prop, [2, 3, 5, 7, 11]) == [False] * 5
     assert _decided(prop, [2, 3]) == [True, True]
     fast = _outcome_or_error(prop, CheckConfig())
     assert fast[:2] == (DomainError, str(pytest.raises(DomainError, evaluate_fact, fn,
@@ -426,14 +426,13 @@ def test_rows_beyond_the_memory_budget_go_to_the_scalar_path(registry, monkeypat
     sigma = registry.get("sigma")
     prop = _property(sigma, "eq22", "sup", 3, 7, 4)
     scalar = _outcome_or_error(dataclasses.replace(prop, vector=None), CheckConfig())
-    need = block_need(prop.vector, [2, 3, 5, 7])
+    need = block_need(block, prop, [2, 3, 5, 7])
     assert need > 0
     monkeypatch.setattr(core, "memory_budget", lambda: need)
     assert _decided(prop, [2, 3, 5, 7]) == [True] * 4
     # below the need of its Python ints the block goes whole to the scalar path
     monkeypatch.setattr(core, "memory_budget", lambda: need - 1)
-    with pytest.raises(vector.Unproven):
-        prop.vector([2, 3, 5, 7])
+    assert _decided(prop, [2, 3, 5, 7]) == [False] * 4
     assert _outcome_or_error(prop, CheckConfig()) == scalar
     monkeypatch.setattr(core, "memory_budget", lambda: 0)
     assert _outcome_or_error(prop, CheckConfig()) == scalar
@@ -445,10 +444,11 @@ def test_rows_beyond_the_memory_budget_go_to_the_scalar_path(registry, monkeypat
 def test_the_memory_estimate_bounds_the_block(registry, name, criterion, k, max_exp):
     fn, primes = registry.get(name), primes_upto(50)
     prop = _property(fn, criterion, "sup", k, 50, max_exp)
-    need = block_need(prop.vector, primes)
+    cols = checks._cols(prop)
+    need = block_need(checks._block, prop, primes, cols)
     tracemalloc.start()
     try:
-        decided = prop.vector(primes)
+        decided = checks._block(prop, primes, cols)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -513,14 +513,14 @@ def test_an_unread_exponent_fails_loudly(registry):
     values = prime_power_table(sigma, 2, read)
     assert sorted(values) == read
     compare = checks.formula(K_SUB_MULT, 3, prime_power_lookup(2, values))
-    block = checks.vector_formula(K_SUB_MULT, 3, vector.PowerValues(sigma, [2], read))
+    decide = checks.vector_formula(K_SUB_MULT, 3, vector.PowerValues(sigma, [2], read))
     two = np.array(2, dtype=object)
     for a in (1, 2):  # f(p^(3 a)): 3 is below the largest exponent read, 6 above it
         with pytest.raises(KeyError):
             compare(2**a, 2**a)
         x = vector.PowerArg(np.full((1, 1), a), two)
         with pytest.raises(IndexError):
-            block(x, x)
+            decide(x, x)
 
 
 @pytest.mark.parametrize("name", ["d", "phi", "sigma"])

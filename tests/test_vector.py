@@ -49,7 +49,7 @@ from submult.inference import (
     PropertyTag,
 )
 
-from blocks import row_orders, scalar_oracle
+from blocks import block, row_orders, scalar_oracle
 from oracles import d_oracle, phi_oracle, sigma_oracle
 
 # Every registry function, plus prime-power rules with Fraction values and
@@ -123,15 +123,11 @@ def _undefined_at(p0, a0):
 
 def _spied(prop, where):
     """prop, appending to where each point it compares."""
-    def at(row):
-        compare = prop.at(row)
+    def compare(*point):
+        where.append(point)
+        return prop.compare(*point)
 
-        def spy(*col):
-            where.append((row, *col))
-            return compare(*col)
-        return spy
-
-    return dataclasses.replace(prop, at=at)
+    return dataclasses.replace(prop, compare=compare)
 
 
 def _outcome_or_error(prop, cfg):
@@ -231,11 +227,11 @@ def test_rows_past_the_bound_are_decided_on_python_ints(table_1m, monkeypatch):
     spec = PropertySpec(K_SUB_MULT, 2)
     cfg = CheckConfig(max_m=40, max_n=40)
     prop = grid_property(Evaluator(fn, table_1m), spec, cfg)
-    rows = list(prop.rows)
+    rows = list(prop.axes[0])
     # one block of rows, every one decided in it as the scalar path orders it
-    cells = prop.vector(rows)
+    cells = block(prop, rows)
     assert [orders.tolist() for orders in row_orders(cells)] == [
-        [prop.at(m)(*col)[0] for col in prop.cols(m)] for m in rows]
+        [prop.compare(m, n)[0] for n in range(1, 41)] for m in rows]
     compared = []
     monkeypatch.setattr(checks, "cmp_values",
                         lambda x, y, cmp=checks.cmp_values: compared.append(1) or cmp(x, y))
@@ -869,9 +865,9 @@ def test_a_cross_power_block_with_a_bad_row_goes_to_the_scalar_path(table_10k, b
         m.setattr(checks, "sweep_report", lambda *args: props.append(args[3]))
         checks.check_power_submult(base, expo, SUB, cfg, table_10k)
     [prop] = props
-    with pytest.raises(vector.Unproven):
-        prop.vector(prop.rows[9:])
-    assert vector.UNDECIDED not in prop.vector(prop.rows[:12])
+    rows = prop.axes[0]
+    assert all(orders is None for orders in row_orders(block(prop, rows[9:])))
+    assert vector.UNDECIDED not in block(prop, rows[:12])
     fast, scalar = _vector_and_scalar(
         lambda: checks.check_power_submult(base, expo, SUB, cfg, table_10k),
         _BLOCKS["three rows"](cfg))
