@@ -23,14 +23,16 @@ counterexample_cap of them.
 
 A sweep runs a block at a time (_block): a run of rows, values of the
 first axis, with every tuple of the other axes, its cols, at most _CELLS
-cells or one row.  A vector path (Property.vector, built on
-submult.vector) decides a block at once from its coordinates, the rows
-as a column and each other axis as a row, and returns one int8 array of
-orders over it.  The global families (check, classify, the global half
-of local --bridge, reports_for_tag) run the same formula shape once per
-block on the numerators and denominators of all its cells, in int64
-where bit-length bounds prove every product below 2**62 and on Python
-ints elsewhere, and decide every cell.  A property of one coordinate is
+cells or one row.  It makes each axis an int64 array once and slices
+each block's rows from it; compare still gets Python ints.  A vector
+path (Property.vector, built on submult.vector) decides a block at once
+from its coordinates, the rows as a column and each other axis as a
+row, and returns one int8 array of orders over it.  The global families
+(check, classify, the global half of local --bridge, reports_for_tag)
+run the same formula shape once per block on the numerators and
+denominators of all its cells, in int64 where bit-length bounds prove
+every product below 2**62 and on Python ints elsewhere, and decide
+every cell.  A property of one coordinate is
 a line (line), whose blocks are runs of at most _CELLS points, which its
 formula sees as one row; the identity bounds decide f(n) against n on
 one.  The power shapes (lines
@@ -221,26 +223,38 @@ class Property:
     keep: Callable[..., np.ndarray] | None = None
 
 
+def _axis(axis: Sequence[int]) -> np.ndarray:
+    """axis as an int64 array, a range without a Python int per point."""
+    if isinstance(axis, range):
+        return np.arange(axis.start, axis.stop, axis.step, dtype=np.int64)
+    return np.asarray(axis, dtype=np.int64)
+
+
 def _cols(prop: Property) -> list[tuple]:
-    """Every tuple of prop's axes after the first, in lexicographic order:
-    the cols of each row (a line's one col is ())."""
-    return list(product(*prop.axes[1:]))
+    """Every tuple of prop's axes after the first, in lexicographic order,
+    of Python ints: the cols of each row (a line's one col is ())."""
+    return list(product(*(_axis(axis).tolist() for axis in prop.axes[1:])))
 
 
-def _block(prop: Property, rows: Sequence[int], cols: Sequence[tuple]) -> np.ndarray:
+def _col_coords(cols: Sequence[tuple]) -> list[np.ndarray]:
+    """Each axis after the first over cols, as an int64 row."""
+    return [np.array(axis, dtype=np.int64)[None, :] for axis in zip(*cols)]
+
+
+def _block(prop: Property, rows, others: Sequence[np.ndarray]) -> np.ndarray:
     """The orders at the block of rows, a run of prop's first axis, each
-    with every col of cols (_cols(prop)), as one int8 array, a row per row:
-    what prop.vector decides or, without it or where it raises
-    vector.Unproven, UNDECIDED at every cell, left wholly to compare; and
-    GAP wherever prop.keep is False."""
-    coords = [np.asarray(rows, dtype=np.int64)[:, None],
-              *(np.array(axis, dtype=np.int64)[None, :] for axis in zip(*cols))]
+    with every col of prop, whose coordinates others holds (_col_coords),
+    as one int8 array, a row per row: what prop.vector decides or, without
+    it or where it raises vector.Unproven, UNDECIDED at every cell, left
+    wholly to compare; and GAP wherever prop.keep is False."""
+    coords = [np.asarray(rows, dtype=np.int64)[:, None], *others]
     try:
         if prop.vector is None:
             raise vector.Unproven
         cells = prop.vector(*coords)
     except vector.Unproven:
-        cells = np.full((len(rows), len(cols)), vector.UNDECIDED, dtype=np.int8)
+        cells = np.full(np.broadcast_shapes(*(c.shape for c in coords)), vector.UNDECIDED,
+                        dtype=np.int8)
     if prop.keep is None:
         return cells
     return np.where(prop.keep(*coords), cells, GAP)
@@ -282,7 +296,10 @@ def _sweep_many(prop: Property, cfg: CheckConfig,
     fails = np.array([_FAILS[rel] for rel in relations])
     fail_at = fails.tolist()
     tally = np.vstack([_COUNTS, fails]).astype(np.int64)
-    rows, cols, compare = prop.axes[0], _cols(prop), prop.compare
+    # the axes as int64 arrays once, and compare's coordinates as Python
+    # ints from them, so that no p**a or m*n on the scalar path can wrap
+    rows, cols, compare = _axis(prop.axes[0]), _cols(prop), prop.compare
+    others = _col_coords(cols)
     per = max(1, _CELLS // len(cols))
     cexs: list[list[Counterexample]] = [[] for _ in every]
     failed = [0 for _ in every]  # at UNDECIDED cells, per relation
@@ -291,7 +308,7 @@ def _sweep_many(prop: Property, cfg: CheckConfig,
 
     for lo in range(0, len(rows), per):
         block = rows[lo:lo + per]
-        cells = _block(prop, block, cols)
+        cells = _block(prop, block, others)
         flat = cells.ravel()
         at = np.bincount(flat + 1, minlength=_ORDERS)
         bulk += tally @ at
@@ -305,7 +322,7 @@ def _sweep_many(prop: Property, cfg: CheckConfig,
                 visit |= failing & (np.cumsum(failing) <= room)
         todo = np.flatnonzero(visit)
         rs, cs = np.divmod(todo, len(cols))
-        for r, c, decided in zip(rs.tolist(), cs.tolist(), flat[todo].tolist()):
+        for row, c, decided in zip(block[rs].tolist(), cs.tolist(), flat[todo].tolist()):
             fallback = decided == undecided
             # the relations the cell is compared for: every one at an
             # UNDECIDED cell, else each it fails that holds fewer than the cap
@@ -313,7 +330,7 @@ def _sweep_many(prop: Property, cfg: CheckConfig,
                 j for j in every if fail_at[j][decided + 1] and len(cexs[j]) < cap]
             if not held:
                 continue
-            coords = (block[r], *cols[c])
+            coords = (row, *cols[c])
             order, lhs, rhs, used_exact = compare(*coords)
             exact += fallback and used_exact
             point = tuple(zip(prop.names, coords))

@@ -159,6 +159,8 @@ def _cmd_local(args) -> int:
               "direction": args.direction, "k": k,
               "max_prime": args.max_prime, "max_exp": args.max_exp,
               "bridge": args.bridge}
+    if args.bridge:  # the grid of its global sweep
+        inputs.update(max_m=args.max_m, max_n=args.max_n)
     _emit(args, "local", inputs, reports)
     return _exit_code(reports)
 

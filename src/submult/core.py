@@ -223,9 +223,14 @@ def primes_upto(limit: int) -> list[int]:
     if limit < 2:
         return []
     require_memory(_sieve.sieve_bytes(limit), f"a sieve up to {limit}")
-    spf = _sieve.spf_sieve(limit)
-    return (np.flatnonzero(spf[2:] == np.arange(2, limit + 1, dtype=spf.dtype))
-            + 2).tolist()
+    return sieve_primes(_sieve.spf_sieve(limit), limit)
+
+
+def sieve_primes(spf: np.ndarray, limit: int) -> list[int]:
+    """The primes <= limit that the spf array (SpfTable.spf) reaches,
+    ascending: the n >= 2 that are their own smallest prime factor."""
+    head = spf[2:limit + 1]
+    return (np.flatnonzero(head == np.arange(2, len(head) + 2, dtype=spf.dtype)) + 2).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable
 
 from submult.core import (
@@ -201,8 +202,8 @@ def _builtin(name: str, rule: PrimePowerRule) -> ArithFn:
 class Registry:
     """Named functions plus their recorded property tags.
 
-    Built once, then treated as read-only; the tag closure is computed
-    lazily and cached.
+    The tag closure is computed lazily and cached until the next
+    register().
     """
 
     def __init__(self):
@@ -217,6 +218,15 @@ class Registry:
         self._asserted.extend(tags)
         self._closure = None
         return fn
+
+    def copy(self) -> Registry:
+        """A registry with the same functions, tags and closure, whose
+        register() changes it alone (ArithFn and PropertyTag are frozen,
+        so the two share them)."""
+        out = Registry()
+        out._fns, out._asserted = dict(self._fns), list(self._asserted)
+        out._closure = None if self._closure is None else dict(self._closure)
+        return out
 
     def get(self, name: str) -> ArithFn:
         try:
@@ -264,7 +274,15 @@ def _tags(name: str, provenance: str, *specs) -> list[PropertyTag]:
 
 
 def builtin_registry() -> Registry:
-    """Fresh registry with the stock functions and their recorded tags.
+    """Fresh registry with the stock functions, their recorded tags and
+    its tag closure: a copy of one built once per process (_builtins)."""
+    return _builtins().copy()
+
+
+@cache
+def _builtins() -> Registry:
+    """The stock functions and their recorded tags, with the tag closure
+    computed, on first use; builtin_registry hands out copies.
 
     Note on the divisor functions: d and sigma are sub-multiplicative but
     k-SUPER-multiplicative for every k >= 2 (the k-th power of d(mn)
@@ -330,4 +348,5 @@ def builtin_registry() -> Registry:
         combine(QUOTIENT, (ident, phi), name="n_over_phi"),
         _tags("n_over_phi", "n over totient", SUB_MULT, SUB_HOM, LE_IDENTITY),
     )
+    reg.closed_tags()
     return reg

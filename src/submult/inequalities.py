@@ -62,6 +62,7 @@ from submult.core import (
     factorize,  # noqa: F401 -- perfbench/tracer.py traces factorization here
     phi_rule,
     primes_upto,
+    sieve_primes,
     sigma_rule,
 )
 from submult.errors import UsageError
@@ -219,7 +220,7 @@ def verify_corollary1(f: ArithFn, g: ArithFn, max_prime: int, max_n: int, *,
     report_a = sweep_report(
         "corollary1", f"{pair}: f(p)^g(p) < p^p on primes",
         {"max_prime": max_prime, "f": f.name, "g": g.name},
-        _below_self("p", primes_upto(max_prime), fe, ge, limit),
+        _below_self("p", sieve_primes(table.spf, max_prime), fe, ge, limit),
         CheckConfig(), table)
     report_b = sweep_report(
         "corollary1", f"{pair}: f(n)^g(n) < n^n",

@@ -114,7 +114,8 @@ def make_envelope(command: str, inputs: dict, reports: list) -> dict:
 
 
 def envelope_to_json(envelope: dict) -> str:
-    return json.dumps(envelope, indent=2, sort_keys=True)
+    """The envelope on one line; without indent, json uses its C encoder."""
+    return json.dumps(envelope, sort_keys=True)
 
 
 def schema_path():

@@ -230,7 +230,9 @@ def _prime_powers(spf: np.ndarray, limit: int, bound: int):
 def _rule_values(rule, ps: np.ndarray, exps: np.ndarray, k: int, dtype=np.int64) -> list:
     """rule(p, k a) at each p, a of ps, exps, called once each, _CHUNK at a
     time, and 1 at a = 0 with no call (make_prime_power_fn): [numerators,
-    denominators or None when every one is 1], as int64 (_prove) or dtype."""
+    denominators or None when every one is 1], as int64 (_prove) or dtype.
+    A chunk of exact ints, as every builtin rule gives, is converted at
+    once; any other chunk value by value."""
     num = np.empty(len(ps), dtype=dtype)
     den = np.empty(len(ps), dtype=dtype)
     for lo, hi in _chunks(0, len(ps)):
@@ -239,11 +241,15 @@ def _rule_values(rule, ps: np.ndarray, exps: np.ndarray, k: int, dtype=np.int64)
                     for p, a in zip(ps[lo:hi].tolist(), exps[lo:hi].tolist())]
         except Exception:  # a rule's own failure is the scalar path's to raise,
             raise Unproven from None  # at the point that needs the value
-        if not all(isinstance(v, (int, Fraction)) for v in vals):
+        ints = set(map(type, vals)) == {int}
+        if not ints and not all(isinstance(v, (int, Fraction)) for v in vals):
             raise Unproven
         try:
-            num[lo:hi] = [v.numerator for v in vals]
-            den[lo:hi] = [v.denominator for v in vals]
+            if ints:
+                num[lo:hi], den[lo:hi] = np.array(vals, dtype), 1
+            else:
+                num[lo:hi] = [v.numerator for v in vals]
+                den[lo:hi] = [v.denominator for v in vals]
         except OverflowError:
             raise Unproven from None
     if dtype != object:

@@ -15,7 +15,7 @@ from submult import checks, core, inequalities, vector
 def block(prop, rows):
     """The orders the sweep's block function gives the rows of prop (a run
     of its first axis) at every col."""
-    return checks._block(prop, rows, checks._cols(prop))
+    return checks._block(prop, rows, checks._col_coords(checks._cols(prop)))
 
 
 def row_orders(cells):

@@ -52,6 +52,11 @@ MUTANTS = [
      "    if False and (max(_absmax(a), _absmax(b)).bit_length() + 1 > BITS"),
     ("rule-values-unproven", V,
      "    _prove(_absmax(num).bit_length(), _absmax(den).bit_length())", "    pass"),
+    ("rule-values-bulk-takes-any-type", V,
+     "ints = set(map(type, vals)) == {int}", "ints = True"),
+    ("rule-values-bulk-overflow-escapes", V,
+     "        try:\n            if ints:\n",
+     "        if ints:\n            np.array(vals, dtype)\n        try:\n            if ints:\n"),
     ("rule-values-call-the-rule-at-exponent-0", V,
      "rule(p, k * a) if a else 1", "rule(p, k * a) if a or True else 1"),
     ("rule-values-2-at-exponent-0", V, "rule(p, k * a) if a else 1", "rule(p, k * a) if a else 2"),
@@ -113,13 +118,20 @@ MUTANTS = [
     ("sweep-cap-room-strict", K,
      "(np.cumsum(failing) <= room)", "(np.cumsum(failing) < room)"),
     ("declined-block-skips-keep", K,
-     "        cells = np.full((len(rows), len(cols)), vector.UNDECIDED",
-     "        return np.full((len(rows), len(cols)), vector.UNDECIDED"),
+     "        cells = np.full(np.broadcast_shapes(",
+     "        return np.full(np.broadcast_shapes("),
     ("decided-block-skips-keep", K,
      "        cells = prop.vector(*coords)", "        return prop.vector(*coords)"),
     ("cols-in-fortran-order", K,
-     "    return list(product(*prop.axes[1:]))",
-     "    return [col[::-1] for col in product(*prop.axes[:0:-1])]"),
+     "    return list(product(*(_axis(axis).tolist() for axis in prop.axes[1:])))",
+     "    return [col[::-1] for col in product(*(_axis(axis).tolist()\n"
+     "                                           for axis in prop.axes[:0:-1]))]"),
+    # the axes as int64 arrays, and compare's points as Python ints
+    ("range-axis-without-its-step", K,
+     "np.arange(axis.start, axis.stop, axis.step, dtype=np.int64)",
+     "np.arange(axis.start, axis.stop, dtype=np.int64)"),
+    ("compare-sees-int64-rows", K,
+     "zip(block[rs].tolist(), cs.tolist()", "zip(block[rs], cs.tolist()"),
     # one pass tallied for several relations (classify's sub/sup pairs)
     ("shared-pass-recomputes-by-the-first-relations-mask", K,
      "if fail_at[j][decided + 1] and len(cexs[j]) < cap]",

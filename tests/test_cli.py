@@ -161,6 +161,23 @@ def test_local_bridge_adds_sections(capsys):
     assert env["reports"][2]["consistent"] is True
 
 
+def test_local_records_the_bridge_grid_only_with_the_bridge(capsys):
+    local = ("local", "sigma", "eq21", "sup", "--max-prime", "7", "--max-exp", "2",
+             "--max-m", "12", "--max-n", "9", "--json")
+    _, bridged = run_json(capsys, *local, "--bridge")
+    _, alone = run_json(capsys, *local)
+    assert (bridged["inputs"]["max_m"], bridged["inputs"]["max_n"]) == (12, 9)
+    assert bridged["reports"][1]["params"]["max_m"] == 12
+    assert "max_m" not in alone["inputs"] and "max_n" not in alone["inputs"]
+
+
+def test_json_is_one_line(capsys):
+    code, out, _ = run_cli(capsys, "local", "sigma", "eq21", "sup", "--bridge",
+                           "--max-prime", "7", "--max-exp", "2", "--json")
+    assert code == 0 and out.count("\n") == 1 and out.endswith("}\n")
+    assert json.loads(out)["command"] == "local"
+
+
 # --- classify ----------------------------------------------------------------
 
 

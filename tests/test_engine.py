@@ -344,7 +344,7 @@ def test_vector_returns_one_int8_row_per_row_over_its_cols(monkeypatch, table_10
     per = max(1, checks._CELLS // len(cols))
     seen = set()
     for block in (rows[:per], rows[-1:], rows[len(rows) // 2:][:3]):
-        cells = checks._block(prop, block, cols)
+        cells = checks._block(prop, block, checks._col_coords(cols))
         assert isinstance(cells, np.ndarray) and cells.dtype == np.int8
         assert cells.shape == (len(block), len(cols))
         # GAP exactly at the tuples of the axes that are no point
@@ -405,6 +405,38 @@ def test_the_scalar_path_compares_the_product_of_the_axes_in_order(monkeypatch, 
                                      CheckConfig(), 1)
     points = list(filter(_is_point(builder), itertools.product(*prop.axes)))
     assert seen == points and checked == len(points)
+
+
+_AXIS_KINDS = {"list": list, "array": lambda axis: np.array(axis, dtype=np.int64)}
+
+
+@pytest.mark.parametrize("kind", _AXIS_KINDS)
+@pytest.mark.parametrize("builder, axes", [
+    ("grid", (range(1, 31, 3), range(2, 31, 2))),
+    ("coprime-grid", (range(2, 31, 4), range(1, 31, 3))),
+    ("prime-powers", (primes_upto(30)[::2], range(0, 5, 2), range(1, 5))),
+])
+def test_a_sweep_decides_the_same_on_any_kind_of_axis(monkeypatch, table_10k, builder, axes,
+                                                      kind):
+    """The sweep takes each axis, a range (of any step), a list or an array,
+    as int64 arrays for its blocks, and gives the same result on every
+    kind, on the vector and the scalar path; compare and the
+    counterexamples see Python ints, so no p**a or m*n can wrap."""
+    prop = VECTOR_BUILDERS[builder](monkeypatch, table_10k)
+    compare, seen = prop.compare, []
+
+    def spy(*point):
+        seen.append(point)
+        return compare(*point)
+
+    prop = dataclasses.replace(prop, axes=axes, compare=spy)
+    converted = dataclasses.replace(prop, axes=tuple(map(_AXIS_KINDS[kind], axes)))
+    results = [checks._sweep(dataclasses.replace(p, vector=vec), CheckConfig(), 1)
+               for p in (prop, converted) for vec in (p.vector, None)]
+    assert all(result == results[0] for result in results)
+    assert seen and all(type(x) is int for point in seen for x in point)
+    assert all(type(x) is int for _, cexs, _, _ in results for cex in cexs
+               for x in cex.coords())
 
 
 @pytest.mark.parametrize("path", ["vector", "scalar"])

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from submult import functions
 from submult.core import build_spf_table, factorize
 from submult.errors import DomainError, InvariantViolation, UsageError
 from submult.functions import (
@@ -15,6 +16,7 @@ from submult.functions import (
     evaluate,
     make_prime_power_fn,
 )
+from submult.inference import SUB_MULT, PropertyTag
 
 BUILTIN_NAMES = [
     "constant-1", "d", "identity", "n_over_phi", "n_plus_d", "n_times_phi",
@@ -158,3 +160,29 @@ def test_registry_errors(registry):
     fresh = builtin_registry()
     with pytest.raises(UsageError):
         fresh.register(fresh.get("phi"))
+
+
+def test_builtin_registries_are_copies_of_one_built_once(monkeypatch):
+    """Each builtin_registry() is a new registry, a copy of one built with
+    its tag closure once per process: a second one closes no tags, and a
+    function registered on one copy reaches neither the next nor the
+    shared closure."""
+    first = builtin_registry()
+    calls = []
+    close = functions.close_tags
+    monkeypatch.setattr(functions, "close_tags",
+                        lambda *args: calls.append(args) or close(*args))
+    second = builtin_registry()
+    assert first is not second
+    assert first.names() == second.names() == BUILTIN_NAMES
+    assert first.closed_tags() == second.closed_tags()
+    assert calls == []
+    extra = make_prime_power_fn("extra", lambda p, a: 1)
+    first.register(extra, [PropertyTag(subject="extra", family=SUB_MULT, k=None,
+                                       status="asserted", provenance="test")])
+    assert first.has_tag("extra", SUB_MULT) and len(calls) == 1
+    for fresh in (second, builtin_registry()):
+        assert "extra" not in fresh.names() and "extra" not in fresh.closed_tags()
+        with pytest.raises(UsageError):
+            fresh.tags_for("extra")
+    assert len(calls) == 1

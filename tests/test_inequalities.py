@@ -8,6 +8,7 @@ from submult.core import (
     build_spf_table,
     cmp_power_products,
     primes_upto,
+    sieve_primes,
 )
 from submult.errors import ResourceError, UnsupportedInputError, UsageError
 from submult.inequalities import (
@@ -193,6 +194,26 @@ def test_corollary1_sigma_phi(registry):
     assert a.holds and b.holds
     assert a.pairs_checked == len(primes_upto(100))
     assert b.pairs_checked == 499
+
+
+def test_corollary1_builds_one_sieve(monkeypatch, registry):
+    """corollary1 takes its primes from the sieve it sweeps on, and builds
+    no second one for them."""
+    limits = []
+    sieve = core._sieve.spf_sieve
+    monkeypatch.setattr(core._sieve, "spf_sieve",
+                        lambda limit: limits.append(limit) or sieve(limit))
+    a, b = verify_corollary1(registry.get("sigma"), registry.get("phi"),
+                             100, 500, registry=registry)
+    assert limits == [500]
+    assert a.holds and b.holds and a.pairs_checked == 25
+
+
+def test_sieve_primes_are_the_primes_the_sieve_reaches():
+    table = build_spf_table(200)
+    for limit in (0, 1, 2, 3, 100, 199, 200):
+        assert sieve_primes(table.spf, limit) == primes_upto(limit)
+    assert sieve_primes(table.spf, 1000) == primes_upto(200)
 
 
 def test_corollary1_requires_hypothesis_tags(registry):

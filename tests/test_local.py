@@ -444,11 +444,10 @@ def test_rows_beyond_the_memory_budget_go_to_the_scalar_path(registry, monkeypat
 def test_the_memory_estimate_bounds_the_block(registry, name, criterion, k, max_exp):
     fn, primes = registry.get(name), primes_upto(50)
     prop = _property(fn, criterion, "sup", k, 50, max_exp)
-    cols = checks._cols(prop)
-    need = block_need(checks._block, prop, primes, cols)
+    need = block_need(block, prop, primes)
     tracemalloc.start()
     try:
-        decided = checks._block(prop, primes, cols)
+        decided = block(prop, primes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1078,3 +1078,74 @@ def test_power_inequalities_are_decided_in_bulk(capsys, power_comparisons, argv)
     assert main(argv) == 0
     capsys.readouterr()
     assert power_comparisons == []
+
+
+# --- rule values: exact ints in bulk, every other type value by value ---------
+
+
+class _Int(int):
+    """An int subclass: its values are converted one by one."""
+
+
+def _value_by_value(rule, ps, exps, k, dtype):
+    """What _rule_values gives, from one value at a time: None where it
+    raises vector.Unproven (a rule that raises, a value neither an int nor
+    a Fraction, and, as int64, an entry of 2^61 or more in absolute value),
+    else (numerators, denominators or None)."""
+    vals = []
+    for p, a in zip(ps.tolist(), exps.tolist()):
+        try:
+            v = rule(p, k * a) if a else 1
+        except Exception:
+            return None
+        if not isinstance(v, (int, Fraction)):
+            return None
+        vals.append(Fraction(v))
+    nums, dens = [v.numerator for v in vals], [v.denominator for v in vals]
+    if dtype is not object and max(map(abs, nums + dens)).bit_length() > vector.BITS - 1:
+        return None
+    return nums, None if set(dens) == {1} else dens
+
+
+_RULE_CASES = {
+    "ints": core.sigma_rule,
+    "fractions": lambda p, a: Fraction(p ** (a + 1) - 1, (p - 1) * (a + 1)),
+    # ints in the first chunk, a Fraction among ints in the later ones
+    "mixed": lambda p, a: Fraction(1, p) if p > 5 and a == 3 else p**a,
+    "fractions-of-denominator-1": lambda p, a: Fraction(p**a),
+    "bools": lambda p, a: a % 2 == 0,
+    "numpy-ints": lambda p, a: np.int64(p**a),
+    "int-subclass": lambda p, a: _Int(p**a + 1),
+    "floats": lambda p, a: float(p**a),
+    "negative": lambda p, a: -(p**a),
+    "past-int64": lambda p, a: 2**63 + p**a,
+    "past-int64-once": lambda p, a: 2**63 if (p, a) == (7, 2) else p,
+    "past-the-int64-bound": lambda p, a: 2**61 + a,
+    "below-the-int64-bound": lambda p, a: 2**61 - a,
+    "raises": lambda p, a: p // (p - 7),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+@pytest.mark.parametrize("case", _RULE_CASES)
+def test_rule_values_in_bulk_are_the_values_one_by_one(dtype, case):
+    """Chunks of exact ints are converted at once, and every other chunk
+    one value at a time; either way the numerators, denominators and
+    refusals are those of the values taken one by one."""
+    rule = _RULE_CASES[case]
+    ps = np.repeat(np.array([2, 3, 5, 7, 11, 13], dtype=np.int64), 1500)
+    exps = np.tile(np.arange(4, dtype=np.int64), len(ps) // 4)
+    assert len(ps) > 2 * vector._CHUNK
+    expected = _value_by_value(rule, ps, exps, 1, dtype)
+    if expected is None:
+        with pytest.raises(vector.Unproven):
+            vector._rule_values(rule, ps, exps, 1, dtype)
+        return
+    num, den = vector._rule_values(rule, ps, exps, 1, dtype)
+    assert num.dtype == dtype and num.tolist() == expected[0]
+    if dtype is object:
+        assert {type(v) for v in num.tolist()} == {int}
+    if expected[1] is None:
+        assert den is None
+    else:
+        assert den.dtype == dtype and den.tolist() == expected[1]
