@@ -10,12 +10,7 @@ from submult.checks import (
     CheckReport,
     Counterexample,
     check_identity_bound,
-    check_k_subhom,
-    check_k_submult,
-    check_multiplicative,
     check_power_submult,
-    check_subhom,
-    check_submult,
     classify,
     reports_for_tag,
     run_property_check,
@@ -25,11 +20,7 @@ from submult.core import (
     SpfTable,
     Value,
     build_spf_table,
-    cmp_powers,
     cmp_values,
-    eval_d,
-    eval_phi,
-    eval_sigma,
     factorize,
     is_prime,
     kernel_backend,
@@ -65,6 +56,15 @@ from submult.inequalities import (
     verify_eq23,
 )
 from submult.inference import (
+    K_SUB_HOM,
+    K_SUB_MULT,
+    K_SUP_HOM,
+    K_SUP_MULT,
+    MULTIPLICATIVE,
+    SUB_HOM,
+    SUB_MULT,
+    SUP_HOM,
+    SUP_MULT,
     PropertySpec,
     PropertyTag,
     close_tags,
@@ -76,10 +76,6 @@ from submult.local import (
     LocalReport,
     bridge_consistency,
     check_local,
-    check_local_k_subhom,
-    check_local_k_submult,
-    check_local_subhom,
-    check_local_submult,
 )
 
 __version__ = "0.1.0"

@@ -576,42 +576,6 @@ def _check(ev: Evaluator, specs: Sequence[PropertySpec],
             for s, result in zip(specs, results)]
 
 
-def check_multiplicative(f: ArithFn, cfg: CheckConfig, table: SpfTable) -> CheckReport:
-    """f(mn) = f(m) f(n) over all coprime pairs of the grid."""
-    return run_property_check(f, PropertySpec(MULTIPLICATIVE), cfg, table)
-
-
-def check_submult(f: ArithFn, direction: str, cfg: CheckConfig,
-                  table: SpfTable) -> CheckReport:
-    """f(mn) <= f(m) f(n) (direction "sub") or >= ("sup") over the grid."""
-    spec = PropertySpec(SUB_MULT if direction == SUB else SUP_MULT)
-    return run_property_check(f, spec, cfg, table)
-
-
-def check_subhom(f: ArithFn, direction: str, cfg: CheckConfig,
-                 table: SpfTable) -> CheckReport:
-    """f(mn) <= m f(n) (direction "sub") or >= ("sup") over the grid."""
-    spec = PropertySpec(SUB_HOM if direction == SUB else SUP_HOM)
-    return run_property_check(f, spec, cfg, table)
-
-
-def check_k_submult(f: ArithFn, k: int, direction: str, cfg: CheckConfig,
-                    table: SpfTable) -> CheckReport:
-    """f(mn)^k <= f(m^k) f(n^k) ("sub") or >= ("sup") over the grid.
-
-    Refuses to start unless the sieve covers max_m * max_n; f at m^k and
-    n^k comes from the factorizations of m and n."""
-    spec = PropertySpec(K_SUB_MULT if direction == SUB else K_SUP_MULT, k)
-    return run_property_check(f, spec, cfg, table)
-
-
-def check_k_subhom(f: ArithFn, k: int, direction: str, cfg: CheckConfig,
-                   table: SpfTable) -> CheckReport:
-    """f(mn)^k <= m^k f(n^k) ("sub") or >= ("sup") over the grid."""
-    spec = PropertySpec(K_SUB_HOM if direction == SUB else K_SUP_HOM, k)
-    return run_property_check(f, spec, cfg, table)
-
-
 def check_power_submult(f: ArithFn, g: ArithFn, direction: str, cfg: CheckConfig,
                         table: SpfTable) -> CheckReport:
     """Sub/sup-multiplicativity of h(n) = f(n)^(g(n)/n), decided exactly.
@@ -619,10 +583,13 @@ def check_power_submult(f: ArithFn, g: ArithFn, direction: str, cfg: CheckConfig
     h(mn) <= h(m) h(n) is equivalent, after raising both sides to the
     mn-th power, to f(mn)^g(mn) <= f(m)^(g(m) n) * f(n)^(g(n) m) (the
     power shape _cross); both sides are products of integer powers of
-    positive rationals, which cmp_power_products orders exactly.  f must be
-    positive and g integer-valued and >= 0.  Blocks of rows are decided in
-    bulk by power_decide, and the cells it leaves open by power_compare.
+    positive rationals, which cmp_power_products_detail orders exactly.  f
+    must be positive and g integer-valued and >= 0.  Blocks of rows are
+    decided in bulk by power_decide, and the cells it leaves open by
+    power_compare.  direction is SUB or SUP.
     """
+    if direction not in (SUB, SUP):
+        raise UsageError(f"direction must be 'sub' or 'sup', got {direction!r}")
     fe, ge = Evaluator(f, table), Evaluator(g, table)
     rf, rg = (vector.RowValues(ev, cfg.max_m, cfg.max_n) for ev in (fe, ge))
     # h's sub-multiplicativity evaluates f and g where sub-mult evaluates f

@@ -264,21 +264,6 @@ def eval_rule(rule, f: Factorization) -> Value:
     return Fraction(out)
 
 
-def eval_phi(f: Factorization) -> Value:
-    """Euler totient at f."""
-    return eval_rule(phi_rule, f)
-
-
-def eval_d(f: Factorization) -> Value:
-    """Number of divisors at f."""
-    return eval_rule(d_rule, f)
-
-
-def eval_sigma(f: Factorization) -> Value:
-    """Sum of divisors at f."""
-    return eval_rule(sigma_rule, f)
-
-
 # ---------------------------------------------------------------------------
 # Exact comparison
 # ---------------------------------------------------------------------------
@@ -349,20 +334,16 @@ def _estimated_digits(factors: list[tuple[Fraction, int]]) -> float:
     return max(num_bits, den_bits) * DIGITS_PER_BIT
 
 
-def cmp_power_products(lhs, rhs, *, use_filter: bool = True) -> int:
-    """Exact ordering of two products of powers of positive rationals.
+def cmp_power_products_detail(lhs, rhs, *, use_filter: bool = True) -> tuple[int, bool]:
+    """Exact ordering of two products of powers of positive rationals, and
+    whether the exact fallback ran.
 
     Each side is an iterable of (base, exponent) with base > 0 rational
     and integer exponent >= 0.  A log2 interval filter decides well
-    separated sides unless use_filter is False; otherwise the exact
-    big-integer comparison runs, guarded by DEFAULT_DIGIT_BUDGET.
-    """
-    order, _ = cmp_power_products_detail(lhs, rhs, use_filter=use_filter)
-    return order
-
-
-def cmp_power_products_detail(lhs, rhs, *, use_filter: bool = True) -> tuple[int, bool]:
-    """As cmp_power_products, also reporting whether the exact fallback ran."""
+    separated sides unless use_filter is False; it answers only where its
+    directed-rounding intervals are disjoint, so it always agrees with the
+    exact big-integer comparison that runs otherwise, guarded by
+    DEFAULT_DIGIT_BUDGET."""
     left = _normalize_side(lhs)
     right = _normalize_side(rhs)
     if left == right:
@@ -410,18 +391,3 @@ def cmp_power_products_detail(lhs, rhs, *, use_filter: bool = True) -> tuple[int
     if a > b:
         return GREATER, True
     return EQUAL, True
-
-
-def cmp_powers(a: Value, e1: int, b: Value, e2: int, *,
-               use_filter: bool = True) -> int:
-    """Exact ordering of a**e1 vs b**e2 for positive rational a, b.
-
-    The log2 filter is a pure accelerator: it only answers when its
-    directed-rounding intervals are disjoint, so a filtered verdict and
-    the exact verdict always agree.
-    """
-    a = Fraction(a)
-    b = Fraction(b)
-    if a <= 0 or b <= 0:
-        raise DomainError(f"cmp_powers requires positive bases, got {a}, {b}")
-    return cmp_power_products([(a, e1)], [(b, e2)], use_filter=use_filter)

@@ -199,30 +199,6 @@ def check_local(f: ArithFn, crit: LocalCriterion, max_prime: int,
                        triples_checked=r.pairs_checked, elapsed_seconds=r.elapsed_seconds)
 
 
-def check_local_submult(f: ArithFn, direction: str, max_prime: int,
-                        max_exp: int) -> LocalReport:
-    """eq14: f(p^(a+b)) vs f(p^a) f(p^b)."""
-    return check_local(f, LocalCriterion(EQ14, direction), max_prime, max_exp)
-
-
-def check_local_k_submult(f: ArithFn, k: int, direction: str, max_prime: int,
-                          max_exp: int) -> LocalReport:
-    """eq18: f(p^(a+b))^k vs f(p^ka) f(p^kb)."""
-    return check_local(f, LocalCriterion(EQ18, direction, k), max_prime, max_exp)
-
-
-def check_local_subhom(f: ArithFn, direction: str, max_prime: int,
-                       max_exp: int) -> LocalReport:
-    """eq21: f(p^(a+b)) vs p^a f(p^b)."""
-    return check_local(f, LocalCriterion(EQ21, direction), max_prime, max_exp)
-
-
-def check_local_k_subhom(f: ArithFn, k: int, direction: str, max_prime: int,
-                         max_exp: int) -> LocalReport:
-    """eq22: f(p^(a+b))^k vs p^ka f(p^kb)."""
-    return check_local(f, LocalCriterion(EQ22, direction, k), max_prime, max_exp)
-
-
 # ---------------------------------------------------------------------------
 # Bridge consistency
 # ---------------------------------------------------------------------------

@@ -50,13 +50,14 @@ def block_need(decide, *args) -> float:
 @contextmanager
 def scalar_oracle():
     """Within it, every sweep runs on the scalar path: each Property is
-    swept with vector=None, and the power comparisons of checks and
-    inequalities (as bound there on entry, so a spy on them still sees
-    every call) run without their log2 filter, so each point takes the
-    exact branch."""
-    sweep = checks._sweep
+    swept with vector=None by checks._sweep_many, the one engine that
+    _sweep and classify's shared sweeps call, and the power comparisons of
+    checks and inequalities (as bound there on entry, so a spy on them
+    still sees every call) run without their log2 filter, so each point
+    takes the exact branch."""
+    sweep_many = checks._sweep_many
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(checks, "_sweep", lambda prop, *args: sweep(
+        m.setattr(checks, "_sweep_many", lambda prop, *args: sweep_many(
             dataclasses.replace(prop, vector=None), *args))
         for module in (checks, inequalities):
             m.setattr(module, "cmp_power_products_detail",

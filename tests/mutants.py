@@ -2,13 +2,13 @@
 code around them, each of which the tier-1 suite must kill.
 
 For each mutant, src/ and tests/ (and perfbench/, whose tracer and
-reference data tests read) are copied to a temporary directory, the
-mutant's old text, which occurs exactly once in its file (as
-test_engine.py checks), is replaced by its new text, and pytest -x runs
-there, without that check, which the mutant itself fails.  A mutant
-whose run passes survives.  One line is printed per mutant, and the exit
-status is 1 if any survives.  A killed mutant costs seconds, a survivor
-a full tier-1 run (about 30 s).
+reference data tests read, and README.md, whose library snippet a test
+runs) are copied to a temporary directory, the mutant's old text, which
+occurs exactly once in its file (as test_engine.py checks), is replaced
+by its new text, and pytest -x runs there, without that check, which
+the mutant itself fails.  A mutant whose run passes survives.  One line
+is printed per mutant, and the exit status is 1 if any survives.  A
+killed mutant costs seconds, a survivor a full tier-1 run (about 30 s).
 
     python tests/mutants.py [NAME ...]
 """
@@ -145,6 +145,14 @@ MUTANTS = [
     ("classify-shares-the-coprime-sweep", K,
      "return FORMULAS[spec.family][0], spec.k, spec.family == MULTIPLICATIVE",
      "return FORMULAS[spec.family][0], spec.k"),
+    # the test oracle: the scalar path must reach every sweep, classify's too
+    ("oracle-patches-sweep-only", "tests/blocks.py",
+     '    sweep_many = checks._sweep_many\n'
+     '    with pytest.MonkeyPatch.context() as m:\n'
+     '        m.setattr(checks, "_sweep_many", lambda prop, *args: sweep_many(',
+     '    sweep = checks._sweep\n'
+     '    with pytest.MonkeyPatch.context() as m:\n'
+     '        m.setattr(checks, "_sweep", lambda prop, *args: sweep('),
     # reports
     ("render-value-misses-the-digit-limit", "src/submult/report.py",
      "    except ValueError:  # more digits", "    except TypeError:  # more digits"),
@@ -157,6 +165,7 @@ def run(file: str, old: str, new: str) -> tuple[bool, str]:
         for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, Path(tmp) / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".*"))
+        shutil.copy(ROOT / "README.md", tmp)
         path = Path(tmp) / file
         text = path.read_text()
         if text.count(old) != 1:

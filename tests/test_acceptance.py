@@ -21,16 +21,24 @@ from submult.checks import (
     SUB,
     SUP,
     CheckConfig,
-    check_k_subhom,
-    check_k_submult,
-    check_multiplicative,
     check_power_submult,
-    check_subhom,
-    check_submult,
     reports_for_tag,
+    run_property_check,
 )
 from submult.core import build_spf_table, prime_power
 from submult.functions import builtin_registry, evaluate_fact
+from submult.inference import (
+    K_SUB_HOM,
+    K_SUB_MULT,
+    K_SUP_HOM,
+    K_SUP_MULT,
+    MULTIPLICATIVE,
+    SUB_HOM,
+    SUB_MULT,
+    SUP_HOM,
+    SUP_MULT,
+    PropertySpec,
+)
 from submult.inequalities import (
     verify_corollary1,
     verify_eq12,
@@ -42,10 +50,7 @@ from submult.inequalities import (
 from submult.local import (
     LocalCriterion,
     bridge_consistency,
-    check_local_k_subhom,
-    check_local_k_submult,
-    check_local_subhom,
-    check_local_submult,
+    check_local,
 )
 
 from blocks import scalar_oracle
@@ -85,53 +90,48 @@ def criterion(num, name, budget_seconds=None):
 
 def test_criterion_1_function_oracles():
     with criterion(1, "function oracles agree to 10000", budget_seconds=10):
-        from submult.core import eval_d, eval_phi, eval_sigma, factorize
+        from submult.core import d_rule, eval_rule, factorize, phi_rule, sigma_rule
 
         table = _table(10_000)
         for n in range(1, 10_001):
             f = factorize(n, table)
-            assert eval_phi(f) == phi_oracle(n), n
-            assert eval_d(f) == d_oracle(n), n
-            assert eval_sigma(f) == sigma_oracle(n), n
+            assert eval_rule(phi_rule, f) == phi_oracle(n), n
+            assert eval_rule(d_rule, f) == d_oracle(n), n
+            assert eval_rule(sigma_rule, f) == sigma_oracle(n), n
 
 
 # --- criterion 2 -------------------------------------------------------------
 
 TAXONOMY = [
-    ("phi", "multiplicative", None),
-    ("phi", "sup-mult", SUP),
-    ("phi", "sub-hom", SUB),
-    ("d", "sub-mult", SUB),
-    ("d", "sub-hom", SUB),
-    ("sigma", "sub-mult", SUB),
-    ("sigma", "sup-hom", SUP),
-    ("sigma_over_phi", "sub-mult", SUB),
-    ("phi_over_d", "sup-mult", SUP),
-    ("n_plus_d", "sub-mult", SUB),
-    ("sigma_over_d", "sup-mult", SUP),
-    ("sigma_over_d", "sub-hom", SUB),
-    ("n_over_phi", "sub-hom", SUB),
+    ("phi", MULTIPLICATIVE),
+    ("phi", SUP_MULT),
+    ("phi", SUB_HOM),
+    ("d", SUB_MULT),
+    ("d", SUB_HOM),
+    ("sigma", SUB_MULT),
+    ("sigma", SUP_HOM),
+    ("sigma_over_phi", SUB_MULT),
+    ("phi_over_d", SUP_MULT),
+    ("n_plus_d", SUB_MULT),
+    ("sigma_over_d", SUP_MULT),
+    ("sigma_over_d", SUB_HOM),
+    ("n_over_phi", SUB_HOM),
 ]
 
 
-def _taxonomy_report(name, family, direction):
+def _taxonomy_report(name, family):
     def build():
-        fn = REGISTRY.get(name)
         cfg = CheckConfig(max_m=100, max_n=100)
-        table = _table(10_000)
-        if family == "multiplicative":
-            return check_multiplicative(fn, cfg, table)
-        if family.endswith("mult"):
-            return check_submult(fn, direction, cfg, table)
-        return check_subhom(fn, direction, cfg, table)
+        return run_property_check(REGISTRY.get(name), PropertySpec(family), cfg,
+                                  _table(10_000))
 
     return _cached(("taxonomy", name, family), build)
 
 
 def test_criterion_2_taxonomy_suite():
     with criterion(2, "taxonomy suite on m, n <= 100", budget_seconds=30):
-        for name, family, direction in TAXONOMY:
-            report = _taxonomy_report(name, family, direction)
+        for name, family in TAXONOMY:
+            report = _taxonomy_report(name, family)
             assert report.holds, (name, family, report.counterexamples[:1])
 
 
@@ -142,44 +142,41 @@ def test_criterion_3_negative_controls():
     with criterion(3, "negative controls find smallest counterexamples"):
         cfg = CheckConfig(max_m=10, max_n=10)
         table = _table(10_000)
-        r = check_submult(REGISTRY.get("d"), SUP, cfg, table)
+        r = run_property_check(REGISTRY.get("d"), PropertySpec(SUP_MULT), cfg, table)
         assert r.verdict == REFUTED
         assert r.counterexamples[0].coords() == (2, 2)
         assert (r.counterexamples[0].lhs, r.counterexamples[0].rhs) == (3, 4)
 
-        r = check_submult(REGISTRY.get("phi"), SUB, cfg, table)
+        r = run_property_check(REGISTRY.get("phi"), PropertySpec(SUB_MULT), cfg, table)
         assert r.verdict == REFUTED
         assert r.counterexamples[0].coords() == (2, 2)
         assert (r.counterexamples[0].lhs, r.counterexamples[0].rhs) == (2, 1)
 
-        r = check_submult(REGISTRY.get("sigma"), SUP, cfg, table)
+        r = run_property_check(REGISTRY.get("sigma"), PropertySpec(SUP_MULT), cfg, table)
         assert r.verdict == REFUTED
 
         one = REGISTRY.get("constant-1")
-        sub = check_submult(one, SUB, cfg, table)
-        sup = check_submult(one, SUP, cfg, table)
+        sub = run_property_check(one, PropertySpec(SUB_MULT), cfg, table)
+        sup = run_property_check(one, PropertySpec(SUP_MULT), cfg, table)
         assert sub.holds and sup.holds  # dual profile: equality throughout
 
 
 # --- criterion 4 -------------------------------------------------------------
 
 K_CASES = [
-    ("phi", "k-sub-mult", SUB, (2, 3)),
-    ("phi", "k-sub-hom", SUB, (2, 3)),
-    ("d", "k-sup-mult", SUP, (2, 3)),
-    ("sigma", "k-sup-mult", SUP, (2, 3)),
-    ("sigma", "k-sup-hom", SUP, (2,)),
+    ("phi", K_SUB_MULT, (2, 3)),
+    ("phi", K_SUB_HOM, (2, 3)),
+    ("d", K_SUP_MULT, (2, 3)),
+    ("sigma", K_SUP_MULT, (2, 3)),
+    ("sigma", K_SUP_HOM, (2,)),
 ]
 
 
-def _k_report(name, family, direction, k):
+def _k_report(name, family, k):
     def build():
-        fn = REGISTRY.get(name)
         cfg = CheckConfig(max_m=50, max_n=50)
-        table = _table(50**3)
-        if "mult" in family:
-            return check_k_submult(fn, k, direction, cfg, table)
-        return check_k_subhom(fn, k, direction, cfg, table)
+        return run_property_check(REGISTRY.get(name), PropertySpec(family, k), cfg,
+                                  _table(50**3))
 
     return _cached(("k", name, family, k), build)
 
@@ -187,9 +184,9 @@ def _k_report(name, family, direction, k):
 def test_criterion_4_k_families():
     with criterion(4, "k-families on m, n <= 50 (sieve to 50^3)",
                    budget_seconds=60):
-        for name, family, direction, ks in K_CASES:
+        for name, family, ks in K_CASES:
             for k in ks:
-                report = _k_report(name, family, direction, k)
+                report = _k_report(name, family, k)
                 assert report.holds, (name, family, k,
                                       report.counterexamples[:1])
 
@@ -212,14 +209,8 @@ LOCAL_CASES = [
 
 def _local_report(name, crit_id, direction, k):
     def build():
-        fn = REGISTRY.get(name)
-        if crit_id == "eq14":
-            return check_local_submult(fn, direction, 50, 10)
-        if crit_id == "eq18":
-            return check_local_k_submult(fn, k, direction, 50, 10)
-        if crit_id == "eq21":
-            return check_local_subhom(fn, direction, 50, 10)
-        return check_local_k_subhom(fn, k, direction, 50, 10)
+        crit = LocalCriterion(crit_id, direction, k)
+        return check_local(REGISTRY.get(name), crit, 50, 10)
 
     return _cached(("local", name, crit_id, direction, k), build)
 
@@ -246,31 +237,26 @@ def test_criterion_5_local_criteria():
 
 BRIDGE_PAIRS = [
     # (function, local criterion id, direction, k, global report key)
-    ("d", "eq14", SUB, None, ("taxonomy", "d", "sub-mult")),
-    ("sigma", "eq14", SUB, None, ("taxonomy", "sigma", "sub-mult")),
-    ("phi", "eq14", SUP, None, ("taxonomy", "phi", "sup-mult")),
-    ("sigma_over_d", "eq14", SUP, None, ("taxonomy", "sigma_over_d", "sup-mult")),
-    ("phi", "eq21", SUB, None, ("taxonomy", "phi", "sub-hom")),
-    ("sigma", "eq21", SUP, None, ("taxonomy", "sigma", "sup-hom")),
-    ("d", "eq18", SUP, 2, ("k", "d", "k-sup-mult", 2)),
-    ("d", "eq18", SUP, 3, ("k", "d", "k-sup-mult", 3)),
-    ("phi", "eq18", SUB, 2, ("k", "phi", "k-sub-mult", 2)),
-    ("phi", "eq18", SUB, 3, ("k", "phi", "k-sub-mult", 3)),
-    ("phi", "eq22", SUB, 2, ("k", "phi", "k-sub-hom", 2)),
-    ("phi", "eq22", SUB, 3, ("k", "phi", "k-sub-hom", 3)),
-    ("sigma", "eq22", SUP, 2, ("k", "sigma", "k-sup-hom", 2)),
+    ("d", "eq14", SUB, None, ("taxonomy", "d", SUB_MULT)),
+    ("sigma", "eq14", SUB, None, ("taxonomy", "sigma", SUB_MULT)),
+    ("phi", "eq14", SUP, None, ("taxonomy", "phi", SUP_MULT)),
+    ("sigma_over_d", "eq14", SUP, None, ("taxonomy", "sigma_over_d", SUP_MULT)),
+    ("phi", "eq21", SUB, None, ("taxonomy", "phi", SUB_HOM)),
+    ("sigma", "eq21", SUP, None, ("taxonomy", "sigma", SUP_HOM)),
+    ("d", "eq18", SUP, 2, ("k", "d", K_SUP_MULT, 2)),
+    ("d", "eq18", SUP, 3, ("k", "d", K_SUP_MULT, 3)),
+    ("phi", "eq18", SUB, 2, ("k", "phi", K_SUB_MULT, 2)),
+    ("phi", "eq18", SUB, 3, ("k", "phi", K_SUB_MULT, 3)),
+    ("phi", "eq22", SUB, 2, ("k", "phi", K_SUB_HOM, 2)),
+    ("phi", "eq22", SUB, 3, ("k", "phi", K_SUB_HOM, 3)),
+    ("sigma", "eq22", SUP, 2, ("k", "sigma", K_SUP_HOM, 2)),
 ]
 
 
 def _global_for(key):
-    kind = key[0]
-    if kind == "taxonomy":
-        _, name, family = key
-        spec = next(t for t in TAXONOMY if t[0] == name and t[1] == family)
-        return _taxonomy_report(*spec)
-    _, name, family, k = key
-    spec = next(t for t in K_CASES if t[0] == name and t[1] == family)
-    return _k_report(name, family, spec[2], k)
+    if key[0] == "taxonomy":
+        return _taxonomy_report(*key[1:])
+    return _k_report(*key[1:])
 
 
 def test_criterion_6_bridge_consistency():

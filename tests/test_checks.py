@@ -7,15 +7,9 @@ from submult.checks import (
     HOLDS,
     REFUTED,
     SUB,
-    SUP,
     CheckConfig,
     check_identity_bound,
-    check_k_subhom,
-    check_k_submult,
-    check_multiplicative,
     check_power_submult,
-    check_subhom,
-    check_submult,
     classify,
     classify_specs,
     grid_property,
@@ -27,14 +21,19 @@ from submult.core import build_spf_table
 from submult.errors import ResourceError, UnsupportedInputError, UsageError
 from submult.functions import POWER, Evaluator, builtin_registry, combine, evaluate
 from submult.inference import (
+    K_SUB_HOM,
+    K_SUB_MULT,
+    K_SUP_HOM,
     K_SUP_MULT,
     MULTIPLICATIVE,
     SUB_HOM,
     SUB_MULT,
     SUP_HOM,
+    SUP_MULT,
     PropertySpec,
     PropertyTag,
 )
+from submult.local import LocalCriterion
 from submult.report import report_to_json
 
 CFG10 = CheckConfig(max_m=10, max_n=10)
@@ -45,7 +44,7 @@ CFG50 = CheckConfig(max_m=50, max_n=50)
 
 
 def test_d_is_not_supmult(registry, table_10k):
-    r = check_submult(registry.get("d"), SUP, CFG10, table_10k)
+    r = run_property_check(registry.get("d"), PropertySpec(SUP_MULT), CFG10, table_10k)
     assert r.verdict == REFUTED
     first = r.counterexamples[0]
     assert first.coords() == (2, 2)
@@ -53,7 +52,7 @@ def test_d_is_not_supmult(registry, table_10k):
 
 
 def test_phi_is_not_submult(registry, table_10k):
-    r = check_submult(registry.get("phi"), SUB, CFG10, table_10k)
+    r = run_property_check(registry.get("phi"), PropertySpec(SUB_MULT), CFG10, table_10k)
     assert r.verdict == REFUTED
     first = r.counterexamples[0]
     assert first.coords() == (2, 2)
@@ -61,7 +60,8 @@ def test_phi_is_not_submult(registry, table_10k):
 
 
 def test_n_plus_d_is_not_multiplicative(registry, table_10k):
-    r = check_multiplicative(registry.get("n_plus_d"), CFG10, table_10k)
+    r = run_property_check(registry.get("n_plus_d"), PropertySpec(MULTIPLICATIVE), CFG10,
+                           table_10k)
     assert r.verdict == REFUTED
     # the grid includes m = n = 1, where f(1) = 2 != f(1) f(1) = 4; that
     # precedes the first pair of larger arguments, (2, 3): 10 != 20
@@ -74,7 +74,7 @@ def test_n_plus_d_is_not_multiplicative(registry, table_10k):
 
 
 def test_counterexamples_reverify_independently(registry, table_10k):
-    r = check_submult(registry.get("d"), SUP, CFG10, table_10k)
+    r = run_property_check(registry.get("d"), PropertySpec(SUP_MULT), CFG10, table_10k)
     d = registry.get("d")
     for cex in r.counterexamples:
         m, n = cex["m"], cex["n"]
@@ -86,43 +86,44 @@ def test_counterexamples_reverify_independently(registry, table_10k):
 
 def test_phi_multiplicative_and_supmult(registry, table_10k):
     cfg = CheckConfig(max_m=100, max_n=100)
-    assert check_multiplicative(registry.get("phi"), cfg, table_10k).holds
-    assert check_submult(registry.get("phi"), SUP, cfg, table_10k).holds
+    phi = registry.get("phi")
+    assert run_property_check(phi, PropertySpec(MULTIPLICATIVE), cfg, table_10k).holds
+    assert run_property_check(phi, PropertySpec(SUP_MULT), cfg, table_10k).holds
 
 
 def test_d_submult_to_300(registry):
     table = build_spf_table(300 * 300)
     cfg = CheckConfig(max_m=300, max_n=300)
-    assert check_submult(registry.get("d"), SUB, cfg, table).holds
+    assert run_property_check(registry.get("d"), PropertySpec(SUB_MULT), cfg, table).holds
 
 
 def test_subhom_positive_cases_to_200(registry):
     table = build_spf_table(200 * 200)
     cfg = CheckConfig(max_m=200, max_n=200)
-    assert check_subhom(registry.get("phi"), SUB, cfg, table).holds
-    assert check_subhom(registry.get("sigma"), SUP, cfg, table).holds
+    assert run_property_check(registry.get("phi"), PropertySpec(SUB_HOM), cfg, table).holds
+    assert run_property_check(registry.get("sigma"), PropertySpec(SUP_HOM), cfg, table).holds
 
 
 def test_subhom_never_fails_at_m_equal_one(registry, table_10k):
     # at m = 1 both sides are f(n); check a function that is otherwise refuted
-    r = check_subhom(registry.get("sigma"), SUB, CFG10, table_10k)
+    r = run_property_check(registry.get("sigma"), PropertySpec(SUB_HOM), CFG10, table_10k)
     assert r.verdict == REFUTED
     assert all(cex["m"] > 1 for cex in r.counterexamples)
 
 
 def test_constant_one_holds_everywhere(registry, table_10k):
     one = registry.get("constant-1")
-    assert check_multiplicative(one, CFG50, table_10k).holds
-    assert check_submult(one, SUB, CFG50, table_10k).holds
-    assert check_submult(one, SUP, CFG50, table_10k).holds
+    assert run_property_check(one, PropertySpec(MULTIPLICATIVE), CFG50, table_10k).holds
+    assert run_property_check(one, PropertySpec(SUB_MULT), CFG50, table_10k).holds
+    assert run_property_check(one, PropertySpec(SUP_MULT), CFG50, table_10k).holds
 
 
 def test_duality_needs_equality_on_grid(registry, table_10k):
     # sub and sup can both hold only if the relation is an equality
     for name in ("identity", "constant-1"):
         fn = registry.get(name)
-        sub = check_submult(fn, SUB, CFG10, table_10k)
-        sup = check_submult(fn, SUP, CFG10, table_10k)
+        sub = run_property_check(fn, PropertySpec(SUB_MULT), CFG10, table_10k)
+        sup = run_property_check(fn, PropertySpec(SUP_MULT), CFG10, table_10k)
         assert sub.holds and sup.holds
         ev = lambda n: evaluate(fn, n, table_10k)
         assert all(ev(m * n) == ev(m) * ev(n)
@@ -130,8 +131,8 @@ def test_duality_needs_equality_on_grid(registry, table_10k):
 
 
 def test_monotone_refutation(registry, table_10k):
-    small = check_submult(registry.get("d"), SUP, CFG10, table_10k)
-    large = check_submult(registry.get("d"), SUP, CFG50, table_10k)
+    small = run_property_check(registry.get("d"), PropertySpec(SUP_MULT), CFG10, table_10k)
+    large = run_property_check(registry.get("d"), PropertySpec(SUP_MULT), CFG50, table_10k)
     assert small.counterexamples[0] == large.counterexamples[0]
 
 
@@ -148,34 +149,35 @@ def test_k_submult_examples(registry, table_10k):
     assert evaluate(d, 4) * evaluate(d, 9) == 9
     cfg = CheckConfig(max_m=20, max_n=20, k_set=(2,))
     table = build_spf_table(20**2)
-    assert check_k_submult(phi, 2, SUB, cfg, table).holds
-    assert check_k_submult(d, 2, SUP, cfg, table).holds
+    assert run_property_check(phi, PropertySpec(K_SUB_MULT, 2), cfg, table).holds
+    assert run_property_check(d, PropertySpec(K_SUP_MULT, 2), cfg, table).holds
 
 
 def test_k_checks_hold_on_50_grid(registry):
     table = build_spf_table(50**3)
     cfg = CheckConfig(max_m=50, max_n=50)
-    for name, direction in (("phi", SUB), ("d", SUP), ("sigma", SUP)):
+    for name, family in (("phi", K_SUB_MULT), ("d", K_SUP_MULT), ("sigma", K_SUP_MULT)):
         fn = registry.get(name)
         for k in (2, 3):
-            assert check_k_submult(fn, k, direction, cfg, table).holds, (name, k)
-    assert check_k_subhom(registry.get("phi"), 2, SUB, cfg, table).holds
-    assert check_k_subhom(registry.get("sigma"), 2, SUP, cfg, table).holds
+            assert run_property_check(fn, PropertySpec(family, k), cfg, table).holds, (name, k)
+    for name, family in (("phi", K_SUB_HOM), ("sigma", K_SUP_HOM)):
+        assert run_property_check(registry.get(name), PropertySpec(family, 2), cfg, table).holds
 
 
 def test_k_check_refuses_small_sieve(registry):
     # m^3 and n^3 are factored from m and n: the sieve must reach m n only
     cfg = CheckConfig(max_m=50, max_n=50)
     with pytest.raises(ResourceError, match="at least 2500,"):
-        check_k_submult(registry.get("phi"), 3, SUB, cfg, build_spf_table(2499))
-    assert check_k_submult(registry.get("phi"), 3, SUB, cfg,
-                           build_spf_table(2500)).holds
+        run_property_check(registry.get("phi"), PropertySpec(K_SUB_MULT, 3), cfg,
+                           build_spf_table(2499))
+    assert run_property_check(registry.get("phi"), PropertySpec(K_SUB_MULT, 3), cfg,
+                              build_spf_table(2500)).holds
 
 
 def test_k_trivial_at_one(registry, table_10k):
     # f(1) = 1 so (1, 1) can never be a counterexample
-    r = check_k_submult(registry.get("phi"), 2, SUP, CFG10,
-                        build_spf_table(100))
+    r = run_property_check(registry.get("phi"), PropertySpec(K_SUP_MULT, 2), CFG10,
+                           build_spf_table(100))
     assert r.verdict == REFUTED
     assert all(cex.coords() != (1, 1) for cex in r.counterexamples)
 
@@ -336,7 +338,7 @@ def test_reports_for_tag_ignores_threads(registry, table_10k):
 
 def test_counterexample_cap(registry, table_10k):
     cfg = CheckConfig(max_m=30, max_n=30, counterexample_cap=3)
-    r = check_submult(registry.get("d"), SUP, cfg, table_10k)
+    r = run_property_check(registry.get("d"), PropertySpec(SUP_MULT), cfg, table_10k)
     assert r.verdict == REFUTED
     assert len(r.counterexamples) == 3
     assert r.counterexamples[0].coords() == (2, 2)
@@ -349,6 +351,18 @@ def test_run_property_check_dispatch(registry, table_10k):
                            cfg, table)
     assert r.holds
     assert r.params["k"] == 2
+
+
+def test_an_unknown_direction_is_refused(registry, table_10k):
+    # a direction names a family or criterion in one place, and nowhere
+    # does an unknown one fall through to the other direction
+    with pytest.raises(UsageError, match="bogus"):
+        PropertySpec("bogus")
+    with pytest.raises(UsageError, match="bogus"):
+        LocalCriterion("eq14", "bogus")
+    with pytest.raises(UsageError, match="bogus"):
+        check_power_submult(registry.get("sigma"), registry.get("phi"), "bogus", CFG10,
+                            table_10k)
 
 
 def test_config_validation():

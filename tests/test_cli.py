@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -391,3 +393,14 @@ def test_the_parser_is_built_once_and_keeps_no_state(capsys):
     assert code == 1
     assert env["inputs"]["max_m"] == env["inputs"]["max_n"] == 100
     assert env["reports"][0]["pairs_checked"] == 100 * 100
+
+
+# --- README --------------------------------------------------------------------
+
+
+def test_readme_library_snippet_runs():
+    # the README's one python block is the library's documented use
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

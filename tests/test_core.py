@@ -10,17 +10,16 @@ from submult.core import (
     GREATER,
     LESS,
     build_spf_table,
-    cmp_power_products,
     cmp_power_products_detail,
-    cmp_powers,
     cmp_values,
-    eval_d,
-    eval_phi,
-    eval_sigma,
+    d_rule,
+    eval_rule,
     factorize,
     is_prime,
+    phi_rule,
     prime_power,
     primes_upto,
+    sigma_rule,
     trial_factorize,
 )
 from submult.errors import (
@@ -165,38 +164,38 @@ def test_primes_upto_matches_a_reference_sieve(limit):
 
 
 def test_phi_examples(table_10k):
-    assert eval_phi(factorize(1, table_10k)) == 1
-    assert eval_phi(factorize(8, table_10k)) == 4
-    assert eval_phi(factorize(100, table_10k)) == 40 == phi_oracle(100)
+    assert eval_rule(phi_rule, factorize(1, table_10k)) == 1
+    assert eval_rule(phi_rule, factorize(8, table_10k)) == 4
+    assert eval_rule(phi_rule, factorize(100, table_10k)) == 40 == phi_oracle(100)
 
 
 def test_d_examples(table_10k):
-    assert eval_d(factorize(1, table_10k)) == 1
-    assert eval_d(factorize(16, table_10k)) == 5
-    assert eval_d(factorize(12, table_10k)) == 6 == d_oracle(12)
+    assert eval_rule(d_rule, factorize(1, table_10k)) == 1
+    assert eval_rule(d_rule, factorize(16, table_10k)) == 5
+    assert eval_rule(d_rule, factorize(12, table_10k)) == 6 == d_oracle(12)
 
 
 def test_sigma_examples(table_10k):
-    assert eval_sigma(factorize(1, table_10k)) == 1
-    assert eval_sigma(factorize(6, table_10k)) == 12 == sigma_oracle(6)
-    assert eval_sigma(factorize(100, table_10k)) == 217 == sigma_oracle(100)
+    assert eval_rule(sigma_rule, factorize(1, table_10k)) == 1
+    assert eval_rule(sigma_rule, factorize(6, table_10k)) == 12 == sigma_oracle(6)
+    assert eval_rule(sigma_rule, factorize(100, table_10k)) == 217 == sigma_oracle(100)
 
 
 def test_functions_match_oracles_to_500(table_10k):
     for n in range(1, 501):
         f = factorize(n, table_10k)
-        assert eval_phi(f) == phi_oracle(n)
-        assert eval_d(f) == d_oracle(n)
-        assert eval_sigma(f) == sigma_oracle(n)
+        assert eval_rule(phi_rule, f) == phi_oracle(n)
+        assert eval_rule(d_rule, f) == d_oracle(n)
+        assert eval_rule(sigma_rule, f) == sigma_oracle(n)
 
 
 def test_bounds_used_by_implications(table_10k):
     # phi(n) <= n, d(n) <= n, sigma(n) >= n
     for n in range(1, 2001):
         f = factorize(n, table_10k)
-        assert eval_phi(f) <= n
-        assert eval_d(f) <= n
-        assert eval_sigma(f) >= n
+        assert eval_rule(phi_rule, f) <= n
+        assert eval_rule(d_rule, f) <= n
+        assert eval_rule(sigma_rule, f) >= n
 
 
 # --- comparisons -----------------------------------------------------------
@@ -209,23 +208,25 @@ def test_cmp_values():
 
 
 def test_cmp_powers_examples():
-    assert cmp_powers(3, 1, 2, 2) == LESS  # 3 < 4
-    assert cmp_powers(5, 0, 7, 0) == EQUAL  # 1 = 1
-    assert cmp_powers(12, 2, 6, 6) == LESS  # 144 < 46656
+    assert cmp_power_products_detail([(3, 1)], [(2, 2)])[0] == LESS  # 3 < 4
+    assert cmp_power_products_detail([(5, 0)], [(7, 0)])[0] == EQUAL  # 1 = 1
+    assert cmp_power_products_detail([(12, 2)], [(6, 6)])[0] == LESS  # 144 < 46656
 
 
 def test_cmp_powers_equalities():
-    assert cmp_powers(4, 3, 8, 2) == EQUAL  # 64 = 64
-    assert cmp_powers(Fraction(9, 4), 2, Fraction(3, 2), 4) == EQUAL
+    assert cmp_power_products_detail([(4, 3)], [(8, 2)])[0] == EQUAL  # 64 = 64
+    assert cmp_power_products_detail([(Fraction(9, 4), 2)], [(Fraction(3, 2), 4)])[0] == EQUAL
 
 
 def test_cmp_powers_domain_errors():
     with pytest.raises(DomainError):
-        cmp_powers(0, 2, 3, 1)
+        cmp_power_products_detail([(0, 2)], [(3, 1)])
     with pytest.raises(DomainError):
-        cmp_powers(Fraction(-2, 3), 1, 3, 1)
+        cmp_power_products_detail([(Fraction(-2, 3), 1)], [(3, 1)])
+    with pytest.raises(DomainError):
+        cmp_power_products_detail([(3, 1)], [(0, 2)])
     with pytest.raises(UsageError):
-        cmp_powers(2, -1, 3, 1)
+        cmp_power_products_detail([(2, -1)], [(3, 1)])
 
 
 def test_cmp_powers_budget():
@@ -233,10 +234,10 @@ def test_cmp_powers_budget():
     # separate them and the exact path is needed, whose ~9 * 10^6
     # estimated digits the budget blocks
     with pytest.raises(ResourceError):
-        cmp_powers(2, 10**7, 1024, 10**6)
+        cmp_power_products_detail([(2, 10**7)], [(1024, 10**6)])
     # a wide gap is decided by the filter without touching the budget,
     # though the exact path would need ~1.5 * 10^8 digits
-    assert cmp_powers(3, 10**8, 4, 10**8) == LESS
+    assert cmp_power_products_detail([(3, 10**8)], [(4, 10**8)])[0] == LESS
 
 
 def test_cmp_powers_spot_grid_vs_direct_pow():
@@ -247,7 +248,7 @@ def test_cmp_powers_spot_grid_vs_direct_pow():
             for e1 in exps:
                 for e2 in exps:
                     want = (a**e1 > b**e2) - (a**e1 < b**e2)
-                    assert cmp_powers(a, e1, b, e2) == want
+                    assert cmp_power_products_detail([(a, e1)], [(b, e2)])[0] == want
 
 
 @given(
@@ -259,18 +260,18 @@ def test_cmp_powers_spot_grid_vs_direct_pow():
 @settings(max_examples=300)
 def test_cmp_powers_matches_exact_fractions(a, e1, b, e2):
     want = (a**e1 > b**e2) - (a**e1 < b**e2)
-    assert cmp_powers(a, e1, b, e2) == want
+    assert cmp_power_products_detail([(a, e1)], [(b, e2)])[0] == want
     # filtered and unfiltered paths agree
-    assert cmp_powers(a, e1, b, e2, use_filter=False) == want
+    assert cmp_power_products_detail([(a, e1)], [(b, e2)], use_filter=False)[0] == want
 
 
 def test_cmp_power_products():
     # 2^3 * 3^2 = 72 vs 70
-    assert cmp_power_products([(2, 3), (3, 2)], [(70, 1)]) == GREATER
+    assert cmp_power_products_detail([(2, 3), (3, 2)], [(70, 1)])[0] == GREATER
     # same multiset of factors after merging
-    assert cmp_power_products([(2, 3)], [(2, 1), (2, 2)]) == EQUAL
+    assert cmp_power_products_detail([(2, 3)], [(2, 1), (2, 2)])[0] == EQUAL
     # base-1 and exponent-0 factors are inert
-    assert cmp_power_products([(1, 5), (3, 0)], []) == EQUAL
+    assert cmp_power_products_detail([(1, 5), (3, 0)], [])[0] == EQUAL
 
 
 @st.composite

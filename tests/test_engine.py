@@ -37,8 +37,9 @@ from submult.inference import (
     SUP_MULT,
     PropertySpec,
 )
-from submult.local import LocalCriterion, check_local, check_local_k_subhom, prime_power_property
+from submult.local import EQ22, LocalCriterion, check_local, prime_power_property
 
+from blocks import scalar_oracle
 from mutants import MUTANTS, ROOT
 from oracles import d_oracle, phi_oracle, sigma_oracle, spf_oracle
 
@@ -102,20 +103,68 @@ def test_benchmark_tracer_wraps_and_restores_every_traced_name(capsys):
     assert totals["core.factorize"]["calls"] > 0
 
 
+def _perfbench(monkeypatch):
+    """The benchmark's workloads and worker modules, imported from perfbench/."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    return importlib.import_module("workloads"), importlib.import_module("worker")
+
+
 @pytest.mark.parametrize("scale", ["tiny", "full"])
 def test_benchmark_commands_match_the_reference(monkeypatch, scale):
     # every command the benchmark can run, at each scale, run as the
     # benchmark runs it: the exit code, the reports' projection and the
     # inferred tags its reference records
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    workloads = importlib.import_module("workloads")
-    worker = importlib.import_module("worker")
+    workloads, worker = _perfbench(monkeypatch)
     reference = json.loads((PERFBENCH / "reference.json").read_text())[scale]
     cmds = workloads.all_commands(scale)
     assert sorted(cmd.key for cmd in cmds) == sorted(reference)
     for cmd in cmds:
         assert worker.outcome(*worker.run_command(cmd)) == reference[cmd.key], cmd.key
+
+
+VECTOR_PATH = ("orders", "power_orders", "power_ties")
+
+
+def test_the_scalar_oracle_reaches_every_sweep(monkeypatch):
+    """Inside scalar_oracle no benchmark command reaches the vector
+    comparisons, which the same commands call outside it."""
+    workloads, worker = _perfbench(monkeypatch)
+    calls = []
+    for name in VECTOR_PATH:
+        def spy(*args, _name=name, _f=getattr(vector, name), **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(vector, name, spy)
+    cmds = workloads.all_commands("tiny")
+    for cmd in cmds:
+        worker.run_command(cmd)
+    assert set(calls) == set(VECTOR_PATH)
+    calls.clear()
+    with scalar_oracle():
+        for cmd in cmds:
+            worker.run_command(cmd)
+    assert calls == []
+
+
+def _without_costs(reports):
+    return [{key: value for key, value in report.items()
+             if key not in ("elapsed_seconds", "stats")} for report in reports]
+
+
+def test_every_benchmark_command_matches_the_scalar_oracle(monkeypatch):
+    """Every command the benchmark can run at the tiny scale gives the same
+    exit code, reports and inferred tags on the scalar path, all but the
+    time and the stats, which count the exact fallbacks the oracle forces."""
+    workloads, worker = _perfbench(monkeypatch)
+    cmds = workloads.all_commands("tiny")
+    assert len(cmds) == 28
+    for cmd in cmds:
+        code, reports, tags = worker.run_command(cmd)
+        with scalar_oracle():
+            scalar_code, scalar_reports, scalar_tags = worker.run_command(cmd)
+        assert ((code, _without_costs(reports), tags)
+                == (scalar_code, _without_costs(scalar_reports), scalar_tags)), cmd.key
 
 
 @pytest.mark.parametrize("direction", ["sup", "sub"])
@@ -261,7 +310,7 @@ def test_shared_formulas_agree(registry, case):
     if case.startswith("eq23"):
         k = int(case[-1])
         ineq = verify_eq23(30, 6, k)
-        local = check_local_k_subhom(registry.get("phi"), k, "sub", 30, 6)
+        local = check_local(registry.get("phi"), LocalCriterion(EQ22, "sub", k), 30, 6)
         assert (_outcome(ineq, ineq.pairs_checked)
                 == _outcome(local, local.triples_checked))
     elif case == "eq16":

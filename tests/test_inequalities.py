@@ -6,7 +6,7 @@ from submult import core, functions, inequalities
 from submult.core import (
     LESS,
     build_spf_table,
-    cmp_power_products,
+    cmp_power_products_detail,
     primes_upto,
     sieve_primes,
 )
@@ -42,11 +42,11 @@ def test_eq12_counts_primes():
 def test_eq12_equivalent_rewriting():
     # (p+1)^(p-1) < p^p  <=>  (1 + 1/p)^p < p + 1
     for p in primes_upto(100):
-        original = cmp_power_products([(Fraction(p + 1), p - 1)],
-                                      [(Fraction(p), p)]) == LESS
-        rewritten = cmp_power_products([(Fraction(p + 1, p), p)],
-                                       [(Fraction(p + 1), 1)]) == LESS
-        assert original == rewritten
+        original, _ = cmp_power_products_detail([(Fraction(p + 1), p - 1)],
+                                                [(Fraction(p), p)])
+        rewritten, _ = cmp_power_products_detail([(Fraction(p + 1, p), p)],
+                                                 [(Fraction(p + 1), 1)])
+        assert (original == LESS) == (rewritten == LESS)
 
 
 # --- eq13: sigma(n)^phi(n) < n^n ---------------------------------------------

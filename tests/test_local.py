@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submult import checks, core, vector
-from submult.checks import REFUTED, SUB, SUP, CheckConfig, CheckReport, check_submult
+from submult.checks import REFUTED, SUB, SUP, CheckConfig, CheckReport, run_property_check
 from submult.core import build_spf_table, prime_power, primes_upto
 from submult.errors import DomainError, InconsistencyError, UsageError
 from submult.functions import (
@@ -24,19 +24,23 @@ from submult.functions import (
 from submult.inference import (
     K_SUB_HOM,
     K_SUB_MULT,
+    K_SUP_HOM,
     K_SUP_MULT,
     SUB_HOM,
     SUB_MULT,
+    SUP_HOM,
+    SUP_MULT,
+    PropertySpec,
 )
 from submult.local import (
     CRITERIA,
+    EQ14,
+    EQ18,
+    EQ21,
+    EQ22,
     LocalCriterion,
     bridge_consistency,
     check_local,
-    check_local_k_subhom,
-    check_local_k_submult,
-    check_local_subhom,
-    check_local_submult,
     exponents_read,
     prime_power_lookup,
     prime_power_property,
@@ -52,17 +56,17 @@ from oracles import d_oracle, phi_oracle, sigma_oracle
 
 def test_d_local_submult_reduces_to_trivial(registry):
     # d(p^(a+b)) = a+b+1 <= (a+1)(b+1); slack is exactly a*b
-    r = check_local_submult(registry.get("d"), "sub", 100, 20)
+    r = check_local(registry.get("d"), LocalCriterion(EQ14, "sub"), 100, 20)
     assert r.holds
     assert r.triples_checked == len(primes_upto(100)) * 21 * 21
 
 
 def test_sigma_over_d_local_supmult(registry):
-    assert check_local_submult(registry.get("sigma_over_d"), "sup", 50, 10).holds
+    assert check_local(registry.get("sigma_over_d"), LocalCriterion(EQ14, SUP), 50, 10).holds
 
 
 def test_phi_local_submult_fails_at_2_1_1(registry):
-    r = check_local_submult(registry.get("phi"), "sub", 10, 3)
+    r = check_local(registry.get("phi"), LocalCriterion(EQ14, "sub"), 10, 3)
     assert r.verdict == REFUTED
     first = r.counterexamples[0]
     assert first.coords() == (2, 1, 1)
@@ -71,15 +75,15 @@ def test_phi_local_submult_fails_at_2_1_1(registry):
 
 def test_zero_exponent_rows_never_fail(registry):
     # f(p^0) = 1 makes a = 0 or b = 0 an equality/triviality for eq14
-    r = check_local_submult(registry.get("phi"), "sub", 20, 4)
+    r = check_local(registry.get("phi"), LocalCriterion(EQ14, "sub"), 20, 4)
     assert all(cex["a"] >= 1 and cex["b"] >= 1 for cex in r.counterexamples)
 
 
 def test_k_local_criteria(registry):
     d, phi = registry.get("d"), registry.get("phi")
     for k in (2, 3):
-        assert check_local_k_submult(d, k, "sup", 50, 10).holds
-        assert check_local_k_submult(phi, k, "sub", 50, 10).holds
+        assert check_local(d, LocalCriterion(EQ18, "sup", k), 50, 10).holds
+        assert check_local(phi, LocalCriterion(EQ18, "sub", k), 50, 10).holds
 
 
 def test_phi_k_local_equality_case(registry):
@@ -87,14 +91,14 @@ def test_phi_k_local_equality_case(registry):
     phi = registry.get("phi")
     v = evaluate_fact(phi, prime_power(2, 2))
     assert v**2 == v * v
-    assert check_local_k_submult(phi, 2, "sub", 2, 1).holds
+    assert check_local(phi, LocalCriterion(EQ18, "sub", 2), 2, 1).holds
 
 
 def test_subhom_local(registry):
-    assert check_local_subhom(registry.get("sigma"), "sup", 100, 20).holds
-    assert check_local_subhom(registry.get("phi"), "sub", 100, 20).holds
-    assert check_local_subhom(registry.get("identity"), "sub", 50, 10).holds
-    assert check_local_subhom(registry.get("identity"), "sup", 50, 10).holds
+    assert check_local(registry.get("sigma"), LocalCriterion(EQ21, "sup"), 100, 20).holds
+    assert check_local(registry.get("phi"), LocalCriterion(EQ21, "sub"), 100, 20).holds
+    assert check_local(registry.get("identity"), LocalCriterion(EQ21, "sub"), 50, 10).holds
+    assert check_local(registry.get("identity"), LocalCriterion(EQ21, "sup"), 50, 10).holds
 
 
 def test_phi_subhom_local_equality_for_positive_exponents(registry):
@@ -110,8 +114,8 @@ def test_phi_subhom_local_equality_for_positive_exponents(registry):
 
 def test_k_subhom_local(registry):
     for k in (2, 3):
-        assert check_local_k_subhom(registry.get("phi"), k, "sub", 50, 8).holds
-    assert check_local_k_subhom(registry.get("sigma"), 2, "sup", 50, 8).holds
+        assert check_local(registry.get("phi"), LocalCriterion(EQ22, "sub", k), 50, 8).holds
+    assert check_local(registry.get("sigma"), LocalCriterion(EQ22, "sup", 2), 50, 8).holds
 
 
 def test_paper_direction_table_small_grid(registry):
@@ -131,7 +135,7 @@ def test_paper_direction_table_small_grid(registry):
 
 def test_local_requires_multiplicative(registry):
     with pytest.raises(UsageError):
-        check_local_submult(registry.get("n_plus_d"), "sub", 10, 3)
+        check_local(registry.get("n_plus_d"), LocalCriterion(EQ14, "sub"), 10, 3)
 
 
 def test_local_criterion_validation():
@@ -151,8 +155,8 @@ def test_local_criterion_validation():
 def test_bridge_consistent_when_both_hold(registry, table_10k):
     d = registry.get("d")
     crit = LocalCriterion("eq14", "sub")
-    local = check_local_submult(d, "sub", 50, 10)
-    global_report = check_submult(d, SUB, CheckConfig(), table_10k)
+    local = check_local(d, crit, 50, 10)
+    global_report = run_property_check(d, PropertySpec(SUB_MULT), CheckConfig(), table_10k)
     br = bridge_consistency(d, crit, local, global_report)
     assert br.consistent
     assert br.notes == ["local holds; no covered global counterexample",
@@ -169,8 +173,8 @@ def test_bridge_takes_no_forward_obligation_where_f_is_negative():
     covered, since mu(12) = 0 > mu(2) mu(6) = -1."""
     crit = LocalCriterion("eq14", "sub")
     local = check_local(MU, crit, 10, 3)
-    global_report = check_submult(MU, SUB, CheckConfig(max_m=10, max_n=10),
-                                  build_spf_table(100))
+    global_report = run_property_check(MU, PropertySpec(SUB_MULT),
+                                       CheckConfig(max_m=10, max_n=10), build_spf_table(100))
     assert local.holds and global_report.counterexamples[0].coords() == (2, 6)
     br = bridge_consistency(MU, crit, local, global_report)
     assert br.consistent
@@ -181,31 +185,30 @@ def test_bridge_takes_no_forward_obligation_where_f_is_negative():
 def test_bridge_consistent_when_both_refuted(registry, table_10k):
     phi = registry.get("phi")
     crit = LocalCriterion("eq14", "sub")
-    local = check_local_submult(phi, "sub", 50, 10)
-    global_report = check_submult(phi, SUB, CheckConfig(), table_10k)
+    local = check_local(phi, crit, 50, 10)
+    global_report = run_property_check(phi, PropertySpec(SUB_MULT), CheckConfig(), table_10k)
     assert local.verdict == REFUTED and global_report.verdict == REFUTED
     assert bridge_consistency(phi, crit, local, global_report).consistent
 
 
 def test_bridge_k_criteria(registry):
-    from submult.checks import check_k_submult
-
     d = registry.get("d")
     crit = LocalCriterion("eq18", "sup", 2)
-    local = check_local_k_submult(d, 2, "sup", 50, 10)
+    local = check_local(d, crit, 50, 10)
     table = build_spf_table(50**2)
     cfg = CheckConfig(max_m=50, max_n=50)
-    global_report = check_k_submult(d, 2, SUP, cfg, table)
+    global_report = run_property_check(d, PropertySpec(K_SUP_MULT, 2), cfg, table)
     assert bridge_consistency(d, crit, local, global_report).consistent
 
 
 def test_bridge_rejects_mismatches(registry, table_10k):
     d = registry.get("d")
-    local = check_local_submult(d, "sub", 20, 5)
-    wrong_direction = check_submult(d, SUP, CheckConfig(), table_10k)
+    local = check_local(d, LocalCriterion(EQ14, "sub"), 20, 5)
+    wrong_direction = run_property_check(d, PropertySpec(SUP_MULT), CheckConfig(), table_10k)
     with pytest.raises(UsageError):
         bridge_consistency(d, LocalCriterion("eq14", "sub"), local, wrong_direction)
-    phi_report = check_submult(registry.get("phi"), SUB, CheckConfig(), table_10k)
+    phi_report = run_property_check(registry.get("phi"), PropertySpec(SUB_MULT), CheckConfig(),
+                                    table_10k)
     with pytest.raises(UsageError):
         bridge_consistency(d, LocalCriterion("eq14", "sub"), local, phi_report)
 
@@ -222,7 +225,7 @@ def test_bridge_detects_forward_violation(registry):
 
     d = registry.get("d")
     crit = LocalCriterion("eq14", "sub")
-    local = check_local_submult(d, "sub", 50, 10)  # holds
+    local = check_local(d, crit, 50, 10)  # holds
     fake = _fake_global(
         "d", "sub-mult", REFUTED,
         [Counterexample((("m", 2), ("n", 2)), Fraction(3), Fraction(4))])
@@ -250,37 +253,19 @@ def test_bridge_detects_converse_violation(registry):
 def test_bridge_never_inconsistent_across_registry_defaults(registry, table_10k):
     """Whatever the verdicts, local and global sweeps at the default grids
     can never contradict the implications for any stock function."""
-    from submult.checks import check_k_subhom, check_k_submult, check_subhom
-    from submult.local import check_local_k_subhom, check_local_k_submult
-
     cfg = CheckConfig()
-    for name in registry.names():
-        fn = registry.get(name)
-        if not fn.is_multiplicative:
-            continue
-        for direction in (SUB, SUP):
-            crit = LocalCriterion("eq14", direction)
-            local = check_local_submult(fn, direction, 50, 10)
-            glob = check_submult(fn, direction, cfg, table_10k)
-            assert bridge_consistency(fn, crit, local, glob).consistent
-
-    for name in ("phi", "d", "sigma", "sigma_over_d"):
-        fn = registry.get(name)
-        for direction in (SUB, SUP):
-            local = check_local_subhom(fn, direction, 50, 10)
-            glob = check_subhom(fn, direction, cfg, table_10k)
-            crit = LocalCriterion("eq21", direction)
-            assert bridge_consistency(fn, crit, local, glob).consistent
-
-            local = check_local_k_submult(fn, 2, direction, 50, 10)
-            glob = check_k_submult(fn, 2, direction, cfg, table_10k)
-            crit = LocalCriterion("eq18", direction, 2)
-            assert bridge_consistency(fn, crit, local, glob).consistent
-
-            local = check_local_k_subhom(fn, 2, direction, 50, 10)
-            glob = check_k_subhom(fn, 2, direction, cfg, table_10k)
-            crit = LocalCriterion("eq22", direction, 2)
-            assert bridge_consistency(fn, crit, local, glob).consistent
+    eq14 = [(EQ14, None, SUB_MULT, SUP_MULT)]
+    rest = [(EQ21, None, SUB_HOM, SUP_HOM), (EQ18, 2, K_SUB_MULT, K_SUP_MULT),
+            (EQ22, 2, K_SUB_HOM, K_SUP_HOM)]
+    runs = [(fn, eq14) for fn in registry.functions() if fn.is_multiplicative]
+    runs += [(registry.get(name), rest) for name in ("phi", "d", "sigma", "sigma_over_d")]
+    for fn, cases in runs:
+        for crit_id, k, sub_family, sup_family in cases:
+            for direction, family in ((SUB, sub_family), (SUP, sup_family)):
+                crit = LocalCriterion(crit_id, direction, k)
+                local = check_local(fn, crit, 50, 10)
+                glob = run_property_check(fn, PropertySpec(family, k), cfg, table_10k)
+                assert bridge_consistency(fn, crit, local, glob).consistent
 
 
 def test_bridge_ignores_uncovered_counterexamples(registry):
@@ -288,7 +273,7 @@ def test_bridge_ignores_uncovered_counterexamples(registry):
 
     d = registry.get("d")
     crit = LocalCriterion("eq14", "sub")
-    local = check_local_submult(d, "sub", 5, 2)  # tiny local grid
+    local = check_local(d, crit, 5, 2)  # tiny local grid
     # counterexample involving a prime outside the local grid: no obligation
     fake = _fake_global(
         "d", "sub-mult", REFUTED,

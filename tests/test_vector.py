@@ -213,10 +213,10 @@ _NEAR_AT_2 = make_prime_power_fn("near-at-2",
 def test_sums_beyond_int64_leave_the_table_out(table_1m):
     fn = combine(SUM, (_NEAR_AT_2,) * 5, name="five-near-at-2")
     cfg = CheckConfig(max_m=10, max_n=10)
-    report = checks.check_subhom(fn, SUB, cfg, table_1m)
+    report = checks.run_property_check(fn, PropertySpec(SUB_HOM), cfg, table_1m)
     assert vector.value_table(Evaluator(fn, table_1m), 100, 10) is None
     with scalar_oracle():
-        scalar = checks.check_subhom(fn, SUB, cfg, table_1m)
+        scalar = checks.run_property_check(fn, PropertySpec(SUB_HOM), cfg, table_1m)
     assert (dataclasses.replace(report, elapsed_seconds=0)
             == dataclasses.replace(scalar, elapsed_seconds=0))
 
@@ -532,8 +532,9 @@ def test_grid_tables_call_rules_only_at_primes_the_grid_reaches():
 
     sigma = make_prime_power_fn("counted-sigma", rule)
     calls.clear()
-    report = checks.check_submult(sigma, SUB, CheckConfig(max_m=200, max_n=200),
-                                  build_spf_table(40_000))
+    report = checks.run_property_check(sigma, PropertySpec(SUB_MULT),
+                                       CheckConfig(max_m=200, max_n=200),
+                                       build_spf_table(40_000))
     assert report.holds
     assert sorted(calls) == [(p, a) for p in core.primes_upto(200)
                              for a in range(1, 16) if p**a <= 40_000]
@@ -548,9 +549,12 @@ def _largest_prime_factors(spf: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("run", [
-    lambda cfg, sieve: checks.check_submult(REGISTRY.get("sigma_over_d"), SUP, cfg, sieve),
-    lambda cfg, sieve: checks.check_multiplicative(REGISTRY.get("n_plus_d"), cfg, sieve),
-    lambda cfg, sieve: checks.check_k_subhom(REGISTRY.get("phi"), 2, SUB, cfg, sieve),
+    lambda cfg, sieve: checks.run_property_check(REGISTRY.get("sigma_over_d"),
+                                                 PropertySpec(SUP_MULT), cfg, sieve),
+    lambda cfg, sieve: checks.run_property_check(REGISTRY.get("n_plus_d"),
+                                                 PropertySpec(MULTIPLICATIVE), cfg, sieve),
+    lambda cfg, sieve: checks.run_property_check(REGISTRY.get("phi"),
+                                                 PropertySpec(K_SUB_HOM, 2), cfg, sieve),
     lambda cfg, sieve: checks.check_power_submult(REGISTRY.get("sigma"),
                                                   REGISTRY.get("d"), SUB, cfg, sieve),
 ], ids=["sup-mult", "multiplicative", "k-sub-hom", "cross-power"])
@@ -642,10 +646,10 @@ def test_rule_values_past_the_bound_refuse_the_table_before_its_memory_check(
                                  lambda p, a, v=value: v if (p, a) == (2, 1) else 1)
         sieves = build_spf_table(100), build_spf_table(100)
         with scalar_oracle():
-            scalar = checks.check_submult(fn, SUB, cfg, sieves[0])
+            scalar = checks.run_property_check(fn, PropertySpec(SUB_MULT), cfg, sieves[0])
         with monkeypatch.context() as m:
             m.setattr(core, "memory_budget", lambda: 0)
-            report = checks.check_submult(fn, SUB, cfg, sieves[1])
+            report = checks.run_property_check(fn, PropertySpec(SUB_MULT), cfg, sieves[1])
         assert sieves[1].tables == {(fn, 100, 1, 10): None}
         assert (dataclasses.replace(report, elapsed_seconds=0)
                 == dataclasses.replace(scalar, elapsed_seconds=0))
@@ -670,14 +674,15 @@ def test_tables_kept_on_a_sieve_count_against_the_budget(monkeypatch, needs):
     one that already keeps a table of the same size."""
     cfg = CheckConfig(max_m=50, max_n=50)
     sieve = build_spf_table(2500)
-    checks.check_submult(REGISTRY.get("sigma"), SUB, cfg, sieve)
+    checks.run_property_check(REGISTRY.get("sigma"), PropertySpec(SUB_MULT), cfg, sieve)
     sigma_need = needs[-1]
     assert sigma_need > sieve.spf.nbytes
     monkeypatch.setattr(core, "memory_budget", lambda: sigma_need)
-    checks.check_submult(REGISTRY.get("phi"), SUB, cfg, build_spf_table(2500))
+    checks.run_property_check(REGISTRY.get("phi"), PropertySpec(SUB_MULT), cfg,
+                              build_spf_table(2500))
     assert needs[-1] == sigma_need
     with pytest.raises(ResourceError, match="the value table of phi up to 2500"):
-        checks.check_submult(REGISTRY.get("phi"), SUB, cfg, sieve)
+        checks.run_property_check(REGISTRY.get("phi"), PropertySpec(SUB_MULT), cfg, sieve)
     assert needs[-1] == sigma_need + sum(
         a.nbytes for a in sieve.tables[REGISTRY.get("sigma"), 2500, 1, 50] if a is not None)
 
